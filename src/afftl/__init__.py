@@ -9,15 +9,18 @@ two-sided/left/right cell labels, involutions, censuses).
 from .config import GroupConfig
 from .diagrams import (
     AffineDiagram,
+    InvariantError,
     ProductResult,
     canonical_key,
     crossing_number,
     descent_arcs,
     generator,
+    generator_times,
     identity,
     is_admissible,
     length,
     multiply,
+    times_generator,
     validate,
 )
 from .laurent import DELTA, ONE, V, LaurentPoly, delta_power

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .config import GroupConfig
-from .diagrams import AffineDiagram, canonical_key, identity, length, multiply
+from .diagrams import AffineDiagram, InvariantError, canonical_key, identity, length, multiply
 from .laurent import ONE, LaurentPoly, delta_power
 from .straightening import stack, straighten
 from .words import braid_witness, check_word, greedy_back, is_fc_reduced
@@ -144,7 +144,8 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     for da, ca in a.terms.items():
         for db, cb in b.terms.items():
             r = multiply(da, db)
-            assert r.contractible >= 0
+            if r.contractible < 0:
+                raise InvariantError("negative loop count in a product")
             coeff = ca * cb * delta_power(r.contractible)
             out[r.diagram] = out.get(r.diagram, LaurentPoly()) + coeff
     return AlgebraElement(a.n, out)

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .config import GroupConfig
-from .diagrams import TOP, edge_list, generator, multiply
+from .diagrams import TOP, InvariantError, edge_list, generator_times, times_generator
 from .straightening import stack, straighten
 from .words import (
     Word,
@@ -186,7 +186,7 @@ def cancellable(cfg: GroupConfig, word, s: int, side: str) -> int | None:
             raise ValueError(f"{s} is not a left descent")
         target = stack(cfg, moved[1:]).diagram
         for t in cfg.neighbours_of(s):
-            r = multiply(generator(cfg.n, t), full)
+            r = generator_times(t, full)
             if r.contractible == 0 and r.diagram == target:
                 return t
         return None
@@ -196,7 +196,7 @@ def cancellable(cfg: GroupConfig, word, s: int, side: str) -> int | None:
             raise ValueError(f"{s} is not a right descent")
         target = stack(cfg, moved[:-1]).diagram
         for t in cfg.neighbours_of(s):
-            r = multiply(full, generator(cfg.n, t))
+            r = times_generator(full, t)
             if r.contractible == 0 and r.diagram == target:
                 return t
         return None
@@ -299,12 +299,11 @@ def core_neighbours(cfg: GroupConfig, word) -> frozenset[tuple[int, Word]]:
                 cands.append(alternating_word(cfg, start, f))
     out = set()
     for s in cfg.generators():
-        g = generator(n, s)
         for cw in cands:
-            r1 = multiply(g, stack(cfg, cw).diagram)
+            r1 = generator_times(s, stack(cfg, cw).diagram)
             if r1.contractible:
                 continue
-            r2 = multiply(r1.diagram, g)
+            r2 = times_generator(r1.diagram, s)
             if r2.contractible == 0 and r2.diagram == target:
                 out.add((s, cw))
     return frozenset(out)
@@ -348,14 +347,17 @@ def involution_decompose(
             if back is not None:
                 options.append((s, back[:-1]))
         if not options:
-            raise AssertionError("involution with entangled support but no conjugating descent")
+            raise InvariantError("involution with entangled support but no conjugating descent")
         s, w = options[0] if rng is None else rng.choice(options)
         x.append(s)
     core = support(w)
-    assert len(w) == len(core), "terminal element is not a commuting block"
+    if len(w) != len(core):
+        raise InvariantError("terminal element is not a commuting block")
     full = tuple(x) + tuple(sorted(core)) + tuple(reversed(x))
-    assert perm_of(cfg, full).length() == len(full), "decomposition is not reduced"
-    assert perm_of(cfg, full) == p, "decomposition does not multiply back"
+    if perm_of(cfg, full).length() != len(full):
+        raise InvariantError("decomposition is not reduced")
+    if perm_of(cfg, full) != p:
+        raise InvariantError("decomposition does not multiply back")
     return InvolutionDecomposition(tuple(x), core)
 
 
@@ -385,8 +387,10 @@ def right_cell_involution(cfg: GroupConfig, word) -> Word | str:
     q = tuple(s for g in tail for s in sorted(g))
     d = y + q + tuple(reversed(y))
     p = perm_of(cfg, d)
-    assert p.length() == len(d), "involution candidate is not reduced"
-    assert p.is_involution()
+    if p.length() != len(d):
+        raise InvariantError("involution candidate is not reduced")
+    if not p.is_involution():
+        raise InvariantError("involution candidate is not an involution")
     return straighten(stack(cfg, d).diagram).letters
 
 

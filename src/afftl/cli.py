@@ -2,7 +2,8 @@
 
 Subcommands: eval, mul, straighten, diagram, afn, cells label,
 cells census, involution, enumerate, verify.  Exit codes: 0 success,
-1 domain error (error JSON on stderr), 2 usage error.
+1 domain error (error JSON on stderr), 2 usage error, 3 failed internal
+self-check (InvariantError JSON on stderr; a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ def _load_json_arg(text: str):
 
 def _emit(obj) -> None:
     print(json.dumps(obj))
+
+
+def _emit_error(exc: Exception) -> None:
+    sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,10 +216,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _DISPATCH[args.command](args)
+    except diagrams.InvariantError as exc:
+        _emit_error(exc)
+        return 3
     except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
+        _emit_error(exc)
         return 1
 
 

@@ -14,10 +14,26 @@ rows, and traces connectivity.  Middle cycles closing with zero offset
 contract and are reported as an exponent of the loop scalar; cycles
 closing with offset +-n wind the cylinder once and become long horizontal
 edges of the product.
+
+Stacking with a single generator E_s is a constant-size local action
+(`times_generator`, `generator_times`): E_s joins nodes s and s+1 of the
+touching row, and their former partners become partners of each other.
+If those two nodes were already joined by a minimal arc the edit closes a
+contractible loop; if they were joined by an arc around the rest of the
+period, it closes a winding loop.  The general `multiply` stays for
+products of arbitrary diagrams and as the cross-check of the local action.
+
+Constructing an AffineDiagram checks nothing: internal constructions are
+trusted.  Diagrams from outside are checked once, at the input boundary,
+by `from_json_dict`, which runs `validate` (shape, involution, balance,
+and a closed-form periodic crossing test whose cost does not depend on
+coordinate magnitudes).  Broken internal self-checks raise
+`InvariantError`, which survives `python -O`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -25,6 +41,10 @@ TOP = "T"
 BOT = "B"
 
 NodeRef = tuple[str, int]
+
+
+class InvariantError(Exception):
+    """An internal self-check failed: a bug, never a property of the input."""
 
 
 @dataclass(frozen=True)
@@ -35,17 +55,10 @@ class AffineDiagram:
     loops: int = 0
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"need n >= 3, got {self.n}")
-        if len(self.top) != self.n or len(self.bottom) != self.n:
-            raise ValueError("partner arrays must have n entries")
-        if self.loops < 0:
-            raise ValueError("negative loop count")
-        for row in (self.top, self.bottom):
-            for entry in row:
-                side, pos = entry
-                if side not in (TOP, BOT) or not isinstance(pos, int):
-                    raise ValueError(f"malformed node reference {entry!r}")
+        # Construction hook, deliberately empty: internal constructions are
+        # trusted and input is validated by from_json_dict.  Kept so that
+        # constructions can be counted (perfbench/tracer.py patches it).
+        pass
 
 
 @dataclass(frozen=True)
@@ -72,27 +85,30 @@ def _set_entry(n: int, entries: list[NodeRef], pos: int, target: NodeRef) -> Non
     entries[c - 1] = (target[0], target[1] + (c - pos))
 
 
+def _check_n(n: int) -> None:
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+
+
+@lru_cache(maxsize=1 << 8)
 def identity(n: int) -> AffineDiagram:
+    _check_n(n)
     top = tuple((BOT, i) for i in range(1, n + 1))
     bottom = tuple((TOP, i) for i in range(1, n + 1))
     return AffineDiagram(n, top, bottom, 0)
 
 
+@lru_cache(maxsize=1 << 12)
 def generator(n: int, i: int) -> AffineDiagram:
     """The diagram joining i and i+1 in both rows, all other classes vertical."""
     if not 1 <= i <= n:
         raise ValueError(f"generator index {i} out of range 1..{n}")
-    top = [(BOT, j) for j in range(1, n + 1)]
-    bottom = [(TOP, j) for j in range(1, n + 1)]
-    _set_entry(n, top, i, (TOP, i + 1))
-    _set_entry(n, top, i + 1, (TOP, i))
-    _set_entry(n, bottom, i, (BOT, i + 1))
-    _set_entry(n, bottom, i + 1, (BOT, i))
-    return AffineDiagram(n, tuple(top), tuple(bottom), 0)
+    return straight_diagram(n, (i,))
 
 
-def straight_diagram(n: int, commuting: frozenset[int] | set[int]) -> AffineDiagram:
+def straight_diagram(n: int, commuting: Iterable[int]) -> AffineDiagram:
     """The diagram of a product of pairwise non-adjacent generators."""
+    _check_n(n)
     top = [(BOT, j) for j in range(1, n + 1)]
     bottom = [(TOP, j) for j in range(1, n + 1)]
     for i in sorted(commuting):
@@ -148,28 +164,67 @@ def _involution_problems(d: AffineDiagram) -> list[str]:
     return problems
 
 
-def _crosses(e1, e2) -> bool:
-    """Whether two concrete edges must intersect.  Edges are
-    ("T"|"B", p, q) arcs with p < q, or ("V", top_pos, bottom_pos)."""
+def _shape_problems(d: AffineDiagram) -> list[str]:
+    if not isinstance(d.n, int) or d.n < 3:
+        return [f"need n >= 3, got {d.n!r}"]
+    if len(d.top) != d.n or len(d.bottom) != d.n:
+        return ["partner arrays must have n entries"]
+    problems = []
+    if not isinstance(d.loops, int) or d.loops < 0:
+        problems.append(f"bad loop count {d.loops!r}")
+    for row in (d.top, d.bottom):
+        for entry in row:
+            if not (
+                isinstance(entry, tuple)
+                and len(entry) == 2
+                and entry[0] in (TOP, BOT)
+                and isinstance(entry[1], int)
+            ):
+                problems.append(f"malformed node reference {entry!r}")
+    return problems
+
+
+def _shifts_open(lo: int, hi: int, n: int) -> tuple[int, int]:
+    """Inclusive range of the integers m with lo < m*n < hi."""
+    return lo // n + 1, -(-hi // n) - 1
+
+
+def _crossing_shifts(e1, e2, n: int) -> list[tuple[int, int]]:
+    """Inclusive ranges of the m for which e1 crosses e2 shifted by m*n.
+
+    Edges are ("T"|"B", p, q) arcs with p < q, or ("V", top_pos,
+    bottom_pos); e1 is a vertical only if e2 is one too (validate lists
+    arcs first).  Each condition is an interval of m, so the test costs
+    O(1) whatever the coordinates.
+    """
     k1, a1, b1 = e1
     k2, a2, b2 = e2
-    if k1 == "V" and k2 == "V":
-        return (a1 - a2) * (b1 - b2) <= 0
-    if k1 == "V":
-        e1, e2 = e2, e1
-        k1, a1, b1 = e1
-        k2, a2, b2 = e2
     if k2 == "V":
-        # arc vs vertical: only the endpoint on the arc's side matters
+        if k1 == "V":
+            # verticals cross or touch when their endpoint orders disagree
+            lo, hi = sorted((a1 - a2, b1 - b2))
+            return [(-(-lo // n), hi // n)]
+        # the arc against the vertical's endpoint on the arc's row
         end = a2 if k1 == TOP else b2
-        return a1 < end < b1
+        return [_shifts_open(a1 - end, b1 - end, n)]
     if k1 != k2:
-        return False
-    return (a1 < a2 < b1 < b2) or (a2 < a1 < b2 < b1)
+        return []
+    # interleaving arcs on one row, in either order
+    return [
+        _shifts_open(max(a1 - a2, b1 - b2), b1 - a2, n),
+        _shifts_open(a1 - b2, min(a1 - a2, b1 - b2), n),
+    ]
 
 
 def validate(d: AffineDiagram) -> list[str]:
-    """All invariant violations (empty list means the diagram is valid)."""
+    """All invariant violations (empty list means the diagram is valid).
+
+    One crossing problem is reported per crossing pair of edge orbits,
+    naming the translate nearest to the window.
+    """
+    problems = _shape_problems(d)
+    if problems:
+        return problems
     problems = _involution_problems(d)
     if problems:
         return problems
@@ -183,18 +238,22 @@ def validate(d: AffineDiagram) -> list[str]:
         + [(BOT, p, q) for p, q in bottom_arcs]
         + [("V", p, q) for p, q in verticals]
     )
-    span = max((abs(e[2] - e[1]) for e in edges), default=0)
-    reach = span // d.n + 2
+    n = d.n
     for i, e1 in enumerate(edges):
-        for j, e2 in enumerate(edges):
-            if j < i:
-                continue
-            for m in range(-reach, reach + 1):
-                if i == j and m == 0:
-                    continue
-                shifted = (e2[0], e2[1] + m * d.n, e2[2] + m * d.n)
-                if _crosses(e1, shifted):
-                    problems.append(f"crossing pair {e1} / {shifted}")
+        for e2 in edges[i:]:
+            shifts = [
+                min(max(0, lo), hi)
+                for lo, hi in _crossing_shifts(e1, e2, n)
+                if lo <= hi
+            ]
+            if e1 is e2:
+                # a vertical never crosses its own translates; arcs never
+                # cross themselves unshifted
+                shifts = [m for m in shifts if m]
+            if shifts:
+                m = min(shifts, key=abs)
+                shifted = (e2[0], e2[1] + m * n, e2[2] + m * n)
+                problems.append(f"crossing pair {e1} / {shifted}")
     return problems
 
 
@@ -225,23 +284,22 @@ def crossing_number(d: AffineDiagram, k: int) -> int:
     and k+1, drawn geodesically; each winding loop contributes 1."""
     if not 1 <= k <= d.n:
         raise ValueError(f"class {k} out of range 1..{d.n}")
-    problems = _involution_problems(d)
-    if problems:
-        raise ValueError(f"invalid diagram: {problems[0]}")
     return _nu_vector(d)[k - 1]
 
 
 def is_admissible(d: AffineDiagram) -> bool:
-    """Identity, or at least one horizontal edge and all crossing numbers even."""
-    problems = _involution_problems(d)
-    if problems:
-        raise ValueError(f"invalid diagram: {problems[0]}")
-    if d == identity(d.n):
+    """Identity, or at least one horizontal edge and all crossing numbers even.
+
+    A valid diagram crossing no line is the identity, and one with a
+    horizontal edge has a short top arc (top and bottom arcs balance) or
+    a winding loop.
+    """
+    nu = _nu_vector(d)
+    if not any(nu):
         return True
-    top_arcs, bottom_arcs, _ = edge_list(d)
-    if not (top_arcs or bottom_arcs or d.loops):
+    if not (d.loops or any(side == TOP for side, _ in d.top)):
         return False
-    return all(v % 2 == 0 for v in _nu_vector(d))
+    return all(v % 2 == 0 for v in nu)
 
 
 def length(d: AffineDiagram) -> int:
@@ -271,7 +329,7 @@ def multiply(a: AffineDiagram, b: AffineDiagram) -> ProductResult:
         while True:
             steps += 1
             if steps > 2 * n + 4:
-                raise AssertionError("runaway connectivity trace")
+                raise InvariantError("runaway connectivity trace")
             if in_a:
                 side, pos = partner(a, side, pos)
                 if side == TOP:
@@ -298,12 +356,15 @@ def multiply(a: AffineDiagram, b: AffineDiagram) -> ProductResult:
         steps = 0
         while True:
             steps += 1
-            assert steps <= n + 2, "runaway middle cycle"
+            if steps > n + 2:
+                raise InvariantError("runaway middle cycle")
             s2, p2 = partner(a, BOT, pos)
-            assert s2 == BOT, "middle cycle escaped through the top diagram"
+            if s2 != BOT:
+                raise InvariantError("middle cycle escaped through the top diagram")
             done[class_of(n, p2)] = True
             s3, p3 = partner(b, TOP, p2)
-            assert s3 == TOP, "middle cycle escaped through the bottom diagram"
+            if s3 != TOP:
+                raise InvariantError("middle cycle escaped through the bottom diagram")
             done[class_of(n, p3)] = True
             pos = p3
             if class_of(n, pos) == c:
@@ -311,15 +372,60 @@ def multiply(a: AffineDiagram, b: AffineDiagram) -> ProductResult:
         offset = (pos - c) // n
         if offset == 0:
             contractible += 1
-        else:
-            assert abs(offset) == 1, "middle cycle winds more than once"
+        elif abs(offset) == 1:
             winding += 1
+        else:
+            raise InvariantError("middle cycle winds more than once")
 
-    if winding:
-        assert all(s == TOP for s, _ in top_row), \
-            "winding middle cycle alongside a through strand"
+    if winding and any(s == BOT for s, _ in top_row):
+        raise InvariantError("winding middle cycle alongside a through strand")
     diagram = AffineDiagram(n, top_row, bottom_row, a.loops + b.loops + winding)
     return ProductResult(diagram, contractible)
+
+
+def times_generator(d: AffineDiagram, s: int) -> ProductResult:
+    """d stacked on top of E_s; equal to multiply(d, generator(d.n, s)),
+    by a constant-size edit of d's bottom row."""
+    return _generator_action(d, s, BOT)
+
+
+def generator_times(s: int, d: AffineDiagram) -> ProductResult:
+    """E_s stacked on top of d; equal to multiply(generator(d.n, s), d),
+    by a constant-size edit of d's top row."""
+    return _generator_action(d, s, TOP)
+
+
+def _generator_action(d: AffineDiagram, s: int, side: str) -> ProductResult:
+    # `side` is d's row that touches E_s.  E_s joins that row's nodes s and
+    # s+1, whose partners in d are x and y, and gives the product a fresh
+    # arc (s, s+1) on that row.  Node s is window entry s - 1; node s+1 is
+    # window entry t shifted by s - t.
+    n = d.n
+    if not 1 <= s <= n:
+        raise ValueError(f"generator index {s} out of range 1..{n}")
+    row = d.top if side == TOP else d.bottom
+    x = row[s - 1]
+    if x == (side, s + 1):
+        # the minimal arc (s, s+1) and E_s's arc close a contractible loop
+        return ProductResult(d, 1)
+    t = s % n
+    rows = {TOP: list(d.top), BOT: list(d.bottom)}
+    loops = d.loops
+    if x == (side, s + 1 - n):
+        # the arc (s+1-n, s) and E_s's arcs close a loop around the cylinder
+        if any(p[0] == BOT for p in d.top):
+            raise InvariantError("winding loop alongside a through strand")
+        loops += 1
+    else:
+        y = (row[t][0], row[t][1] + s - t)
+        for node in (x, y):
+            if node[0] == side and (node[1] - s) % n in (0, 1):
+                raise InvariantError(f"generator action met a broken matching at {side}{s}")
+        _set_entry(n, rows[x[0]], x[1], y)
+        _set_entry(n, rows[y[0]], y[1], x)
+    rows[side][s - 1] = (side, s + 1)
+    rows[side][t] = (side, t)
+    return ProductResult(AffineDiagram(n, tuple(rows[TOP]), tuple(rows[BOT]), loops), 0)
 
 
 def canonical_key(d: AffineDiagram) -> bytes:
@@ -340,6 +446,7 @@ def to_json_dict(d: AffineDiagram) -> dict:
 
 
 def from_json_dict(obj: dict) -> AffineDiagram:
+    """Load a diagram from JSON: the one place where input is validated."""
     try:
         n = int(obj["n"])
         top = tuple((e["side"], int(e["pos"])) for e in obj["top"])

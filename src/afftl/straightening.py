@@ -7,8 +7,10 @@ winding loop) splits off on its own row, and otherwise a slanted strand
 next to a minimal arc is shortened by multiplying with a generator.  The
 four peel kinds are tried in the fixed priority T1 > B1 > T2 > B2, with
 the smallest qualifying class as tie-break, which makes the produced word
-canonical.  Every peel re-stacks the emitted letter and asserts that the
-original diagram is recovered with no contractible loop.
+canonical.  Every peel re-stacks the emitted letter and checks that the
+original diagram is recovered with no contractible loop; a failed check
+raises InvariantError.  Generator products here all use the local action
+of `afftl.diagrams`.
 """
 
 from __future__ import annotations
@@ -21,18 +23,19 @@ from .diagrams import (
     TOP,
     BOT,
     AffineDiagram,
+    InvariantError,
     ProductResult,
     class_of,
     descent_arcs,
     edge_list,
-    generator,
+    generator_times,
     identity,
     is_admissible,
     length,
-    multiply,
     partner,
     short_arc_count,
     straight_diagram,
+    times_generator,
     _set_entry,
 )
 
@@ -71,7 +74,7 @@ def _stack_cached(n: int, word: tuple[int, ...]) -> ProductResult:
     if not word:
         return ProductResult(identity(n), 0)
     prev = _stack_cached(n, word[:-1])
-    r = multiply(prev.diagram, generator(n, word[-1]))
+    r = times_generator(prev.diagram, word[-1])
     return ProductResult(r.diagram, prev.contractible + r.contractible)
 
 
@@ -94,12 +97,11 @@ def _innermost_cover(n: int, arcs, k: int) -> tuple[int, int] | None:
     the largest left endpoint; None if no arc covers."""
     best = None
     for p, q in arcs:
-        reach = (q - p) // n + 2
-        for m in range(-reach, reach + 1):
-            lo, hi = p + m * n, q + m * n
-            if lo < k and hi > k + 1:
-                if best is None or lo > best[0]:
-                    best = (lo, hi)
+        # the lift with the largest left endpoint below k covers if any does
+        m = (k - 1 - p) // n
+        lo, hi = p + m * n, q + m * n
+        if hi > k + 1 and (best is None or lo > best[0]):
+            best = (lo, hi)
     return best
 
 
@@ -154,7 +156,7 @@ def find_distinguished(d: AffineDiagram) -> CongruenceFinding:
             if kind in ("T1", "B1"):
                 return CongruenceFinding(cls, kind, info, uses_loop=info is None)
             return CongruenceFinding(cls, kind, None)
-    raise AssertionError("no peelable class found on a non-straight admissible diagram")
+    raise InvariantError("no peelable class found on a non-straight admissible diagram")
 
 
 def _arc_surgery(d: AffineDiagram, side: str, remove_add) -> AffineDiagram:
@@ -172,7 +174,7 @@ def peel(d: AffineDiagram, f: CongruenceFinding) -> PeelStep:
 
     The removed letter stacks back (on the reported end) to reproduce d
     exactly, the length drops by one, and the number of short horizontal
-    edges is preserved; all three facts are asserted.
+    edges is preserved; all three facts are checked.
     """
     n = d.n
     if f.kind in ("T1", "B1"):
@@ -182,35 +184,36 @@ def peel(d: AffineDiagram, f: CongruenceFinding) -> PeelStep:
             i0, j0 = f.cover
             rest = _arc_surgery(d, side, [(i0, k), (k + 1, j0)])
         else:
-            assert d.loops > 0
+            if not d.loops:
+                raise InvariantError("loop peel on a diagram without loops")
             rest = _arc_surgery(d, side, [(k + 1, k + n)])
             rest = replace(rest, loops=d.loops - 1)
         letter = k
         end = "left" if f.kind == "T1" else "right"
-    elif f.kind == "T2":
-        r = multiply(generator(n, f.cls), d)
-        assert r.contractible == 0, "slide peel created a contractible loop"
+    elif f.kind in ("T2", "B2"):
+        if f.kind == "T2":
+            r = generator_times(f.cls, d)
+            end = "left"
+        else:
+            r = times_generator(d, f.cls)
+            end = "right"
+        if r.contractible:
+            raise InvariantError("slide peel created a contractible loop")
         rest = r.diagram
         letter = class_of(n, f.cls + 1)
-        end = "left"
-    elif f.kind == "B2":
-        r = multiply(d, generator(n, f.cls))
-        assert r.contractible == 0, "slide peel created a contractible loop"
-        rest = r.diagram
-        letter = class_of(n, f.cls + 1)
-        end = "right"
     else:
         raise ValueError(f"unknown peel kind {f.kind!r}")
 
     if end == "left":
-        back = multiply(generator(n, letter), rest)
+        back = generator_times(letter, rest)
     else:
-        back = multiply(rest, generator(n, letter))
-    assert back.contractible == 0 and back.diagram == d, \
-        f"peel reconstruction failed at class {f.cls} kind {f.kind}"
-    assert length(rest) == length(d) - 1, "peel did not drop length by one"
-    assert short_arc_count(rest) == short_arc_count(d), \
-        "peel changed the short-edge count"
+        back = times_generator(rest, letter)
+    if back.contractible or back.diagram != d:
+        raise InvariantError(f"peel reconstruction failed at class {f.cls} kind {f.kind}")
+    if length(rest) != length(d) - 1:
+        raise InvariantError("peel did not drop length by one")
+    if short_arc_count(rest) != short_arc_count(d):
+        raise InvariantError("peel changed the short-edge count")
     return PeelStep(letter, end, rest)
 
 
@@ -232,6 +235,8 @@ def straighten(d: AffineDiagram) -> StraightWord:
         cur = step.rest
     word = tuple(left) + tuple(sorted(core)) + tuple(reversed(right))
     check = _stack_cached(d.n, word)
-    assert check.contractible == 0 and check.diagram == d, "straightened word does not re-stack"
-    assert len(word) == length(d)
+    if check.contractible or check.diagram != d:
+        raise InvariantError("straightened word does not re-stack")
+    if len(word) != length(d):
+        raise InvariantError("straightened word is not reduced")
     return StraightWord(word, core)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .config import GroupConfig
+from .diagrams import InvariantError
 
 Word = tuple[int, ...]
 
@@ -190,7 +191,7 @@ def braid_witness(cfg: GroupConfig, word, t: int) -> BraidWitness:
                 continue
             if all(cfg.commutes(t, x) for x in u[p + 2:]):
                 return BraidWitness(u[:p], s, u[p + 2:])
-    raise AssertionError("no factorization found; input was not reduced FC")
+    raise InvariantError("no factorization found; input was not reduced FC")
 
 
 def braid_witness_left(cfg: GroupConfig, word, t: int) -> BraidWitness:
@@ -281,7 +282,7 @@ def to_affine_permutation(cfg: GroupConfig, word) -> AffinePermutation:
     return p
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _perm_of(n: int, word: Word) -> AffinePermutation:
     return to_affine_permutation(GroupConfig(n), word)
 

@@ -1,8 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+from afftl import straightening
 from afftl.cli import main, parse_word
+from afftl.diagrams import ProductResult
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -153,3 +162,59 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--n", "4", "--max-len", "4", "--seed", "7")
         assert code == 0
         assert all(line.startswith("PASS") for line in out.strip().splitlines())
+
+
+def _miscounting(real):
+    """The left generator action, reporting one contractible loop too many."""
+
+    def action(s, d):
+        r = real(s, d)
+        return ProductResult(r.diagram, r.contractible + 1)
+
+    return action
+
+
+# "2 1 3 2" straightens with a T1 peel first, whose reconstruction uses the
+# left generator action.
+BROKEN_PEEL = textwrap.dedent(
+    """
+    import sys
+    from afftl import straightening
+    from afftl.cli import main
+    from test_cli import _miscounting
+
+    straightening.generator_times = _miscounting(straightening.generator_times)
+    print(__debug__)
+    sys.exit(main(["eval", "--n", "4", "--word", "2 1 3 2"]))
+    """
+)
+
+
+class TestInvariantError:
+    def check_error(self, code, err):
+        assert code == 3
+        obj = json.loads(err)
+        assert obj["error"] == "InvariantError"
+        assert "peel reconstruction failed" in obj["message"]
+
+    def test_in_process(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            straightening, "generator_times", _miscounting(straightening.generator_times)
+        )
+        straightening.straighten.cache_clear()
+        try:
+            code, _, err = run_cli(capsys, "eval", "--n", "4", "--word", "2 1 3 2")
+        finally:
+            straightening.straighten.cache_clear()
+        self.check_error(code, err)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_subprocess_survives_optimize(self, flags):
+        paths = [str(SRC), str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", BROKEN_PEEL],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.stdout.strip() == str(not flags)  # __debug__ is off under -O
+        self.check_error(proc.returncode, proc.stderr)

@@ -1,0 +1,22 @@
+"""The benchmark harness still runs against the package.
+
+perfbench/tracer.py binds package names from outside (the spanned public
+functions, `AffineDiagram.__post_init__`, the caches it reads hit ratios
+from); renaming or removing one of them breaks traced runs, and this test
+catches that.  It runs the harness's own self-test, a few seconds.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_perfbench_selftest():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "selftest passed" in proc.stdout

@@ -1,0 +1,153 @@
+"""Input validation at the boundary: closed-form checks against the
+test-only brute-force oracles, shape checks, and bounded cost."""
+
+import ast
+import json
+import random
+import time
+
+import pytest
+
+from conftest import random_fc_word
+from oracles import innermost_cover_bruteforce, validate_bruteforce
+
+from afftl.cli import main
+from afftl.config import GroupConfig
+from afftl.diagrams import (
+    BOT,
+    TOP,
+    AffineDiagram,
+    from_json_dict,
+    generator,
+    identity,
+    to_json_dict,
+    validate,
+)
+from afftl.straightening import _innermost_cover, stack
+
+SHIFT = 3 * 10**7
+
+
+def random_matching_diagram(rng, n):
+    """Pair the 2n node classes at random, each pair with a random lift
+    offset: always an involution, often crossing, sometimes valid."""
+    nodes = [(TOP, i) for i in range(1, n + 1)] + [(BOT, i) for i in range(1, n + 1)]
+    rng.shuffle(nodes)
+    rows = {TOP: [None] * n, BOT: [None] * n}
+    for (s1, p1), (s2, p2) in zip(nodes[::2], nodes[1::2]):
+        m = rng.randint(-2, 2) * n
+        rows[s1][p1 - 1] = (s2, p2 + m)
+        rows[s2][p2 - 1] = (s1, p1 - m)
+    return AffineDiagram(n, tuple(rows[TOP]), tuple(rows[BOT]), rng.choice((0, 0, 1)))
+
+
+def twisted(d, t):
+    """Every vertical's bottom end moved t positions right."""
+    top = tuple((s, p + t) if s == BOT else (s, p) for s, p in d.top)
+    bottom = tuple((s, p - t) if s == TOP else (s, p) for s, p in d.bottom)
+    return AffineDiagram(d.n, top, bottom, d.loops)
+
+
+def crossing_orbit_pairs(problems, n):
+    """{(edge, orbit representative of the crossing translate)}."""
+    out = set()
+    for p in problems:
+        if not p.startswith("crossing pair "):
+            continue
+        e1, shifted = (ast.literal_eval(x) for x in p[len("crossing pair "):].split(" / "))
+        m = (shifted[1] - 1) // n
+        out.add((e1, (shifted[0], shifted[1] - m * n, shifted[2] - m * n)))
+    return out
+
+
+def diagram_pool(rng):
+    pool = []
+    for n in (3, 4, 5, 6):
+        cfg = GroupConfig(n)
+        for _ in range(150):
+            pool.append(random_matching_diagram(rng, n))
+        for _ in range(25):
+            d = stack(cfg, random_fc_word(cfg, rng, 8)).diagram
+            pool += [d, twisted(d, rng.randint(-2 * n, 2 * n))]
+    return pool
+
+
+class TestValidateAgainstOracle:
+    def test_differential(self):
+        rng = random.Random(7)
+        valid = invalid = 0
+        for d in diagram_pool(rng):
+            fast, slow = validate(d), validate_bruteforce(d)
+            assert bool(fast) == bool(slow), d
+            assert [p for p in fast if not p.startswith("crossing")] == [
+                p for p in slow if not p.startswith("crossing")
+            ]
+            assert crossing_orbit_pairs(fast, d.n) == crossing_orbit_pairs(slow, d.n), d
+            valid += not fast
+            invalid += bool(fast)
+        # both outcomes are well represented
+        assert valid > 150 and invalid > 300
+
+    def test_involution_breach_reported(self):
+        d = identity(4)
+        bad = AffineDiagram(4, ((TOP, 1),) + d.top[1:], d.bottom, 0)
+        assert validate(bad) == validate_bruteforce(bad) != []
+
+
+class TestInnermostCoverAgainstOracle:
+    def test_differential(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            n = rng.randint(3, 7)
+            arcs = []
+            for _ in range(rng.randint(0, 3)):
+                p = rng.randint(1, n)
+                arcs.append((p, p + rng.randint(1, 3 * n)))
+            k = rng.randint(1, n)
+            assert _innermost_cover(n, arcs, k) == innermost_cover_bruteforce(n, arcs, k)
+
+
+class TestBoundary:
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda o: o.update(n=2),
+            lambda o: o["top"].pop(),
+            lambda o: o["bottom"].append({"side": "T", "pos": 9}),
+            lambda o: o["top"][0].update(side="X"),
+            lambda o: o.update(loops=-1),
+            lambda o: o.pop("top"),
+            lambda o: o["top"][1].update(pos="x"),
+            lambda o: o["top"].__setitem__(0, 5),
+        ],
+    )
+    def test_malformed_rejected(self, mutate):
+        obj = to_json_dict(generator(4, 2))
+        mutate(obj)
+        with pytest.raises(ValueError):
+            from_json_dict(obj)
+
+    def test_valid_roundtrip_with_large_coordinates(self):
+        d = twisted(identity(3), SHIFT)
+        assert validate(d) == []
+        assert from_json_dict(to_json_dict(d)) == d
+
+    def test_far_crossing_found_fast(self):
+        g = generator(4, 1)
+        top = list(g.top)
+        bottom = list(g.bottom)
+        top[2] = (BOT, 3 + SHIFT)
+        bottom[2] = (TOP, 3 - SHIFT)
+        t0 = time.monotonic()
+        problems = validate(AffineDiagram(4, tuple(top), tuple(bottom), 0))
+        assert time.monotonic() - t0 < 1.0
+        assert problems and all("crossing" in p for p in problems)
+
+    def test_shifted_identity_rejected_fast(self, capsys):
+        obj = json.dumps(to_json_dict(twisted(identity(3), SHIFT)))
+        t0 = time.monotonic()
+        code = main(["straighten", "--diagram", obj])
+        elapsed = time.monotonic() - t0
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert elapsed < 1.0
