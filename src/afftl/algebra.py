@@ -185,10 +185,10 @@ def _rewrite_mul_cached(cfg: GroupConfig, word: Word, s: int) -> tuple[int, Word
 def rewrite_eval(cfg: GroupConfig, letters, start=()) -> tuple[int, Word]:
     """Fold rewrite_mul over a generator sequence, starting from a reduced
     word (default: the identity)."""
-    exponent = 0
     cur = check_word(cfg, start)
-    for s in letters:
-        e, cur = rewrite_mul(cfg, cur, s)
+    exponent = 0
+    for s in check_word(cfg, letters):
+        e, cur = _rewrite_mul_cached(cfg, cur, s)
         exponent += e
     return exponent, cur
 

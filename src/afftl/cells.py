@@ -162,16 +162,20 @@ def a_bruteforce(cfg: GroupConfig, word, bound: int = 12, subword: bool = False)
     if subword:
         supp = support(word)
         return max(len(u) for u in cfg.commuting_sets() if u <= supp)
+    # a letter x extends a block (a bitmask of its letters) unless the
+    # block already holds x or a neighbour of x
+    clash = [m | 1 << x for x, m in enumerate(cfg.masks)]
     best = 0
     for u in commutation_class(cfg, word):
-        for a in range(len(u)):
-            block: set[int] = set()
-            for b in range(a, len(u)):
-                x = u[b]
-                if x in block or any(cfg.adjacent(x, y) for y in block):
+        for a in range(len(u) - best):
+            block = size = 0
+            for x in u[a:]:
+                if block & clash[x]:
                     break
-                block.add(x)
-            best = max(best, len(block))
+                block |= 1 << x
+                size += 1
+            if size > best:
+                best = size
     return best
 
 
@@ -335,10 +339,11 @@ def involution_decompose(
     p = perm_of(cfg, w)
     if not p.is_involution():
         raise ValueError("element is not an involution")
+    masks = cfg.masks
     x: list[int] = []
     while True:
-        supp = sorted(support(w))
-        if all(not cfg.adjacent(a, b) for a in supp for b in supp if a < b):
+        supp = support(w)
+        if not any(masks[a] >> b & 1 for a in supp for b in supp):
             break
         options = []
         for s in sorted(left_descents(cfg, w)):

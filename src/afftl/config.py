@@ -3,21 +3,33 @@
 Generators are indexed 1..n and sit on a cycle: s_i and s_j satisfy the
 braid relation exactly when i and j are consecutive modulo n, and commute
 otherwise.  For n == 3 every pair is adjacent.  n >= 3 throughout.
+
+Public methods validate their generator indices.  Internal loops read the
+precomputed adjacency bitmasks in `masks` instead, on letters already
+checked at the entry point that received them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 
 @dataclass(frozen=True)
 class GroupConfig:
     n: int
+    # Adjacency bitmasks: bit j of masks[i] is set when s_i and s_j do not
+    # commute (masks[0] is 0).  Unchecked: indices outside 1..n are the
+    # caller's responsibility.
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # The generator indices 1..n, for checking a whole word at once.
+    letters: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"need at least 3 generators, got n={self.n}")
+        object.__setattr__(self, "masks", _adjacency_masks(self.n))
+        object.__setattr__(self, "letters", frozenset(self.generators()))
 
     def generators(self) -> range:
         return range(1, self.n + 1)
@@ -59,7 +71,16 @@ class GroupConfig:
         return odd, even
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 8)
+def _adjacency_masks(n: int) -> tuple[int, ...]:
+    masks = [0]
+    for i in range(1, n + 1):
+        before, after = (i - 2) % n + 1, i % n + 1
+        masks.append(1 << before | 1 << after)
+    return tuple(masks)
+
+
+@lru_cache(maxsize=1 << 5)
 def _independent_sets(n: int) -> tuple[frozenset[int], ...]:
     if n > 20:
         raise ValueError("independent-set enumeration capped at n <= 20")

@@ -109,19 +109,21 @@ def generator(n: int, i: int) -> AffineDiagram:
 def straight_diagram(n: int, commuting: Iterable[int]) -> AffineDiagram:
     """The diagram of a product of pairwise non-adjacent generators."""
     _check_n(n)
-    top = [(BOT, j) for j in range(1, n + 1)]
-    bottom = [(TOP, j) for j in range(1, n + 1)]
-    for i in sorted(commuting):
+    gens = sorted(commuting)
+    for i in gens:
         if not 1 <= i <= n:
             raise ValueError(f"generator index {i} out of range 1..{n}")
+    chosen = set(gens)
+    if any(i % n + 1 in chosen for i in chosen):
+        raise ValueError("generators are not pairwise non-adjacent")
+    top = [(BOT, j) for j in range(1, n + 1)]
+    bottom = [(TOP, j) for j in range(1, n + 1)]
+    for i in chosen:
         _set_entry(n, top, i, (TOP, i + 1))
         _set_entry(n, top, i + 1, (TOP, i))
         _set_entry(n, bottom, i, (BOT, i + 1))
         _set_entry(n, bottom, i + 1, (BOT, i))
-    d = AffineDiagram(n, tuple(top), tuple(bottom), 0)
-    if _involution_problems(d):
-        raise ValueError("generators are not pairwise non-adjacent")
-    return d
+    return AffineDiagram(n, tuple(top), tuple(bottom), 0)
 
 
 def edge_list(d: AffineDiagram):
@@ -322,54 +324,65 @@ def multiply(a: AffineDiagram, b: AffineDiagram) -> ProductResult:
     if a.n != b.n:
         raise ValueError(f"mismatched sizes {a.n} and {b.n}")
     n = a.n
-    touched = [False] * (n + 1)
+    a_top, a_bottom, b_top, b_bottom = a.top, a.bottom, b.top, b.bottom
+    # Window entries are read directly: the partner of the node at cover
+    # position pos is row[c] shifted by pos - 1 - c, with c = (pos - 1) % n.
+    # touched[c] and done[c] mark middle-row class c + 1.
+    touched = [False] * n
 
-    def walk(in_a: bool, side: str, pos: int) -> NodeRef:
-        steps = 0
-        while True:
-            steps += 1
-            if steps > 2 * n + 4:
-                raise InvariantError("runaway connectivity trace")
-            if in_a:
-                side, pos = partner(a, side, pos)
-                if side == TOP:
-                    return (TOP, pos)
-                touched[class_of(n, pos)] = True
-                in_a, side = False, TOP
-            else:
-                side, pos = partner(b, side, pos)
-                if side == BOT:
-                    return (BOT, pos)
-                touched[class_of(n, pos)] = True
-                in_a, side = True, BOT
+    def cross(pos: int, row1, exit1: str, row2, exit2: str) -> NodeRef:
+        # a strand at middle-row position pos runs alternately through row1
+        # and row2 until it leaves the stack on side exit1 or exit2
+        for _ in range(n + 2):
+            c = (pos - 1) % n
+            touched[c] = True
+            side, p = row1[c]
+            pos += p - 1 - c
+            if side == exit1:
+                return (side, pos)
+            c = (pos - 1) % n
+            touched[c] = True
+            side, p = row2[c]
+            pos += p - 1 - c
+            if side == exit2:
+                return (side, pos)
+        raise InvariantError("runaway connectivity trace")
 
-    top_row = tuple(walk(True, TOP, i) for i in range(1, n + 1))
-    bottom_row = tuple(walk(False, BOT, i) for i in range(1, n + 1))
+    top_row = tuple(
+        e if e[0] == TOP else cross(e[1], b_top, BOT, a_bottom, TOP) for e in a_top
+    )
+    bottom_row = tuple(
+        e if e[0] == BOT else cross(e[1], a_bottom, TOP, b_top, BOT) for e in b_bottom
+    )
 
     contractible = 0
     winding = 0
-    done = [False] * (n + 1)
-    for c in range(1, n + 1):
+    done = [False] * n
+    for c in range(n):
         if touched[c] or done[c]:
             continue
-        pos = c
-        steps = 0
-        while True:
-            steps += 1
-            if steps > n + 2:
-                raise InvariantError("runaway middle cycle")
-            s2, p2 = partner(a, BOT, pos)
+        pos = c + 1
+        for _ in range(n + 2):
+            # pos's partner in a, then that node's partner in b: both on
+            # the middle row unless the cycle escapes
+            k = (pos - 1) % n
+            s2, p2 = a_bottom[k]
             if s2 != BOT:
                 raise InvariantError("middle cycle escaped through the top diagram")
-            done[class_of(n, p2)] = True
-            s3, p3 = partner(b, TOP, p2)
+            pos = p2 + pos - 1 - k
+            k = (pos - 1) % n
+            done[k] = True
+            s3, p3 = b_top[k]
             if s3 != TOP:
                 raise InvariantError("middle cycle escaped through the bottom diagram")
-            done[class_of(n, p3)] = True
-            pos = p3
-            if class_of(n, pos) == c:
+            pos = p3 + pos - 1 - k
+            k = (pos - 1) % n
+            done[k] = True
+            if k == c:
                 break
-        offset = (pos - c) // n
+        else:
+            raise InvariantError("runaway middle cycle")
+        offset = (pos - 1 - c) // n
         if offset == 0:
             contractible += 1
         elif abs(offset) == 1:

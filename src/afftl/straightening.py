@@ -34,10 +34,10 @@ from .diagrams import (
     length,
     partner,
     short_arc_count,
-    straight_diagram,
     times_generator,
     _set_entry,
 )
+from .words import check_word
 
 
 @dataclass(frozen=True)
@@ -63,19 +63,30 @@ class StraightWord:
 
 def stack(cfg: GroupConfig, word) -> ProductResult:
     """Left-to-right product of generator diagrams (first letter on top)."""
-    word = tuple(word)
-    for s in word:
-        cfg.check_generator(s)
-    return _stack_cached(cfg.n, word)
+    return _stack_cached(cfg.n, check_word(cfg, word))
+
+
+# Longest word whose stack is built on the cached stack of its one-letter
+# shorter prefix; also the most calls of _stack_cached ever nested.
+_PREFIX_REUSE = 64
 
 
 @lru_cache(maxsize=1 << 18)
 def _stack_cached(n: int, word: tuple[int, ...]) -> ProductResult:
+    # Callers mostly stack words one letter longer than words stacked
+    # before, so a short word is one generator step on the cached stack of
+    # word[:-1].  A longer word folds its letters one by one onto the cached
+    # stack of its first _PREFIX_REUSE letters: the cost stays linear in the
+    # word and no input can reach the recursion limit.
     if not word:
         return ProductResult(identity(n), 0)
-    prev = _stack_cached(n, word[:-1])
-    r = times_generator(prev.diagram, word[-1])
-    return ProductResult(r.diagram, prev.contractible + r.contractible)
+    cut = len(word) - 1 if len(word) <= _PREFIX_REUSE else _PREFIX_REUSE
+    prev = _stack_cached(n, word[:cut])
+    d, contractible = prev.diagram, prev.contractible
+    for s in word[cut:]:
+        r = times_generator(d, s)
+        d, contractible = r.diagram, contractible + r.contractible
+    return ProductResult(d, contractible)
 
 
 def is_straight(d: AffineDiagram) -> frozenset[int] | None:
@@ -84,12 +95,22 @@ def is_straight(d: AffineDiagram) -> frozenset[int] | None:
     otherwise."""
     if d.loops:
         return None
-    s = descent_arcs(d, TOP)
-    try:
-        candidate = straight_diagram(d.n, s)
-    except ValueError:
+    # Read the windows: every class is an unshifted vertical, or an end of
+    # a minimal arc mirrored on the bottom row; the right ends must be
+    # exactly the partners of the left ends.
+    lefts, rights = set(), set()
+    for i, (t, b) in enumerate(zip(d.top, d.bottom), 1):
+        side, p = t
+        if side == BOT:
+            if p != i or b != (TOP, i):
+                return None
+        elif p - i in (1, -1) and b == (BOT, p):
+            (lefts if p > i else rights).add(i)
+        else:
+            return None
+    if {i % d.n + 1 for i in lefts} != rights:
         return None
-    return s if d == candidate else None
+    return frozenset(lefts)
 
 
 def _innermost_cover(n: int, arcs, k: int) -> tuple[int, int] | None:

@@ -11,6 +11,9 @@ commutativity can be located by searching the class.
 The module also hosts an affine-permutation model of the group (window
 notation), used throughout as an independent oracle for lengths, element
 identity and involution tests.
+
+Public functions check their words and generators; the loops inside test
+adjacency with one lookup in the configuration's bitmasks.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ Word = tuple[int, ...]
 
 def check_word(cfg: GroupConfig, word) -> Word:
     word = tuple(word)
-    for s in word:
-        cfg.check_generator(s)
+    if not cfg.letters.issuperset(word):
+        for s in word:
+            cfg.check_generator(s)
     return word
 
 
@@ -45,10 +49,13 @@ def greedy_front(cfg: GroupConfig, word, s: int) -> Word | None:
     """
     cfg.check_generator(s)
     word = tuple(word)
+    n, blockers = cfg.n, cfg.masks[s]
     for p, letter in enumerate(word):
         if letter == s:
             return (s,) + word[:p] + word[p + 1:]
-        if cfg.adjacent(letter, s):
+        if not 1 <= letter <= n:
+            cfg.check_generator(letter)
+        if blockers >> letter & 1:
             return None
     return None
 
@@ -71,13 +78,14 @@ def right_descents(cfg: GroupConfig, word) -> frozenset[int]:
 def commutation_class(cfg: GroupConfig, word, cap: int = 500_000) -> frozenset[Word]:
     """All words obtainable by swapping adjacent commuting letters."""
     start = check_word(cfg, word)
+    masks = cfg.masks
     seen = {start}
     stack = [start]
     while stack:
         w = stack.pop()
         for i in range(len(w) - 1):
             a, b = w[i], w[i + 1]
-            if a != b and not cfg.adjacent(a, b):
+            if a != b and not masks[a] >> b & 1:
                 w2 = w[:i] + (b, a) + w[i + 2:]
                 if w2 not in seen:
                     if len(seen) >= cap:
@@ -117,17 +125,20 @@ def class_has_braid(cfg: GroupConfig, word) -> bool:
     return False
 
 
-def _heap_reach(cfg: GroupConfig, word: Word) -> list[list[bool]]:
-    """Reachability of the heap order: position i precedes j when i < j and
-    the letters are equal or adjacent, closed transitively."""
+def _heap_reach(cfg: GroupConfig, word: Word) -> list[int]:
+    """Reachability of the heap order as bitmasks: bit j of reach[i] is set
+    when position i precedes j, that is i < j and the letters are equal or
+    adjacent, closed transitively."""
+    masks = cfg.masks
     m = len(word)
-    direct = [[i < j and (word[i] == word[j] or cfg.adjacent(word[i], word[j]))
-               for j in range(m)] for i in range(m)]
-    reach = [row[:] for row in direct]
-    for i in range(m - 2, -1, -1):
+    reach = [0] * m
+    for i in range(m - 1, -1, -1):
+        near = masks[word[i]] | 1 << word[i]
+        r = 0
         for j in range(i + 1, m):
-            if not reach[i][j]:
-                reach[i][j] = any(direct[i][k] and reach[k][j] for k in range(i + 1, j))
+            if near >> word[j] & 1:
+                r |= 1 << j | reach[j]
+        reach[i] = r
     return reach
 
 
@@ -138,14 +149,16 @@ def heap_is_fc(cfg: GroupConfig, word) -> bool:
     there must lie at least two other elements; exactly one means some
     commutation-equivalent word contains a braid factor sts.
     """
-    word = tuple(word)
+    word = check_word(cfg, word)
     reach = _heap_reach(cfg, word)
     by_letter: dict[int, list[int]] = {}
     for p, s in enumerate(word):
         by_letter.setdefault(s, []).append(p)
     for positions in by_letter.values():
         for x, z in zip(positions, positions[1:]):
-            between = sum(1 for u in range(x + 1, z) if reach[x][u] and reach[u][z])
+            between = sum(
+                1 for u in range(x + 1, z) if reach[x] >> u & 1 and reach[u] >> z & 1
+            )
             if between <= 1:
                 return False
     return True
@@ -182,14 +195,15 @@ def braid_witness(cfg: GroupConfig, word, t: int) -> BraidWitness:
         raise ValueError("word must be a reduced word of a fully commutative element")
     if greedy_back(cfg, word, t) is not None or is_fc_reduced(cfg, word + (t,)):
         raise ValueError("appending the letter keeps the element fully commutative")
+    blockers = cfg.masks[t]
     for u in sorted(commutation_class(cfg, word)):
         for p in range(len(u) - 1):
             if u[p] != t:
                 continue
             s = u[p + 1]
-            if not cfg.adjacent(t, s):
+            if not blockers >> s & 1:
                 continue
-            if all(cfg.commutes(t, x) for x in u[p + 2:]):
+            if all(not blockers >> x & 1 for x in u[p + 2:]):
                 return BraidWitness(u[:p], s, u[p + 2:])
     raise InvariantError("no factorization found; input was not reduced FC")
 
@@ -329,13 +343,12 @@ def _induced_subgraph(cfg: GroupConfig, nodes: frozenset[int]) -> InducedSubgrap
 def left_decomposition(cfg: GroupConfig, word) -> LeftDecomposition:
     """Left decomposition of an FC element given by a reduced word."""
     w = check_word(cfg, word)
+    masks = cfg.masks
     groups: list[frozenset[int]] = []
     while w:
         g = left_descents(cfg, w)
-        for a in g:
-            for b in g:
-                if a < b and cfg.adjacent(a, b):
-                    raise ValueError("descent set not commuting; word is not reduced FC")
+        if any(masks[a] >> b & 1 for a in g for b in g):
+            raise ValueError("descent set not commuting; word is not reduced FC")
         for s in sorted(g):
             w = greedy_front(cfg, w, s)[1:]
         groups.append(g)

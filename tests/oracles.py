@@ -1,12 +1,33 @@
 """Test-only oracles: direct, slow restatements of library algorithms.
 
-Each oracle scans translates one period at a time over a window wide
-enough for the coordinates involved, so its cost grows with the
-coordinate magnitudes; the library computes the same answers in closed
-form.  The differential tests play the two against each other.
+The diagram-validation oracles scan translates one period at a time over a
+window wide enough for the coordinates involved, so their cost grows with
+the coordinate magnitudes; the library computes the same answers in closed
+form.  The word oracles test adjacency through the validating
+`GroupConfig.adjacent` where the library reads bitmasks; `multiply_by_partner`
+traces strands through `partner`/`class_of` where the library indexes the
+windows; `straight_diagram_checked` builds the diagram and then checks it
+is an involution, where the library checks the generator set; and
+`is_straight_by_construction` compares with a built straight diagram where
+the library reads the windows.  The
+differential tests play each against its library counterpart.
 """
 
-from afftl.diagrams import BOT, TOP, _involution_problems, edge_list
+from afftl.diagrams import (
+    BOT,
+    TOP,
+    AffineDiagram,
+    InvariantError,
+    ProductResult,
+    _involution_problems,
+    _set_entry,
+    class_of,
+    descent_arcs,
+    edge_list,
+    partner,
+    straight_diagram,
+)
+from afftl.words import check_word
 
 
 def crosses(e1, e2) -> bool:
@@ -72,3 +93,144 @@ def innermost_cover_bruteforce(n: int, arcs, k: int) -> tuple[int, int] | None:
                 if best is None or lo > best[0]:
                     best = (lo, hi)
     return best
+
+
+def greedy_front_adjacent(cfg, word, s):
+    """A word for the same element starting with s, or None."""
+    cfg.check_generator(s)
+    word = tuple(word)
+    for p, letter in enumerate(word):
+        if letter == s:
+            return (s,) + word[:p] + word[p + 1:]
+        if cfg.adjacent(letter, s):
+            return None
+    return None
+
+
+def greedy_back_adjacent(cfg, word, s):
+    moved = greedy_front_adjacent(cfg, tuple(reversed(word)), s)
+    return tuple(reversed(moved)) if moved is not None else None
+
+
+def commutation_class_adjacent(cfg, word, cap=500_000):
+    """All words obtainable by swapping adjacent commuting letters."""
+    start = check_word(cfg, word)
+    seen = {start}
+    stack = [start]
+    while stack:
+        w = stack.pop()
+        for i in range(len(w) - 1):
+            a, b = w[i], w[i + 1]
+            if a != b and not cfg.adjacent(a, b):
+                w2 = w[:i] + (b, a) + w[i + 2:]
+                if w2 not in seen:
+                    if len(seen) >= cap:
+                        raise RuntimeError("commutation class exceeds cap")
+                    seen.add(w2)
+                    stack.append(w2)
+    return frozenset(seen)
+
+
+def heap_reach_matrix(cfg, word):
+    """Heap order as a boolean matrix: position i precedes j when i < j and
+    the letters are equal or adjacent, closed transitively."""
+    m = len(word)
+    direct = [[i < j and (word[i] == word[j] or cfg.adjacent(word[i], word[j]))
+               for j in range(m)] for i in range(m)]
+    reach = [row[:] for row in direct]
+    for i in range(m - 2, -1, -1):
+        for j in range(i + 1, m):
+            if not reach[i][j]:
+                reach[i][j] = any(direct[i][k] and reach[k][j] for k in range(i + 1, j))
+    return reach
+
+
+def a_bruteforce_adjacent(cfg, word):
+    """Largest commuting block appearing as a contiguous factor of some
+    word in the commutation class, blocks kept as sets."""
+    best = 0
+    for u in commutation_class_adjacent(cfg, word):
+        for a in range(len(u)):
+            block = set()
+            for b in range(a, len(u)):
+                x = u[b]
+                if x in block or any(cfg.adjacent(x, y) for y in block):
+                    break
+                block.add(x)
+            best = max(best, len(block))
+    return best
+
+
+def straight_diagram_checked(n, commuting):
+    """The straight diagram of a generator set, or None when the built
+    window arrays are not an involution (some two generators adjacent)."""
+    top = [(BOT, j) for j in range(1, n + 1)]
+    bottom = [(TOP, j) for j in range(1, n + 1)]
+    for i in sorted(commuting):
+        _set_entry(n, top, i, (TOP, i + 1))
+        _set_entry(n, top, i + 1, (TOP, i))
+        _set_entry(n, bottom, i, (BOT, i + 1))
+        _set_entry(n, bottom, i + 1, (BOT, i))
+    d = AffineDiagram(n, tuple(top), tuple(bottom), 0)
+    return None if _involution_problems(d) else d
+
+
+def multiply_by_partner(a, b):
+    """Stack a on top of b, tracing every step through partner/class_of."""
+    n = a.n
+    touched = [False] * (n + 1)
+
+    def walk(in_a, side, pos):
+        for _ in range(2 * n + 4):
+            if in_a:
+                side, pos = partner(a, side, pos)
+                if side == TOP:
+                    return (TOP, pos)
+                in_a, side = False, TOP
+            else:
+                side, pos = partner(b, side, pos)
+                if side == BOT:
+                    return (BOT, pos)
+                in_a, side = True, BOT
+            touched[class_of(n, pos)] = True
+        raise InvariantError("runaway connectivity trace")
+
+    top_row = tuple(walk(True, TOP, i) for i in range(1, n + 1))
+    bottom_row = tuple(walk(False, BOT, i) for i in range(1, n + 1))
+    contractible = winding = 0
+    done = [False] * (n + 1)
+    for c in range(1, n + 1):
+        if touched[c] or done[c]:
+            continue
+        pos = c
+        for _ in range(n + 2):
+            side, pos = partner(a, BOT, pos)
+            assert side == BOT
+            done[class_of(n, pos)] = True
+            side, pos = partner(b, TOP, pos)
+            assert side == TOP
+            done[class_of(n, pos)] = True
+            if class_of(n, pos) == c:
+                break
+        else:
+            raise InvariantError("runaway middle cycle")
+        offset = (pos - c) // n
+        if offset == 0:
+            contractible += 1
+        else:
+            assert abs(offset) == 1
+            winding += 1
+    diagram = AffineDiagram(n, top_row, bottom_row, a.loops + b.loops + winding)
+    return ProductResult(diagram, contractible)
+
+
+def is_straight_by_construction(d):
+    """The top descent set S when d equals the straight diagram of S."""
+    if d.loops:
+        return None
+    s = descent_arcs(d, TOP)
+    try:
+        candidate = straight_diagram(d.n, s)
+    except ValueError:
+        return None
+    return s if d == candidate else None

@@ -46,6 +46,13 @@ class TestEval:
         assert run_cli(capsys, "eval", "--word", "1")[0] == 2
         assert run_cli(capsys)[0] == 2
 
+    def test_3000_letter_word(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "--n", "4", "--word", " ".join(["1 2"] * 1500))
+        assert code == 0
+        obj = json.loads(out)
+        # E1 E2 E1 = E1, so the product collapses to E1 E2 with no loop
+        assert obj["exponent"] == 0 and obj["word"] == [1, 2]
+
 
 class TestAfn:
     def test_example(self, capsys):
