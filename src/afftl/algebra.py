@@ -13,12 +13,13 @@ exists so the two engines can be played against each other.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .config import GroupConfig
 from .diagrams import AffineDiagram, InvariantError, canonical_key, identity, length, multiply
-from .laurent import ONE, LaurentPoly, delta_power
+from .laurent import ONE, ZERO, LaurentPoly, delta_power, norm1, pack, product_bits, unpack
 from .straightening import stack, straighten
 from .words import braid_witness, check_word, greedy_back, is_fc_reduced
 
@@ -102,7 +103,7 @@ class AlgebraElement:
             raise ValueError("mismatched sizes")
         out = dict(self.terms)
         for d, c in other.terms.items():
-            out[d] = out.get(d, LaurentPoly()) + c
+            out[d] = out.get(d, ZERO) + c
         return AlgebraElement(self.n, out)
 
     def __sub__(self, other: AlgebraElement) -> AlgebraElement:
@@ -137,18 +138,53 @@ class AlgebraElement:
 
 
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Bilinear extension of diagram stacking."""
+    """Bilinear extension of diagram stacking.
+
+    Coefficients are packed into integers (see `afftl.laurent`), so each
+    basis pair costs one diagram product and one big-int multiply-add into
+    the total of its (product diagram, loop count).  Each total is then
+    multiplied by its packed power of delta and added into its diagram's
+    total, and each diagram's total is unpacked once.
+
+    A product of two diagrams contracts at most n // 2 loops, since every
+    contractible loop meets at least two of the n middle node classes.  So
+    no coefficient of the result exceeds norm1(a) * norm1(b) * 2**(n // 2)
+    in absolute value (the 1-norm of delta**k is 2**k), and packing at the
+    width for that bound is exact.
+    """
     if a.n != b.n:
         raise ValueError("mismatched sizes")
-    out: dict[AffineDiagram, LaurentPoly] = {}
+    if not a.terms or not b.terms:
+        return AlgebraElement(a.n)
+    most = a.n // 2
+    bits = product_bits(_norm1(a) * _norm1(b) << most)
+    lo_a, lo_b = _lowest_exponent(a), _lowest_exponent(b)
+    packed_b = [(db, pack(cb, lo_b, bits)) for db, cb in b.terms.items()]
+    totals: defaultdict[tuple[AffineDiagram, int], int] = defaultdict(int)
     for da, ca in a.terms.items():
-        for db, cb in b.terms.items():
+        xa = pack(ca, lo_a, bits)
+        for db, xb in packed_b:
             r = multiply(da, db)
-            if r.contractible < 0:
-                raise InvariantError("negative loop count in a product")
-            coeff = ca * cb * delta_power(r.contractible)
-            out[r.diagram] = out.get(r.diagram, LaurentPoly()) + coeff
-    return AlgebraElement(a.n, out)
+            totals[r.diagram, r.contractible] += xa * xb
+    deltas: dict[int, int] = {}
+    out: defaultdict[AffineDiagram, int] = defaultdict(int)
+    for (d, k), x in totals.items():
+        if not 0 <= k <= most:
+            raise InvariantError(f"loop count {k} in a product, outside 0..{most}")
+        if k not in deltas:
+            deltas[k] = pack(delta_power(k), -most, bits)
+        out[d] += x * deltas[k]
+    lo = lo_a + lo_b - most
+    return AlgebraElement(a.n, {d: unpack(x, lo, bits) for d, x in out.items()})
+
+
+def _norm1(a: AlgebraElement) -> int:
+    return sum(norm1(c) for c in a.terms.values())
+
+
+def _lowest_exponent(a: AlgebraElement) -> int:
+    # stored coefficients are nonzero, with terms sorted by exponent
+    return min(c.terms[0][0] for c in a.terms.values())
 
 
 def rewrite_mul(cfg: GroupConfig, word, s: int) -> tuple[int, Word]:
@@ -213,7 +249,8 @@ def element_from_json(obj: dict) -> AlgebraElement:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed element JSON: {exc}") from exc
     cfg = GroupConfig(n)
-    out = AlgebraElement.zero(n)
+    out: dict[AffineDiagram, LaurentPoly] = {}
     for coeff, word in raw:
-        out = out + AlgebraElement.from_word(cfg, word).scale(coeff)
-    return out
+        r = stack(cfg, word)
+        out[r.diagram] = out.get(r.diagram, ZERO) + coeff * delta_power(r.contractible)
+    return AlgebraElement(n, out)

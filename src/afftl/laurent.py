@@ -3,6 +3,23 @@
 Stored as a sorted tuple of (exponent, coefficient) pairs with no zero
 coefficients, so values are hashable and equality is exact.  The loop
 scalar is delta = v + 1/v.
+
+`LaurentPoly` is the public coefficient type.  For bulk products,
+`algebra.mul` works on packed integers internally (Kronecker
+substitution): `pack(p, lo, bits)` is the integer sum of
+c_e * 2**(bits * (e - lo)), so adding and multiplying packed values is one
+Python big-int operation, and the product of two packed values is the
+packed product of the polynomials (offset lo_p + lo_q).  Coefficients may
+be negative; `unpack` reads the slots back as balanced digits (take the
+low `bits` bits, subtract 2**bits when they are at least 2**(bits - 1),
+shift, repeat).  This is exact as long as every coefficient of the result
+lies strictly inside +-2**(bits - 1).  For a sum of products of
+coefficients of A and B, each result coefficient is at most
+norm1(A) * norm1(B) in absolute value, where norm1 is the sum of the
+absolute values of all coefficients, so bits = product_bits(norm1(A) *
+norm1(B)), that is the bound's bit length plus one, is always wide enough.
+`algebra.mul` also multiplies by powers of delta in packed form, and
+widens the bound by their largest 1-norm.
 """
 
 from __future__ import annotations
@@ -132,3 +149,42 @@ def delta_power(x: int) -> LaurentPoly:
     if x < 0:
         raise ValueError("negative loop exponent")
     return DELTA ** x
+
+
+def norm1(p: LaurentPoly) -> int:
+    """Sum of the absolute values of the coefficients."""
+    return sum(abs(c) for _, c in p.terms)
+
+
+def product_bits(bound: int) -> int:
+    """Slot width that packs, exactly, every coefficient of absolute value
+    at most `bound` (a nonnegative integer); at least 2."""
+    return max(bound, 1).bit_length() + 1
+
+
+def pack(p: LaurentPoly, lo: int, bits: int) -> int:
+    """The integer sum of c_e * 2**(bits * (e - lo)); every exponent of p
+    must be at least lo."""
+    x = 0
+    for e, c in p.terms:
+        x += c << bits * (e - lo)
+    return x
+
+
+def unpack(x: int, lo: int, bits: int) -> LaurentPoly:
+    """Inverse of `pack` for coefficients strictly inside +-2**(bits - 1)."""
+    if bits < 2:
+        raise ValueError("slots must be at least 2 bits wide")
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    terms = []
+    e = lo
+    while x:
+        c = x & mask
+        if c >= half:
+            c -= 1 << bits
+        if c:
+            terms.append((e, c))
+        x = (x - c) >> bits
+        e += 1
+    return LaurentPoly(tuple(terms))

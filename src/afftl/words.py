@@ -219,7 +219,11 @@ def braid_witness_left(cfg: GroupConfig, word, t: int) -> BraidWitness:
 @dataclass(frozen=True)
 class AffinePermutation:
     """Window notation for a bijection of the integers with
-    sigma(i + n) = sigma(i) + n and zero net displacement on 1..n."""
+    sigma(i + n) = sigma(i) + n and zero net displacement on 1..n.
+
+    The public constructor validates the window; the group operations
+    below build their results through `_trusted`, which does not, since
+    they map valid windows to valid windows."""
     n: int
     window: tuple[int, ...]
 
@@ -231,6 +235,13 @@ class AffinePermutation:
             raise ValueError("window displacements must sum to zero")
         if len({v % n for v in self.window}) != n:
             raise ValueError("window entries must be distinct modulo n")
+
+    @classmethod
+    def _trusted(cls, n: int, window: tuple[int, ...]) -> AffinePermutation:
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "window", window)
+        return p
 
     @classmethod
     def identity(cls, n: int) -> AffinePermutation:
@@ -253,7 +264,7 @@ class AffinePermutation:
             w[i - 1], w[i] = w[i], w[i - 1]
         else:
             w[0], w[n - 1] = w[n - 1] - n, w[0] + n
-        return AffinePermutation(n, tuple(w))
+        return AffinePermutation._trusted(n, tuple(w))
 
     def compose(self, other: AffinePermutation) -> AffinePermutation:
         """self after other, i.e. the group product self * other."""
@@ -264,7 +275,7 @@ class AffinePermutation:
             q = other.window[i - 1]
             c = (q - 1) % self.n + 1
             win.append(self.window[c - 1] + (q - c))
-        return AffinePermutation(self.n, tuple(win))
+        return AffinePermutation._trusted(self.n, tuple(win))
 
     def inverse(self) -> AffinePermutation:
         out = [0] * self.n
@@ -272,7 +283,7 @@ class AffinePermutation:
             v = self.window[i - 1]
             c = (v - 1) % self.n + 1
             out[c - 1] = i - (v - c)
-        return AffinePermutation(self.n, tuple(out))
+        return AffinePermutation._trusted(self.n, tuple(out))
 
     def length(self) -> int:
         """Coxeter length (periodic inversion count)."""

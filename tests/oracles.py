@@ -9,10 +9,12 @@ traces strands through `partner`/`class_of` where the library indexes the
 windows; `straight_diagram_checked` builds the diagram and then checks it
 is an involution, where the library checks the generator set; and
 `is_straight_by_construction` compares with a built straight diagram where
-the library reads the windows.  The
+the library reads the windows; and `mul_pairwise` sums one Laurent product
+per basis pair, where the library packs coefficients into integers.  The
 differential tests play each against its library counterpart.
 """
 
+from afftl.algebra import AlgebraElement
 from afftl.diagrams import (
     BOT,
     TOP,
@@ -24,9 +26,11 @@ from afftl.diagrams import (
     class_of,
     descent_arcs,
     edge_list,
+    multiply,
     partner,
     straight_diagram,
 )
+from afftl.laurent import ZERO, delta_power
 from afftl.words import check_word
 
 
@@ -234,3 +238,19 @@ def is_straight_by_construction(d):
     except ValueError:
         return None
     return s if d == candidate else None
+
+
+def mul_pairwise(a, b):
+    """Bilinear extension of diagram stacking, one Laurent product
+    ca * cb * delta**k per basis pair."""
+    if a.n != b.n:
+        raise ValueError("mismatched sizes")
+    out = {}
+    for da, ca in a.terms.items():
+        for db, cb in b.terms.items():
+            r = multiply(da, db)
+            if r.contractible < 0:
+                raise InvariantError("negative loop count in a product")
+            coeff = ca * cb * delta_power(r.contractible)
+            out[r.diagram] = out.get(r.diagram, ZERO) + coeff
+    return AlgebraElement(a.n, out)

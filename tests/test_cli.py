@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -11,7 +12,8 @@ from afftl import straightening
 from afftl.cli import main, parse_word
 from afftl.diagrams import ProductResult
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +113,28 @@ class TestMul:
         elt = json.dumps({"n": 5, "terms": [{"coeff": [{"exp": 0, "c": 1}], "word": [1]}]})
         code, _, err = run_cli(capsys, "mul", "--n", "4", "--a", elt, "--b", elt)
         assert code == 1
+
+    def test_seeded_product_matches_rewrite_engine(self, capsys, tmp_path, monkeypatch):
+        # the benchmark's element generator and its word-rewriting reference,
+        # which never touches diagrams, at a tenth of the benchmark's size
+        monkeypatch.syspath_prepend(str(ROOT))
+        from perfbench.workloads import lexmin_word, random_element, rewrite_product
+
+        rng = random.Random(7)
+        a, b = random_element(rng, 5, 40), random_element(rng, 5, 40)
+        paths = []
+        for name, obj in (("a", a), ("b", b)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(obj))
+            paths.append(f"@{path}")
+        code, out, _ = run_cli(capsys, "mul", "--n", "5", "--a", paths[0], "--b", paths[1])
+        assert code == 0
+        terms = json.loads(out)["terms"]
+        got = {lexmin_word(5, t["word"]): {x["exp"]: x["c"] for x in t["coeff"]} for t in terms}
+        reference, pairs = rewrite_product(a, b)
+        assert len(got) == len(terms) == len(reference) > 50
+        assert got == reference
+        assert pairs > 500
 
 
 class TestCells:

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_fc_word
 
 from afftl.config import GroupConfig
+from afftl.explore import enumerate_elements
 from afftl.words import (
     AffinePermutation,
     braid_witness,
@@ -237,6 +238,29 @@ class TestAffinePermutation:
             p = perm_of(cfg, w)
             assert p.compose(p.inverse()).is_identity()
             assert p.inverse() == perm_of(cfg, tuple(reversed(w)))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_internally_built_windows_are_valid(self, n):
+        # times_generator, compose and inverse skip the constructor's checks
+        cfg = GroupConfig(n)
+        prev = AffinePermutation.identity(n)
+        for rec in enumerate_elements(cfg, 6, with_labels=False):
+            p = to_affine_permutation(cfg, rec.word)
+            built = [p, p.inverse(), p.compose(p), p.compose(prev), prev.compose(p.inverse())]
+            built += [p.times_generator(s) for s in cfg.generators()]
+            for q in built:
+                w = q.window
+                assert q.n == n and len(w) == n
+                assert sum(w) == n * (n + 1) // 2
+                assert len({v % n for v in w}) == n
+                assert AffinePermutation(n, w) == q
+            prev = p
+
+    def test_constructor_still_validates(self):
+        AffinePermutation(3, (0, 2, 4))
+        for window in [(1, 2), (1, 2, 4), (1, 4, 1)]:
+            with pytest.raises(ValueError):
+                AffinePermutation(3, window)
 
 
 class TestLeftDecomposition:
