@@ -10,6 +10,13 @@ Core classification yields the two-sided label; the bottom and top arc
 patterns of the diagram refine it to left and right cells.  Involutions
 decompose canonically as x * (commuting block) * x^-1, and each right cell
 outside the non-square alternating family contains exactly one involution.
+
+Cancellation is decided on words.  Write w = s u for a left descent s; an
+adjacent t absorbs s (E_t E_w = E_u) exactly when t is a left descent of
+u.  If u = t v, then E_t E_s E_t = E_t gives E_t E_w = E_t E_v = E_u.
+Conversely, a loop-free E_t E_w has the minimal arc (t, t+1) on its top
+row, and the top minimal arcs of a word's diagram are its left descents.
+The right side is the mirror image.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .algebra import is_reduced_word
 from .config import GroupConfig
 from .diagrams import TOP, InvariantError, edge_list, generator_times, times_generator
 from .straightening import stack, straighten
@@ -26,6 +34,7 @@ from .words import (
     commutation_class,
     greedy_back,
     greedy_front,
+    left_decomposition,
     left_descents,
     perm_of,
     right_descents,
@@ -135,8 +144,6 @@ class CensusRow:
 
 
 def _require_reduced_fc(cfg: GroupConfig, word) -> Word:
-    from .algebra import is_reduced_word
-
     word = check_word(cfg, word)
     if not is_reduced_word(cfg, word):
         raise ValueError("word is not a reduced word of a fully commutative element")
@@ -149,19 +156,12 @@ def a_value(cfg: GroupConfig, word) -> int:
     return sum(1 for side, _ in d.top if side == TOP) // 2
 
 
-def a_bruteforce(cfg: GroupConfig, word, bound: int = 12, subword: bool = False) -> int:
+def a_bruteforce(cfg: GroupConfig, word, bound: int = 12) -> int:
     """Largest commuting block appearing as a contiguous factor of some
-    word in the commutation class (the definition, by exhaustion).
-
-    With subword=True the alternative subsequence reading is used instead:
-    the largest commuting subset of the support.
-    """
+    word in the commutation class (the definition, by exhaustion)."""
     word = check_word(cfg, word)
     if len(word) > bound:
         raise ValueError(f"word length {len(word)} exceeds bound {bound}")
-    if subword:
-        supp = support(word)
-        return max(len(u) for u in cfg.commuting_sets() if u <= supp)
     # a letter x extends a block (a bitmask of its letters) unless the
     # block already holds x or a neighbour of x
     clash = [m | 1 << x for x, m in enumerate(cfg.masks)]
@@ -180,44 +180,46 @@ def a_bruteforce(cfg: GroupConfig, word, bound: int = 12, subword: bool = False)
 
 
 def cancellable(cfg: GroupConfig, word, s: int, side: str) -> int | None:
-    """The adjacent generator t absorbing the descent s, if any: stacking
-    t's diagram against the element equals the element with s removed."""
-    word = tuple(word)
-    full = stack(cfg, word).diagram
+    """The first t in `cfg.neighbours_of(s)` absorbing the descent s of a
+    reduced FC word w, if any: E_t E_w = E_u on the left, E_w E_t = E_u on
+    the right, where u is w with s removed.
+
+    Decided without diagrams: t absorbs s exactly when t is a descent of u
+    on the same side.  If u = t v, then E_t E_s E_t = E_t gives
+    E_t E_w = E_t E_v = E_u; conversely a loop-free E_t E_w has the minimal
+    top arc (t, t+1), and top minimal arcs are the left descents.  The
+    whole word is checked up front, since the greedy scans stop early.
+    """
+    word = check_word(cfg, word)
     if side == "left":
-        moved = greedy_front(cfg, word, s)
-        if moved is None:
-            raise ValueError(f"{s} is not a left descent")
-        target = stack(cfg, moved[1:]).diagram
-        for t in cfg.neighbours_of(s):
-            r = generator_times(t, full)
-            if r.contractible == 0 and r.diagram == target:
-                return t
-        return None
-    if side == "right":
-        moved = greedy_back(cfg, word, s)
-        if moved is None:
-            raise ValueError(f"{s} is not a right descent")
-        target = stack(cfg, moved[:-1]).diagram
-        for t in cfg.neighbours_of(s):
-            r = times_generator(full, t)
-            if r.contractible == 0 and r.diagram == target:
-                return t
-        return None
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        find, cut = greedy_front, slice(1, None)
+    elif side == "right":
+        find, cut = greedy_back, slice(None, -1)
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    moved = find(cfg, word, s)
+    if moved is None:
+        raise ValueError(f"{s} is not a {side} descent")
+    rest = moved[cut]
+    for t in cfg.neighbours_of(s):
+        if find(cfg, rest, t) is not None:
+            return t
+    return None
 
 
-def _cancel_options(cfg: GroupConfig, word) -> list[CancelStep]:
-    out = []
-    for s in sorted(left_descents(cfg, word)):
-        t = cancellable(cfg, word, s, "left")
-        if t is not None:
-            out.append(CancelStep("left", s, t))
-    for s in sorted(right_descents(cfg, word)):
-        t = cancellable(cfg, word, s, "right")
-        if t is not None:
-            out.append(CancelStep("right", s, t))
-    return out
+_DESCENTS = {"left": left_descents, "right": right_descents}
+
+
+def _cancel_options(
+    cfg: GroupConfig, word, sides: tuple[str, ...] = ("left", "right")
+) -> list[CancelStep]:
+    # by side in the given order, then by descent: seeded choices rely on it
+    return [
+        CancelStep(side, s, t)
+        for side in sides
+        for s in sorted(_DESCENTS[side](cfg, word))
+        if (t := cancellable(cfg, word, s, side)) is not None
+    ]
 
 
 def _apply_cancel(cfg: GroupConfig, word: Word, step: CancelStep) -> Word:
@@ -261,8 +263,6 @@ def classify_core(cfg: GroupConfig, word) -> TwoSidedLabel:
     """Two-sided label of a core element: the block structure of its left
     decomposition is a single commuting set, or an alternation of the two
     maximal ones."""
-    from .words import left_decomposition
-
     groups = left_decomposition(cfg, word).groups
     if not groups:
         return TwoSidedLabel.small(0)
@@ -370,13 +370,8 @@ def right_cell_involution(cfg: GroupConfig, word) -> Word | str:
     """The canonical involution sharing the element's right cell, or the
     M_NONSQUARE marker for the alternating cells without involutions."""
     w = _require_reduced_fc(cfg, word)
-    while True:
-        for s in sorted(right_descents(cfg, w)):
-            if cancellable(cfg, w, s, "right") is not None:
-                w = greedy_back(cfg, w, s)[:-1]
-                break
-        else:
-            break
+    while options := _cancel_options(cfg, w, ("right",)):
+        w = _apply_cancel(cfg, w, options[0])
     groups = right_groups(cfg, w)
     half = cfg.n // 2
     if groups and cfg.n % 2 == 0 and len(groups[-1]) == half:
@@ -402,7 +397,7 @@ def right_cell_involution(cfg: GroupConfig, word) -> Word | str:
 def census(cfg: GroupConfig, max_len: int, cap: int | None = None) -> list[CensusRow]:
     """Enumerate all elements up to the length horizon and count, per
     two-sided label, the distinct left and right cell labels observed."""
-    from .explore import enumerate_elements
+    from .explore import enumerate_elements  # explore imports this module
 
     agg: dict[TwoSidedLabel, list] = {}
     for rec in enumerate_elements(cfg, max_len, with_labels=True, cap=cap):

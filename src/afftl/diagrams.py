@@ -34,7 +34,7 @@ coordinate magnitudes).  Broken internal self-checks raise
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 TOP = "T"
@@ -475,10 +475,12 @@ def from_json_dict(obj: dict) -> AffineDiagram:
 
 
 def mirror(d: AffineDiagram) -> AffineDiagram:
-    """Swap the two rows (the anti-automorphism reversing words)."""
+    """Swap the two rows: the anti-automorphism reversing words, so the
+    mirror of the diagram of w is the diagram of w^-1."""
     flip = {TOP: BOT, BOT: TOP}
-    return replace(
-        d,
-        top=tuple((flip[s], p) for s, p in d.bottom),
-        bottom=tuple((flip[s], p) for s, p in d.top),
+    return AffineDiagram(
+        d.n,
+        tuple((flip[s], p) for s, p in d.bottom),
+        tuple((flip[s], p) for s, p in d.top),
+        d.loops,
     )

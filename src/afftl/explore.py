@@ -4,9 +4,10 @@ The primary enumeration extends words on the right and keeps an extension
 exactly when the diagram engine reports no contracted loop and a length
 increase; elements are deduplicated by their diagram, which the
 faithfulness of the representation makes an exact key.  Each extension is
-one constant-size generator action on the diagram, and each frontier word
-carries its affine permutation forward one generator at a time for the
-involution flag.  An independent enumeration over affine permutations,
+one constant-size generator action on the diagram.  The involution flag
+is read off the diagram too: swapping its rows gives the diagram of the
+inverse element, so w is an involution exactly when its diagram is
+mirror-symmetric.  An independent enumeration over affine permutations,
 filtered by the word-level FC test, provides per-length counts to check
 against.
 """
@@ -19,7 +20,7 @@ from typing import Iterator
 
 from .config import GroupConfig
 from .cells import CellLabels, labels
-from .diagrams import AffineDiagram, identity, length, times_generator
+from .diagrams import AffineDiagram, identity, length, mirror, times_generator
 from .words import AffinePermutation, Word, heap_is_fc
 
 DEFAULT_CAP = 10**7
@@ -65,21 +66,18 @@ def enumerate_elements(
     limit = element_cap(cap)
     order = generator_order or tuple(cfg.generators())
 
-    def record(
-        word: Word, d: AffineDiagram, ln: int, perm: AffinePermutation
-    ) -> EnumerationRecord:
+    def record(word: Word, d: AffineDiagram, ln: int) -> EnumerationRecord:
         lab = labels(cfg, word) if with_labels else None
-        return EnumerationRecord(word, d, ln, lab, perm.is_involution())
+        return EnumerationRecord(word, d, ln, lab, mirror(d) == d)
 
     start = identity(n)
-    one = AffinePermutation.identity(n)
     seen = {start}
     count = 1
-    yield record((), start, 0, one)
-    frontier: list[tuple[Word, AffineDiagram, AffinePermutation]] = [((), start, one)]
+    yield record((), start, 0)
+    frontier: list[tuple[Word, AffineDiagram]] = [((), start)]
     for ln in range(1, max_len + 1):
-        nxt: list[tuple[Word, AffineDiagram, AffinePermutation]] = []
-        for word, d, perm in frontier:
+        nxt: list[tuple[Word, AffineDiagram]] = []
+        for word, d in frontier:
             for s in order:
                 r = times_generator(d, s)
                 if r.contractible or r.diagram in seen:
@@ -93,9 +91,8 @@ def enumerate_elements(
                         f"enumeration exceeded the cap of {limit} elements"
                     )
                 w2 = word + (s,)
-                p2 = perm.times_generator(s)
-                yield record(w2, r.diagram, ln, p2)
-                nxt.append((w2, r.diagram, p2))
+                yield record(w2, r.diagram, ln)
+                nxt.append((w2, r.diagram))
         frontier = nxt
 
 

@@ -95,36 +95,6 @@ def commutation_class(cfg: GroupConfig, word, cap: int = 500_000) -> frozenset[W
     return frozenset(seen)
 
 
-def _has_braid_factor(cfg: GroupConfig, w: Word) -> bool:
-    return any(
-        w[i] == w[i + 2] and cfg.adjacent(w[i], w[i + 1])
-        for i in range(len(w) - 2)
-    )
-
-
-def class_has_braid(cfg: GroupConfig, word) -> bool:
-    """Whether some word in the commutation class contains a factor sts
-    with s, t adjacent.  This is the definitional test used by the oracles;
-    heap_is_fc is the fast equivalent."""
-    start = check_word(cfg, word)
-    if _has_braid_factor(cfg, start):
-        return True
-    seen = {start}
-    stack = [start]
-    while stack:
-        w = stack.pop()
-        for i in range(len(w) - 1):
-            a, b = w[i], w[i + 1]
-            if a != b and not cfg.adjacent(a, b):
-                w2 = w[:i] + (b, a) + w[i + 2:]
-                if w2 not in seen:
-                    if _has_braid_factor(cfg, w2):
-                        return True
-                    seen.add(w2)
-                    stack.append(w2)
-    return False
-
-
 def _heap_reach(cfg: GroupConfig, word: Word) -> list[int]:
     """Reachability of the heap order as bitmasks: bit j of reach[i] is set
     when position i precedes j, that is i < j and the letters are equal or
@@ -206,14 +176,6 @@ def braid_witness(cfg: GroupConfig, word, t: int) -> BraidWitness:
             if all(not blockers >> x & 1 for x in u[p + 2:]):
                 return BraidWitness(u[:p], s, u[p + 2:])
     raise InvariantError("no factorization found; input was not reduced FC")
-
-
-def braid_witness_left(cfg: GroupConfig, word, t: int) -> BraidWitness:
-    """Mirror statement for prepending t: word = w1 + (s, t) + w2 with t
-    commuting with every letter of w1.  Returned as BraidWitness with the
-    same field names (w1 before s, w2 after t)."""
-    m = braid_witness(cfg, tuple(reversed(word)), t)
-    return BraidWitness(tuple(reversed(m.w2)), m.s, tuple(reversed(m.w1)))
 
 
 @dataclass(frozen=True)
@@ -318,37 +280,20 @@ def perm_of(cfg: GroupConfig, word) -> AffinePermutation:
 
 
 @dataclass(frozen=True)
-class InducedSubgraph:
-    nodes: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-
-
-@dataclass(frozen=True)
 class LeftDecomposition:
     """Greedy factorization into blocks of pairwise commuting descents.
 
     groups[k] is the left descent set of the element remaining after the
     first k blocks are peeled; concatenating the blocks reproduces a
-    reduced word.  graphs[k] is the subgraph of the generator cycle induced
-    by groups[k] | groups[k+1].
+    reduced word.
     """
     groups: tuple[frozenset[int], ...]
-    graphs: tuple[InducedSubgraph, ...]
 
     def word(self) -> Word:
         out: list[int] = []
         for g in self.groups:
             out.extend(sorted(g))
         return tuple(out)
-
-
-def _induced_subgraph(cfg: GroupConfig, nodes: frozenset[int]) -> InducedSubgraph:
-    edges = set()
-    for i in nodes:
-        j = cfg.class_of(i + 1)
-        if j in nodes:
-            edges.add((min(i, j), max(i, j)))
-    return InducedSubgraph(nodes, frozenset(edges))
 
 
 def left_decomposition(cfg: GroupConfig, word) -> LeftDecomposition:
@@ -363,11 +308,7 @@ def left_decomposition(cfg: GroupConfig, word) -> LeftDecomposition:
         for s in sorted(g):
             w = greedy_front(cfg, w, s)[1:]
         groups.append(g)
-    graphs = tuple(
-        _induced_subgraph(cfg, groups[k] | groups[k + 1])
-        for k in range(len(groups) - 1)
-    )
-    return LeftDecomposition(tuple(groups), graphs)
+    return LeftDecomposition(tuple(groups))
 
 
 def right_groups(cfg: GroupConfig, word) -> tuple[frozenset[int], ...]:

@@ -9,9 +9,13 @@ traces strands through `partner`/`class_of` where the library indexes the
 windows; `straight_diagram_checked` builds the diagram and then checks it
 is an involution, where the library checks the generator set; and
 `is_straight_by_construction` compares with a built straight diagram where
-the library reads the windows; and `mul_pairwise` sums one Laurent product
-per basis pair, where the library packs coefficients into integers.  The
-differential tests play each against its library counterpart.
+the library reads the windows; `mul_pairwise` sums one Laurent product
+per basis pair, where the library packs coefficients into integers; and
+`cancellable_by_stacking` compares stacked diagrams, where the library
+reads descents off the words.  The differential tests play each against
+its library counterpart.  `class_has_braid` (the definition of full
+commutativity) and `braid_witness_left` are reference statements used by
+the word tests.
 """
 
 from afftl.algebra import AlgebraElement
@@ -26,12 +30,15 @@ from afftl.diagrams import (
     class_of,
     descent_arcs,
     edge_list,
+    generator_times,
     multiply,
     partner,
     straight_diagram,
+    times_generator,
 )
 from afftl.laurent import ZERO, delta_power
-from afftl.words import check_word
+from afftl.straightening import stack
+from afftl.words import BraidWitness, braid_witness, check_word, greedy_back, greedy_front
 
 
 def crosses(e1, e2) -> bool:
@@ -254,3 +261,70 @@ def mul_pairwise(a, b):
             coeff = ca * cb * delta_power(r.contractible)
             out[r.diagram] = out.get(r.diagram, ZERO) + coeff
     return AlgebraElement(a.n, out)
+
+
+def cancellable_by_stacking(cfg, word, s, side):
+    """The first t in cfg.neighbours_of(s) with E_t E_w (left) or E_w E_t
+    (right) equal to the element with the descent s removed, by stacking
+    and comparing diagrams."""
+    word = tuple(word)
+    full = stack(cfg, word).diagram
+    if side == "left":
+        moved = greedy_front(cfg, word, s)
+        if moved is None:
+            raise ValueError(f"{s} is not a left descent")
+        target = stack(cfg, moved[1:]).diagram
+        for t in cfg.neighbours_of(s):
+            r = generator_times(t, full)
+            if r.contractible == 0 and r.diagram == target:
+                return t
+        return None
+    if side == "right":
+        moved = greedy_back(cfg, word, s)
+        if moved is None:
+            raise ValueError(f"{s} is not a right descent")
+        target = stack(cfg, moved[:-1]).diagram
+        for t in cfg.neighbours_of(s):
+            r = times_generator(full, t)
+            if r.contractible == 0 and r.diagram == target:
+                return t
+        return None
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def _has_braid_factor(cfg, w):
+    return any(
+        w[i] == w[i + 2] and cfg.adjacent(w[i], w[i + 1])
+        for i in range(len(w) - 2)
+    )
+
+
+def class_has_braid(cfg, word):
+    """Whether some word in the commutation class contains a factor sts
+    with s, t adjacent: the definition of a non-FC word, by exhaustion.
+    heap_is_fc is the fast equivalent for reduced words."""
+    start = check_word(cfg, word)
+    if _has_braid_factor(cfg, start):
+        return True
+    seen = {start}
+    todo = [start]
+    while todo:
+        w = todo.pop()
+        for i in range(len(w) - 1):
+            a, b = w[i], w[i + 1]
+            if a != b and not cfg.adjacent(a, b):
+                w2 = w[:i] + (b, a) + w[i + 2:]
+                if w2 not in seen:
+                    if _has_braid_factor(cfg, w2):
+                        return True
+                    seen.add(w2)
+                    todo.append(w2)
+    return False
+
+
+def braid_witness_left(cfg, word, t):
+    """Mirror statement of braid_witness for prepending t: word =
+    w1 + (s, t) + w2 with t commuting with every letter of w1, returned
+    with the same field names (w1 before s, w2 after t)."""
+    m = braid_witness(cfg, tuple(reversed(word)), t)
+    return BraidWitness(tuple(reversed(m.w2)), m.s, tuple(reversed(m.w1)))

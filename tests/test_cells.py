@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_fc_word
+from oracles import cancellable_by_stacking
 
 from afftl.cells import (
     M_NONSQUARE,
@@ -23,7 +24,18 @@ from afftl.cells import (
 from afftl.config import GroupConfig
 from afftl.diagrams import multiply, generator
 from afftl.straightening import stack
-from afftl.words import perm_of, support
+from afftl.words import left_descents, perm_of, right_descents, support
+
+
+def shuffled(cfg, word, rng, swaps=20):
+    """Another word for the same element, by random swaps of adjacent
+    commuting letters."""
+    w = list(word)
+    for _ in range(swaps if len(w) > 1 else 0):
+        i = rng.randrange(len(w) - 1)
+        if w[i] != w[i + 1] and cfg.commutes(w[i], w[i + 1]):
+            w[i], w[i + 1] = w[i + 1], w[i]
+    return tuple(w)
 
 
 class TestAValue:
@@ -43,6 +55,8 @@ class TestAValue:
         cfg = GroupConfig(5)
         assert a_value(cfg, (1, 3, 2, 4)) == 2
         assert a_bruteforce(cfg, (1, 3, 2, 4)) == 2
+        # contiguous factors, not subsequences: {1, 3} is no factor here
+        assert a_bruteforce(cfg, (1, 2, 3)) == 1
 
     def test_agreement(self, cfg, rng):
         for _ in range(40):
@@ -53,12 +67,6 @@ class TestAValue:
         cfg = GroupConfig(3)
         with pytest.raises(ValueError):
             a_bruteforce(cfg, (1, 2) * 4, bound=6)
-
-    def test_subword_flag(self):
-        cfg = GroupConfig(5)
-        # subsequence reading: the largest commuting subset of the support
-        assert a_bruteforce(cfg, (1, 2, 3), subword=True) == 2
-        assert a_bruteforce(cfg, (1, 2, 3)) == 1
 
     def test_top_equals_bottom_count(self, cfg, rng):
         from afftl.diagrams import edge_list
@@ -85,6 +93,34 @@ class TestCancellable:
     def test_non_descent_rejected(self):
         with pytest.raises(ValueError):
             cancellable(GroupConfig(5), (1, 2), 2, "left")
+
+    @pytest.mark.parametrize(
+        "word,s,side", [((1, 2, 9), 1, "left"), ((9, 2, 1), 1, "right"), ((1,), 1, "up")]
+    )
+    def test_bad_input_rejected(self, word, s, side):
+        # the greedy scans stop at the descent and would not reach the 9
+        with pytest.raises(ValueError):
+            cancellable(GroupConfig(5), word, s, side)
+
+    @pytest.mark.parametrize("n,max_len", [(3, 12), (4, 12), (5, 10), (6, 9), (7, 8)])
+    def test_word_criterion_matches_stacking(self, n, max_len):
+        # every descent of every element, on the enumerated word and on a
+        # commutation-shuffled copy of it
+        from afftl.explore import enumerate_elements
+
+        cfg = GroupConfig(n)
+        rng = random.Random(n)
+        descents = {"left": left_descents, "right": right_descents}
+        checked = absorbed = 0
+        for rec in enumerate_elements(cfg, max_len, with_labels=False):
+            for w in (rec.word, shuffled(cfg, rec.word, rng)):
+                for side, find in descents.items():
+                    for s in find(cfg, w):
+                        t = cancellable(cfg, w, s, side)
+                        assert t == cancellable_by_stacking(cfg, w, s, side), (w, s, side)
+                        checked += 1
+                        absorbed += t is not None
+        assert 0 < absorbed < checked
 
 
 class TestReduceToCore:

@@ -1,5 +1,6 @@
 """The constant-size generator action against the general product, and the
-permutation carried along the enumeration against the word oracle."""
+enumeration's involution flag (mirror symmetry of the diagram) against the
+affine-permutation oracle."""
 
 from afftl.config import GroupConfig
 from afftl.diagrams import (
@@ -56,8 +57,9 @@ class TestLocalAction:
 
 class TestCarriedPermutation:
     def test_involution_flag_matches_word_oracle(self):
-        cfg = GroupConfig(5)
-        recs = list(enumerate_elements(cfg, 8, with_labels=False))
-        assert sum(r.is_involution for r in recs) > 1
-        for r in recs:
-            assert r.is_involution == perm_of(cfg, r.word).is_involution(), r.word
+        for n, max_len in ((3, 12), (4, 12), (5, 10), (6, 9), (7, 8)):
+            cfg = GroupConfig(n)
+            recs = list(enumerate_elements(cfg, max_len, with_labels=False))
+            assert sum(r.is_involution for r in recs) > 1
+            for r in recs:
+                assert r.is_involution == perm_of(cfg, r.word).is_involution(), r.word

@@ -4,14 +4,13 @@ import random
 import pytest
 
 from conftest import random_fc_word
+from oracles import braid_witness_left, class_has_braid
 
 from afftl.config import GroupConfig
 from afftl.explore import enumerate_elements
 from afftl.words import (
     AffinePermutation,
     braid_witness,
-    braid_witness_left,
-    class_has_braid,
     commutation_class,
     greedy_back,
     greedy_front,
@@ -270,13 +269,6 @@ class TestLeftDecomposition:
         assert [set(g) for g in ld.groups] == [{2}, {1, 3}, {2}]
         assert left_decomposition(cfg, (1, 3)).groups == (frozenset({1, 3}),)
         assert left_decomposition(cfg, ()).groups == ()
-
-    def test_graphs(self):
-        cfg = GroupConfig(4)
-        ld = left_decomposition(cfg, (2, 1, 3, 2))
-        assert len(ld.graphs) == 2
-        assert ld.graphs[0].nodes == {1, 2, 3}
-        assert ld.graphs[0].edges == {(1, 2), (2, 3)}
 
     def test_blocks_commute_and_word_rebuilds(self, cfg, rng):
         for _ in range(30):
