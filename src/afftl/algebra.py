@@ -21,7 +21,7 @@ from .config import GroupConfig
 from .diagrams import AffineDiagram, InvariantError, canonical_key, identity, length, multiply
 from .laurent import ONE, ZERO, LaurentPoly, delta_power, norm1, pack, product_bits, unpack
 from .straightening import stack, straighten
-from .words import braid_witness, check_word, greedy_back, is_fc_reduced
+from .words import braid_witness, check_word, descent_mask, is_fc_reduced
 
 Word = tuple[int, ...]
 
@@ -137,45 +137,68 @@ class AlgebraElement:
         return " + ".join(bits)
 
 
+# Packing pays when coefficients are dense; a sparse coefficient such as
+# 1 + v**E would pack into an integer of about E * bits bits.
+DENSE_SPAN = 8
+
+
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of diagram stacking.
 
-    Coefficients are packed into integers (see `afftl.laurent`), so each
-    basis pair costs one diagram product and one big-int multiply-add into
-    the total of its (product diagram, loop count).  Each total is then
-    multiplied by its packed power of delta and added into its diagram's
-    total, and each diagram's total is unpacked once.
+    Each basis pair costs one diagram product and one coefficient
+    multiply-add into the total of its (product diagram, loop count).  Each
+    total is then multiplied by its power of delta and added into its
+    diagram's total.
 
-    A product of two diagrams contracts at most n // 2 loops, since every
-    contractible loop meets at least two of the n middle node classes.  So
-    no coefficient of the result exceeds norm1(a) * norm1(b) * 2**(n // 2)
-    in absolute value (the 1-norm of delta**k is 2**k), and packing at the
-    width for that bound is exact.
+    When both operands are dense (`_dense`), coefficients are packed into
+    integers (see `afftl.laurent`), so the multiply-adds are single big-int
+    operations and each diagram's total is unpacked once.  A product of two
+    diagrams contracts at most n // 2 loops, since every contractible loop
+    meets at least two of the n middle node classes.  So no coefficient of
+    the result exceeds norm1(a) * norm1(b) * 2**(n // 2) in absolute value
+    (the 1-norm of delta**k is 2**k), and packing at the width for that
+    bound is exact.  Otherwise the coefficients stay Laurent polynomials,
+    whose cost depends on their number of terms, not on their exponents.
     """
     if a.n != b.n:
         raise ValueError("mismatched sizes")
     if not a.terms or not b.terms:
         return AlgebraElement(a.n)
     most = a.n // 2
-    bits = product_bits(_norm1(a) * _norm1(b) << most)
-    lo_a, lo_b = _lowest_exponent(a), _lowest_exponent(b)
-    packed_b = [(db, pack(cb, lo_b, bits)) for db, cb in b.terms.items()]
-    totals: defaultdict[tuple[AffineDiagram, int], int] = defaultdict(int)
-    for da, ca in a.terms.items():
-        xa = pack(ca, lo_a, bits)
-        for db, xb in packed_b:
+    packed = _dense(a) and _dense(b)
+    if packed:
+        bits = product_bits(_norm1(a) * _norm1(b) << most)
+        lo_a, lo_b = _lowest_exponent(a), _lowest_exponent(b)
+        xs_a = [(da, pack(ca, lo_a, bits)) for da, ca in a.terms.items()]
+        xs_b = [(db, pack(cb, lo_b, bits)) for db, cb in b.terms.items()]
+    else:
+        xs_a, xs_b = list(a.terms.items()), list(b.terms.items())
+    totals: defaultdict[tuple[AffineDiagram, int], int | LaurentPoly] = defaultdict(int)
+    for da, xa in xs_a:
+        for db, xb in xs_b:
             r = multiply(da, db)
             totals[r.diagram, r.contractible] += xa * xb
-    deltas: dict[int, int] = {}
-    out: defaultdict[AffineDiagram, int] = defaultdict(int)
+    deltas: dict[int, int | LaurentPoly] = {}
+    out: defaultdict[AffineDiagram, int | LaurentPoly] = defaultdict(int)
     for (d, k), x in totals.items():
         if not 0 <= k <= most:
             raise InvariantError(f"loop count {k} in a product, outside 0..{most}")
         if k not in deltas:
-            deltas[k] = pack(delta_power(k), -most, bits)
+            deltas[k] = pack(delta_power(k), -most, bits) if packed else delta_power(k)
         out[d] += x * deltas[k]
-    lo = lo_a + lo_b - most
-    return AlgebraElement(a.n, {d: unpack(x, lo, bits) for d, x in out.items()})
+    if packed:
+        lo = lo_a + lo_b - most
+        out = {d: unpack(x, lo, bits) for d, x in out.items()}
+    return AlgebraElement(a.n, out)
+
+
+def _dense(a: AlgebraElement) -> bool:
+    """Whether the exponent span of a's coefficients is at most DENSE_SPAN
+    times their mean number of terms.  Packed integers then take memory
+    linear in the size of the input, whatever its exponents."""
+    coeffs = a.terms.values()
+    span = max(c.terms[-1][0] for c in coeffs) - _lowest_exponent(a) + 1
+    return span * len(coeffs) <= DENSE_SPAN * sum(len(c.terms) for c in coeffs)
 
 
 def _norm1(a: AlgebraElement) -> int:
@@ -201,7 +224,7 @@ def rewrite_mul(cfg: GroupConfig, word, s: int) -> tuple[int, Word]:
 
 @lru_cache(maxsize=1 << 18)
 def _rewrite_mul_cached(cfg: GroupConfig, word: Word, s: int) -> tuple[int, Word]:
-    if greedy_back(cfg, word, s) is not None:
+    if descent_mask(cfg.masks, word, False) >> s & 1:
         # s is a right descent: the square relation contributes one delta
         return 1, word
     extended = word + (s,)

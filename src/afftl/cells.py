@@ -11,12 +11,17 @@ patterns of the diagram refine it to left and right cells.  Involutions
 decompose canonically as x * (commuting block) * x^-1, and each right cell
 outside the non-square alternating family contains exactly one involution.
 
-Cancellation is decided on words.  Write w = s u for a left descent s; an
-adjacent t absorbs s (E_t E_w = E_u) exactly when t is a left descent of
-u.  If u = t v, then E_t E_s E_t = E_t gives E_t E_w = E_t E_v = E_u.
-Conversely, a loop-free E_t E_w has the minimal arc (t, t+1) on its top
-row, and the top minimal arcs of a word's diagram are its left descents.
-The right side is the mirror image.
+Descents are read off the heap of a reduced word (Stembridge 1996, *On
+the fully commutative elements of Coxeter groups*): the left descents are
+its minimal elements and the right descents its maximal ones, one scan per
+side (`words.descent_mask`).  Cancellation is decided on words.  Write
+w = s u for a left descent s, u being w with the first occurrence of s
+removed; an adjacent t absorbs s (E_t E_w = E_u) exactly when t is a left
+descent of u.  If u = t v, then E_t E_s E_t = E_t gives
+E_t E_w = E_t E_v = E_u.  Conversely, a loop-free E_t E_w has the minimal
+arc (t, t+1) on its top row, and the top minimal arcs of a word's diagram
+are its left descents.  The right side is the mirror image, with the last
+occurrence of s removed.
 """
 
 from __future__ import annotations
@@ -32,14 +37,12 @@ from .words import (
     Word,
     check_word,
     commutation_class,
-    greedy_back,
-    greedy_front,
+    descent_mask,
+    drop_letter,
     left_decomposition,
-    left_descents,
+    mask_letters,
     perm_of,
-    right_descents,
     right_groups,
-    support,
 )
 
 M_NONSQUARE = "M-nonsquare cell"
@@ -187,59 +190,56 @@ def cancellable(cfg: GroupConfig, word, s: int, side: str) -> int | None:
     Decided without diagrams: t absorbs s exactly when t is a descent of u
     on the same side.  If u = t v, then E_t E_s E_t = E_t gives
     E_t E_w = E_t E_v = E_u; conversely a loop-free E_t E_w has the minimal
-    top arc (t, t+1), and top minimal arcs are the left descents.  The
-    whole word is checked up front, since the greedy scans stop early.
+    top arc (t, t+1), and top minimal arcs are the left descents.
     """
     word = check_word(cfg, word)
-    if side == "left":
-        find, cut = greedy_front, slice(1, None)
-    elif side == "right":
-        find, cut = greedy_back, slice(None, -1)
-    else:
+    if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    moved = find(cfg, word, s)
-    if moved is None:
+    cfg.check_generator(s)
+    left = side == "left"
+    if not descent_mask(cfg.masks, word, left) >> s & 1:
         raise ValueError(f"{s} is not a {side} descent")
-    rest = moved[cut]
-    for t in cfg.neighbours_of(s):
-        if find(cfg, rest, t) is not None:
-            return t
-    return None
+    return _absorber(cfg.masks, word, s, left)
 
 
-_DESCENTS = {"left": left_descents, "right": right_descents}
+def _absorber(masks: tuple[int, ...], word: Word, s: int, left: bool) -> int | None:
+    # the smallest neighbour of s that is a descent of the word without s
+    found = descent_mask(masks, drop_letter(word, s, left), left) & masks[s]
+    return (found & -found).bit_length() - 1 if found else None
 
 
 def _cancel_options(
-    cfg: GroupConfig, word, sides: tuple[str, ...] = ("left", "right")
+    cfg: GroupConfig, word: Word, sides: tuple[str, ...] = ("left", "right")
 ) -> list[CancelStep]:
     # by side in the given order, then by descent: seeded choices rely on it
+    masks = cfg.masks
     return [
         CancelStep(side, s, t)
         for side in sides
-        for s in sorted(_DESCENTS[side](cfg, word))
-        if (t := cancellable(cfg, word, s, side)) is not None
+        for s in mask_letters(descent_mask(masks, word, side == "left"))
+        if (t := _absorber(masks, word, s, side == "left")) is not None
     ]
 
 
-def _apply_cancel(cfg: GroupConfig, word: Word, step: CancelStep) -> Word:
-    if step.side == "left":
-        return greedy_front(cfg, word, step.s)[1:]
-    return greedy_back(cfg, word, step.s)[:-1]
+def _reduce(
+    cfg: GroupConfig,
+    w: Word,
+    rng: random.Random | None = None,
+    sides: tuple[str, ...] = ("left", "right"),
+) -> ReduceResult:
+    # reduce_to_core on a word already checked to be reduced FC
+    trace: list[CancelStep] = []
+    while options := _cancel_options(cfg, w, sides):
+        step = options[0] if rng is None else rng.choice(options)
+        w = drop_letter(w, step.s, step.side == "left")
+        trace.append(step)
+    return ReduceResult(w, tuple(trace))
 
 
 def reduce_to_core(cfg: GroupConfig, word, rng: random.Random | None = None) -> ReduceResult:
     """Cancel descents until none is cancellable.  Deterministic order
     (left side first, smallest descent) unless an RNG is supplied."""
-    w = _require_reduced_fc(cfg, word)
-    trace: list[CancelStep] = []
-    while True:
-        options = _cancel_options(cfg, w)
-        if not options:
-            return ReduceResult(w, tuple(trace))
-        step = options[0] if rng is None else rng.choice(options)
-        w = _apply_cancel(cfg, w, step)
-        trace.append(step)
+    return _reduce(cfg, _require_reduced_fc(cfg, word), rng)
 
 
 def is_core(cfg: GroupConfig, word) -> bool:
@@ -319,7 +319,7 @@ def labels(cfg: GroupConfig, word) -> CellLabels:
     label and the top pattern agree, a two-sided cell iff the label agrees."""
     w = _require_reduced_fc(cfg, word)
     d = stack(cfg, w).diagram
-    core = reduce_to_core(cfg, w).word
+    core = _reduce(cfg, w).word
     top_arcs, bottom_arcs, _ = edge_list(d)
     return CellLabels(
         two_sided=classify_core(cfg, core),
@@ -341,21 +341,17 @@ def involution_decompose(
         raise ValueError("element is not an involution")
     masks = cfg.masks
     x: list[int] = []
-    while True:
-        supp = support(w)
-        if not any(masks[a] >> b & 1 for a in supp for b in supp):
-            break
+    while any(masks[a] >> b & 1 for a in w for b in w):
         options = []
-        for s in sorted(left_descents(cfg, w)):
-            rest = greedy_front(cfg, w, s)[1:]
-            back = greedy_back(cfg, rest, s)
-            if back is not None:
-                options.append((s, back[:-1]))
+        for s in mask_letters(descent_mask(masks, w, True)):
+            rest = drop_letter(w, s, True)
+            if descent_mask(masks, rest, False) >> s & 1:
+                options.append((s, drop_letter(rest, s, False)))
         if not options:
             raise InvariantError("involution with entangled support but no conjugating descent")
         s, w = options[0] if rng is None else rng.choice(options)
         x.append(s)
-    core = support(w)
+    core = frozenset(w)
     if len(w) != len(core):
         raise InvariantError("terminal element is not a commuting block")
     full = tuple(x) + tuple(sorted(core)) + tuple(reversed(x))
@@ -369,9 +365,7 @@ def involution_decompose(
 def right_cell_involution(cfg: GroupConfig, word) -> Word | str:
     """The canonical involution sharing the element's right cell, or the
     M_NONSQUARE marker for the alternating cells without involutions."""
-    w = _require_reduced_fc(cfg, word)
-    while options := _cancel_options(cfg, w, ("right",)):
-        w = _apply_cancel(cfg, w, options[0])
+    w = _reduce(cfg, _require_reduced_fc(cfg, word), sides=("right",)).word
     groups = right_groups(cfg, w)
     half = cfg.n // 2
     if groups and cfg.n % 2 == 0 and len(groups[-1]) == half:

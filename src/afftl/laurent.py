@@ -4,9 +4,9 @@ Stored as a sorted tuple of (exponent, coefficient) pairs with no zero
 coefficients, so values are hashable and equality is exact.  The loop
 scalar is delta = v + 1/v.
 
-`LaurentPoly` is the public coefficient type.  For bulk products,
-`algebra.mul` works on packed integers internally (Kronecker
-substitution): `pack(p, lo, bits)` is the integer sum of
+`LaurentPoly` is the public coefficient type.  For bulk products of
+operands with dense coefficients, `algebra.mul` works on packed integers
+internally (Kronecker substitution): `pack(p, lo, bits)` is the integer sum of
 c_e * 2**(bits * (e - lo)), so adding and multiplying packed values is one
 Python big-int operation, and the product of two packed values is the
 packed product of the polynomials (offset lo_p + lo_q).  Coefficients may

@@ -3,10 +3,15 @@
 Words are tuples of generator indices in 1..n.  The elements of interest
 are the fully commutative ("FC") ones: those none of whose reduced
 expressions contain a factor sts with s, t adjacent.  A reduced word of an
-FC element has a single commutation class, which makes word-level
-algorithms exact: left/right descents are read off by greedy commutations,
-and the obstruction produced by appending a letter that breaks full
-commutativity can be located by searching the class.
+FC element has a single commutation class, so the element is its heap: the
+positions of the word, ordered by the transitive closure of "i < j and the
+letters are equal or adjacent" (Stembridge 1996, *On the fully commutative
+elements of Coxeter groups*).  Left descents are the heap's minimal
+elements and right descents its maximal ones, so one scan of the word
+finds each descent set (`descent_mask`), and peeling minimal elements
+layer by layer gives the left decomposition.  The obstruction produced by
+appending a letter that breaks full commutativity is located by searching
+the commutation class.
 
 The module also hosts an affine-permutation model of the group (window
 notation), used throughout as an independent oracle for lengths, element
@@ -40,6 +45,38 @@ def support(word) -> frozenset[int]:
     return frozenset(word)
 
 
+def descent_mask(masks: tuple[int, ...], word: Word, left: bool) -> int:
+    """Left (or right) descent set of a word as a bitmask, in one scan.
+
+    A letter is a descent when its first (last) occurrence has no earlier
+    (later) adjacent letter, that is when it is a minimal (maximal) element
+    of the heap.  `masks` is `GroupConfig.masks`; the letters are not
+    checked.
+    """
+    blocked = found = 0
+    for x in word if left else reversed(word):
+        if not blocked >> x & 1:
+            found |= 1 << x
+        blocked |= masks[x]
+    return found
+
+
+def mask_letters(mask: int) -> list[int]:
+    """The letters of a bitmask, ascending."""
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
+def drop_letter(word: Word, s: int, left: bool) -> Word:
+    """The word without the first (left) or last occurrence of s."""
+    if left:
+        p = word.index(s)
+    else:
+        p = len(word) - 1
+        while word[p] != s:
+            p -= 1
+    return word[:p] + word[p + 1:]
+
+
 def greedy_front(cfg: GroupConfig, word, s: int) -> Word | None:
     """Move an occurrence of s to the front by swapping commuting letters.
 
@@ -48,31 +85,28 @@ def greedy_front(cfg: GroupConfig, word, s: int) -> Word | None:
     reduced word of an FC element this decides s in the left descent set.
     """
     cfg.check_generator(s)
-    word = tuple(word)
-    n, blockers = cfg.n, cfg.masks[s]
-    for p, letter in enumerate(word):
-        if letter == s:
-            return (s,) + word[:p] + word[p + 1:]
-        if not 1 <= letter <= n:
-            cfg.check_generator(letter)
-        if blockers >> letter & 1:
-            return None
+    word = check_word(cfg, word)
+    if descent_mask(cfg.masks, word, True) >> s & 1:
+        return (s,) + drop_letter(word, s, True)
     return None
 
 
 def greedy_back(cfg: GroupConfig, word, s: int) -> Word | None:
     """Mirror of greedy_front: a word for the same element ending with s."""
-    moved = greedy_front(cfg, tuple(reversed(word)), s)
-    return tuple(reversed(moved)) if moved is not None else None
+    cfg.check_generator(s)
+    word = check_word(cfg, word)
+    if descent_mask(cfg.masks, word, False) >> s & 1:
+        return drop_letter(word, s, False) + (s,)
+    return None
 
 
 def left_descents(cfg: GroupConfig, word) -> frozenset[int]:
     """Left descent set of an FC element given by a reduced word."""
-    return frozenset(s for s in cfg.generators() if greedy_front(cfg, word, s) is not None)
+    return frozenset(mask_letters(descent_mask(cfg.masks, check_word(cfg, word), True)))
 
 
 def right_descents(cfg: GroupConfig, word) -> frozenset[int]:
-    return frozenset(s for s in cfg.generators() if greedy_back(cfg, word, s) is not None)
+    return frozenset(mask_letters(descent_mask(cfg.masks, check_word(cfg, word), False)))
 
 
 def commutation_class(cfg: GroupConfig, word, cap: int = 500_000) -> frozenset[Word]:
@@ -163,7 +197,7 @@ def braid_witness(cfg: GroupConfig, word, t: int) -> BraidWitness:
     cfg.check_generator(t)
     if not is_fc_reduced(cfg, word):
         raise ValueError("word must be a reduced word of a fully commutative element")
-    if greedy_back(cfg, word, t) is not None or is_fc_reduced(cfg, word + (t,)):
+    if descent_mask(cfg.masks, word, False) >> t & 1 or is_fc_reduced(cfg, word + (t,)):
         raise ValueError("appending the letter keeps the element fully commutative")
     blockers = cfg.masks[t]
     for u in sorted(commutation_class(cfg, word)):
@@ -281,7 +315,8 @@ def perm_of(cfg: GroupConfig, word) -> AffinePermutation:
 
 @dataclass(frozen=True)
 class LeftDecomposition:
-    """Greedy factorization into blocks of pairwise commuting descents.
+    """Factorization into blocks of pairwise commuting letters: the layers
+    of the heap, peeled from the bottom.
 
     groups[k] is the left descent set of the element remaining after the
     first k blocks are peeled; concatenating the blocks reproduces a
@@ -297,18 +332,21 @@ class LeftDecomposition:
 
 
 def left_decomposition(cfg: GroupConfig, word) -> LeftDecomposition:
-    """Left decomposition of an FC element given by a reduced word."""
-    w = check_word(cfg, word)
+    """Left decomposition of an FC element given by a reduced word: each
+    letter goes one layer above the highest layer holding an equal or
+    adjacent letter (so letters in one layer commute), and one scan builds
+    every layer as a bitmask."""
     masks = cfg.masks
-    groups: list[frozenset[int]] = []
-    while w:
-        g = left_descents(cfg, w)
-        if any(masks[a] >> b & 1 for a in g for b in g):
-            raise ValueError("descent set not commuting; word is not reduced FC")
-        for s in sorted(g):
-            w = greedy_front(cfg, w, s)[1:]
-        groups.append(g)
-    return LeftDecomposition(tuple(groups))
+    layers: list[int] = []
+    for x in check_word(cfg, word):
+        near = masks[x] | 1 << x
+        k = len(layers)
+        while k and not layers[k - 1] & near:
+            k -= 1
+        if k == len(layers):
+            layers.append(0)
+        layers[k] |= 1 << x
+    return LeftDecomposition(tuple(frozenset(mask_letters(g)) for g in layers))
 
 
 def right_groups(cfg: GroupConfig, word) -> tuple[frozenset[int], ...]:

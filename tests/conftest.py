@@ -31,3 +31,14 @@ def random_fc_word(cfg, rng, max_len):
             break
         word = rng.choice(options)
     return word
+
+
+def shuffled(cfg, word, rng, swaps=20):
+    """Another word for the same element, by random swaps of adjacent
+    commuting letters."""
+    w = list(word)
+    for _ in range(swaps if len(w) > 1 else 0):
+        i = rng.randrange(len(w) - 1)
+        if w[i] != w[i + 1] and cfg.commutes(w[i], w[i + 1]):
+            w[i], w[i + 1] = w[i + 1], w[i]
+    return tuple(w)

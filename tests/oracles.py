@@ -12,13 +12,19 @@ is an involution, where the library checks the generator set; and
 the library reads the windows; `mul_pairwise` sums one Laurent product
 per basis pair, where the library packs coefficients into integers; and
 `cancellable_by_stacking` compares stacked diagrams, where the library
-reads descents off the words.  The differential tests play each against
-its library counterpart.  `class_has_braid` (the definition of full
-commutativity) and `braid_witness_left` are reference statements used by
-the word tests.
+reads descents off the words; and the greedy formulations
+(`left_descents_greedy`, `right_descents_greedy`, `cancellable_greedy`,
+`cancel_options_greedy`, `reduce_to_core_greedy`,
+`left_decomposition_greedy`) move each letter to the front or back with
+`greedy_front_adjacent`/`greedy_back_adjacent`, one generator at a time,
+where the library reads the heap's minimal and maximal elements off one
+scan per side.  The differential tests play each against its library
+counterpart.  `class_has_braid` (the definition of full commutativity)
+and `braid_witness_left` are reference statements used by the word tests.
 """
 
 from afftl.algebra import AlgebraElement
+from afftl.cells import CancelStep, ReduceResult
 from afftl.diagrams import (
     BOT,
     TOP,
@@ -328,3 +334,75 @@ def braid_witness_left(cfg, word, t):
     with the same field names (w1 before s, w2 after t)."""
     m = braid_witness(cfg, tuple(reversed(word)), t)
     return BraidWitness(tuple(reversed(m.w2)), m.s, tuple(reversed(m.w1)))
+
+
+def left_descents_greedy(cfg, word):
+    return frozenset(
+        s for s in cfg.generators() if greedy_front_adjacent(cfg, word, s) is not None
+    )
+
+
+def right_descents_greedy(cfg, word):
+    return frozenset(
+        s for s in cfg.generators() if greedy_back_adjacent(cfg, word, s) is not None
+    )
+
+
+def cancellable_greedy(cfg, word, s, side):
+    """The first t in cfg.neighbours_of(s) that is a descent, on the same
+    side, of the word with the descent s moved out by a greedy scan."""
+    word = check_word(cfg, word)
+    if side == "left":
+        find, cut = greedy_front_adjacent, slice(1, None)
+    elif side == "right":
+        find, cut = greedy_back_adjacent, slice(None, -1)
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    moved = find(cfg, word, s)
+    if moved is None:
+        raise ValueError(f"{s} is not a {side} descent")
+    rest = moved[cut]
+    for t in cfg.neighbours_of(s):
+        if find(cfg, rest, t) is not None:
+            return t
+    return None
+
+
+_DESCENTS_GREEDY = {"left": left_descents_greedy, "right": right_descents_greedy}
+
+
+def cancel_options_greedy(cfg, word, sides=("left", "right")):
+    return [
+        CancelStep(side, s, t)
+        for side in sides
+        for s in sorted(_DESCENTS_GREEDY[side](cfg, word))
+        if (t := cancellable_greedy(cfg, word, s, side)) is not None
+    ]
+
+
+def reduce_to_core_greedy(cfg, word, rng=None):
+    """Cancel descents until none is cancellable, removing each cancelled
+    descent with a greedy scan."""
+    w = check_word(cfg, word)
+    trace = []
+    while options := cancel_options_greedy(cfg, w):
+        step = options[0] if rng is None else rng.choice(options)
+        if step.side == "left":
+            w = greedy_front_adjacent(cfg, w, step.s)[1:]
+        else:
+            w = greedy_back_adjacent(cfg, w, step.s)[:-1]
+        trace.append(step)
+    return ReduceResult(w, tuple(trace))
+
+
+def left_decomposition_greedy(cfg, word):
+    """Blocks of the left decomposition, by peeling the left descent set
+    with greedy scans until the word is empty."""
+    w = check_word(cfg, word)
+    groups = []
+    while w:
+        g = left_descents_greedy(cfg, w)
+        for s in sorted(g):
+            w = greedy_front_adjacent(cfg, w, s)[1:]
+        groups.append(g)
+    return tuple(groups)

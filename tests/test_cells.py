@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_fc_word
+from conftest import random_fc_word, shuffled
 from oracles import cancellable_by_stacking
 
 from afftl.cells import (
@@ -25,17 +25,6 @@ from afftl.config import GroupConfig
 from afftl.diagrams import multiply, generator
 from afftl.straightening import stack
 from afftl.words import left_descents, perm_of, right_descents, support
-
-
-def shuffled(cfg, word, rng, swaps=20):
-    """Another word for the same element, by random swaps of adjacent
-    commuting letters."""
-    w = list(word)
-    for _ in range(swaps if len(w) > 1 else 0):
-        i = rng.randrange(len(w) - 1)
-        if w[i] != w[i + 1] and cfg.commutes(w[i], w[i + 1]):
-            w[i], w[i + 1] = w[i + 1], w[i]
-    return tuple(w)
 
 
 class TestAValue:
@@ -98,7 +87,7 @@ class TestCancellable:
         "word,s,side", [((1, 2, 9), 1, "left"), ((9, 2, 1), 1, "right"), ((1,), 1, "up")]
     )
     def test_bad_input_rejected(self, word, s, side):
-        # the greedy scans stop at the descent and would not reach the 9
+        # the 9 lies past the descent: the whole word is checked up front
         with pytest.raises(ValueError):
             cancellable(GroupConfig(5), word, s, side)
 

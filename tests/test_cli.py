@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,36 @@ class TestMul:
         assert len(got) == len(terms) == len(reference) > 50
         assert got == reference
         assert pairs > 500
+
+    def test_exponents_a_billion_apart(self, tmp_path):
+        # (E1 (1 + v**E))**2 at E = 10**9.  Packed, one coefficient would take
+        # about 10**9 * bits bits, so the child runs with its address space
+        # capped at 1 GiB: a regression fails with MemoryError, not by
+        # exhausting the machine.
+        elt = {"n": 4, "terms": [{"coeff": [{"exp": 0, "c": 1}, {"exp": 10**9, "c": 1}],
+                                  "word": [1]}]}
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(elt))
+        child = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from afftl.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        t0 = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "mul", "--n", "4", "--a", f"@{path}", "--b", f"@{path}"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        elapsed = time.monotonic() - t0
+        assert proc.returncode == 0, proc.stderr
+        # E1 E1 = delta E1: delta (1 + v**E)**2
+        e = 10**9
+        want = {-1: 1, 1: 1, e - 1: 2, e + 1: 2, 2 * e - 1: 1, 2 * e + 1: 1}
+        (term,) = json.loads(proc.stdout)["terms"]
+        assert term["word"] == [1]
+        assert {x["exp"]: x["c"] for x in term["coeff"]} == want
+        # about 1 s, interpreter start included
+        assert elapsed < 1.5, elapsed
 
 
 class TestCells:

@@ -1,15 +1,18 @@
 """Packed-integer coefficient arithmetic.
 
-`algebra.mul` packs every coefficient into one integer (Kronecker
-substitution, see `afftl.laurent`) and sums big-int products per product
-diagram.  It is played against `mul_pairwise`, one Laurent product per
-basis pair, on random elements, cancelling terms, huge coefficients, wide
-exponent spans and empty or one-term operands; the pack/unpack helpers
-are checked by property tests, including a width bound met exactly.
+`algebra.mul` packs every coefficient of dense operands into one integer
+(Kronecker substitution, see `afftl.laurent`) and sums big-int products
+per product diagram; sparse operands keep Laurent coefficients.  It is
+played against `mul_pairwise`, one Laurent product per basis pair, on
+random elements, cancelling terms, huge coefficients, wide exponent spans,
+exponents up to +-10**9 and empty or one-term operands; the pack/unpack
+helpers are checked by property tests, including a width bound met
+exactly.
 """
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +20,12 @@ from hypothesis import strategies as st
 from oracles import mul_pairwise
 
 from afftl import algebra
-from afftl.algebra import AlgebraElement, element_to_json, mul
+from afftl.algebra import AlgebraElement, element_from_json, element_to_json, mul
 from afftl.config import GroupConfig
 from afftl.diagrams import InvariantError, ProductResult
 from afftl.laurent import DELTA, ONE, LaurentPoly, norm1, pack, product_bits, unpack
 
+ROOT = Path(__file__).resolve().parents[1]
 PROPERTY = settings(max_examples=300, deadline=None, database=None)
 
 
@@ -112,6 +116,49 @@ class TestAgainstPairwise:
         c = LaurentPoly.from_dict({0: -(1 << 70), 3: 5})
         e13 = monomial(4, [1, 3], c)
         assert assert_same_product(e13, e13) == monomial(4, [1, 3], c * c * DELTA * DELTA)
+
+
+class TestSparseOperands:
+    @PROPERTY
+    @given(st.data())
+    def test_exponents_up_to_a_billion(self, data):
+        n = data.draw(st.integers(3, 6))
+        exps = st.integers(-(10**9), 10**9)
+        coeffs = st.dictionaries(exps, st.integers(-5, 5).filter(bool), min_size=1, max_size=4)
+        terms = st.lists(
+            st.tuples(st.lists(st.integers(1, n), max_size=5), coeffs), min_size=1, max_size=4
+        )
+        a, b = (
+            sum(
+                (monomial(n, w, LaurentPoly.from_dict(c)) for w, c in data.draw(terms)),
+                AlgebraElement.zero(n),
+            )
+            for _ in range(2)
+        )
+        assert_same_product(a, b)
+
+    def test_path_follows_density(self, monkeypatch):
+        # the products benchmark's operands (exponents -6..6, with loop
+        # scalars folded in) pack; 1 + v**E with a large E does not
+        monkeypatch.syspath_prepend(str(ROOT))
+        from perfbench.workloads import HELD_OUT_SEED, random_element as benchmark_element
+
+        for seed in (0, HELD_OUT_SEED):
+            rng = random.Random(seed)
+            for _ in range(2):
+                assert algebra._dense(element_from_json(benchmark_element(rng, 5, 300)))
+        packed = []
+        monkeypatch.setattr(algebra, "pack", lambda *args: packed.append(1) or pack(*args))
+        dense = random_element(random.Random(5), 5, 40)
+        assert_same_product(dense, dense)
+        assert packed
+        packed.clear()
+        sparse = monomial(4, [1], LaurentPoly.from_dict({0: 1, 10**9: 1}))
+        assert not algebra._dense(sparse)
+        assert assert_same_product(sparse, sparse) == monomial(
+            4, [1], LaurentPoly.from_dict({0: 1, 10**9: 2, 2 * 10**9: 1}) * DELTA
+        )
+        assert not packed
 
 
 class TestErrors:

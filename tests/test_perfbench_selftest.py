@@ -2,15 +2,29 @@
 
 perfbench/tracer.py binds package names from outside (the spanned public
 functions, `AffineDiagram.__post_init__`, the caches it reads hit ratios
-from); renaming or removing one of them breaks traced runs, and this test
-catches that.  It runs the harness's own self-test, a few seconds.
+from); renaming or removing one of them breaks traced runs.  The first
+test names every binding that no longer resolves; the second runs the
+harness's own self-test, a few seconds.
 """
 
+import importlib
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_tracer_bindings_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.tracer import CACHES, COUNTED, SPANNED
+
+    missing = [
+        f"afftl.{module}.{attr}"
+        for module, attr in [*SPANNED, *COUNTED, *CACHES]
+        if not hasattr(importlib.import_module(f"afftl.{module}"), attr)
+    ]
+    assert not missing, f"perfbench/tracer.py binds names afftl no longer defines: {missing}"
 
 
 def test_perfbench_selftest():
