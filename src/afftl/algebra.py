@@ -19,7 +19,9 @@ from functools import lru_cache
 
 from .config import GroupConfig
 from .diagrams import AffineDiagram, InvariantError, canonical_key, identity, length, multiply
-from .laurent import ONE, ZERO, LaurentPoly, delta_power, norm1, pack, product_bits, unpack
+from .laurent import (
+    ONE, ZERO, LaurentPoly, delta_power, json_int, json_list, norm1, pack, product_bits, unpack
+)
 from .straightening import stack, straighten
 from .words import braid_witness, check_word, descent_mask, is_fc_reduced
 
@@ -266,9 +268,10 @@ def element_from_json(obj: dict) -> AlgebraElement:
     """Load an element; term words are re-evaluated, so non-canonical words
     fold their loop scalars into the coefficient."""
     try:
-        n = int(obj["n"])
-        raw = [(LaurentPoly.from_json(t["coeff"]), [int(x) for x in t["word"]])
-               for t in obj["terms"]]
+        n = json_int(obj["n"], "n")
+        raw = [(LaurentPoly.from_json(t["coeff"]),
+                [json_int(x, "word letter") for x in json_list(t["word"], "word")])
+               for t in json_list(obj["terms"], "terms")]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed element JSON: {exc}") from exc
     cfg = GroupConfig(n)

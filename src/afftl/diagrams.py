@@ -37,6 +37,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .laurent import json_int, json_list
+
 TOP = "T"
 BOT = "B"
 
@@ -412,33 +414,43 @@ def _generator_action(d: AffineDiagram, s: int, side: str) -> ProductResult:
     # `side` is d's row that touches E_s.  E_s joins that row's nodes s and
     # s+1, whose partners in d are x and y, and gives the product a fresh
     # arc (s, s+1) on that row.  Node s is window entry s - 1; node s+1 is
-    # window entry t shifted by s - t.
+    # window entry t shifted by s - t.  Only the rows the edit writes are
+    # copied; the entry of a node at cover position p is window entry
+    # (p - 1) % n, stored shifted by the node's offset from the window.
     n = d.n
     if not 1 <= s <= n:
         raise ValueError(f"generator index {s} out of range 1..{n}")
-    row = d.top if side == TOP else d.bottom
-    x = row[s - 1]
-    if x == (side, s + 1):
+    row, other = (d.top, d.bottom) if side == TOP else (d.bottom, d.top)
+    x_side, x = row[s - 1]
+    if x_side == side and x == s + 1:
         # the minimal arc (s, s+1) and E_s's arc close a contractible loop
         return ProductResult(d, 1)
     t = s % n
-    rows = {TOP: list(d.top), BOT: list(d.bottom)}
+    edited = list(row)
     loops = d.loops
-    if x == (side, s + 1 - n):
+    if x_side == side and x == s + 1 - n:
         # the arc (s+1-n, s) and E_s's arcs close a loop around the cylinder
         if any(p[0] == BOT for p in d.top):
             raise InvariantError("winding loop alongside a through strand")
         loops += 1
     else:
-        y = (row[t][0], row[t][1] + s - t)
-        for node in (x, y):
-            if node[0] == side and (node[1] - s) % n in (0, 1):
-                raise InvariantError(f"generator action met a broken matching at {side}{s}")
-        _set_entry(n, rows[x[0]], x[1], y)
-        _set_entry(n, rows[y[0]], y[1], x)
-    rows[side][s - 1] = (side, s + 1)
-    rows[side][t] = (side, t)
-    return ProductResult(AffineDiagram(n, tuple(rows[TOP]), tuple(rows[BOT]), loops), 0)
+        y_side, y = row[t]
+        y += s - t
+        if (x_side == side and (x - s) % n < 2) or (y_side == side and (y - s) % n < 2):
+            raise InvariantError(f"generator action met a broken matching at {side}{s}")
+        # x and y become partners of each other; the far row is copied only
+        # when one of them lies on it
+        far = edited if x_side == y_side == side else list(other)
+        cx, cy = (x - 1) % n, (y - 1) % n
+        (edited if x_side == side else far)[cx] = (y_side, y + cx + 1 - x)
+        (edited if y_side == side else far)[cy] = (x_side, x + cy + 1 - y)
+        if far is not edited:
+            other = tuple(far)
+    edited[s - 1] = (side, s + 1)
+    edited[t] = (side, t)
+    if side == TOP:
+        return ProductResult(AffineDiagram(n, tuple(edited), other, loops), 0)
+    return ProductResult(AffineDiagram(n, other, tuple(edited), loops), 0)
 
 
 def canonical_key(d: AffineDiagram) -> bytes:
@@ -461,10 +473,12 @@ def to_json_dict(d: AffineDiagram) -> dict:
 def from_json_dict(obj: dict) -> AffineDiagram:
     """Load a diagram from JSON: the one place where input is validated."""
     try:
-        n = int(obj["n"])
-        top = tuple((e["side"], int(e["pos"])) for e in obj["top"])
-        bottom = tuple((e["side"], int(e["pos"])) for e in obj["bottom"])
-        loops = int(obj.get("loops", 0))
+        n = json_int(obj["n"], "n")
+        top, bottom = (
+            tuple((e["side"], json_int(e["pos"], "pos")) for e in json_list(obj[key], key))
+            for key in ("top", "bottom")
+        )
+        loops = json_int(obj.get("loops", 0), "loops")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed diagram JSON: {exc}") from exc
     d = AffineDiagram(n, top, bottom, loops)

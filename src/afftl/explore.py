@@ -1,11 +1,15 @@
 """Breadth-first enumeration of the fully commutative elements.
 
 The primary enumeration extends words on the right and keeps an extension
-exactly when the diagram engine reports no contracted loop and a length
-increase; elements are deduplicated by their diagram, which the
-faithfulness of the representation makes an exact key.  Each extension is
-one constant-size generator action on the diagram.  The involution flag
-is read off the diagram too: swapping its rows gives the diagram of the
+exactly when the diagram engine reports no contracted loop and a diagram
+not seen before; elements are deduplicated by their diagram, which the
+faithfulness of the representation makes an exact key.  No length is
+computed: a loop-free product E_w E_s is a basis diagram of length at most
+l(w) + 1, because crossing numbers are subadditive under stacking (Fan and
+Green, On the affine Temperley-Lieb algebras, 1999), and every element
+shorter than that has been seen already.  Each extension is one
+constant-size generator action on the diagram.  The involution flag is
+read off the diagram too: swapping its rows gives the diagram of the
 inverse element, so w is an involution exactly when its diagram is
 mirror-symmetric.  An independent enumeration over affine permutations,
 filtered by the word-level FC test, provides per-length counts to check
@@ -15,12 +19,13 @@ against.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
 from .config import GroupConfig
 from .cells import CellLabels, labels
-from .diagrams import AffineDiagram, identity, length, mirror, times_generator
+from .diagrams import AffineDiagram, identity, times_generator
 from .words import AffinePermutation, Word, heap_is_fc
 
 DEFAULT_CAP = 10**7
@@ -31,7 +36,11 @@ def element_cap(cap: int | None = None) -> int:
     if cap is not None:
         return cap
     env = os.environ.get(CAP_ENV_VAR)
-    return int(env) if env else DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    if not env.strip().isdecimal():
+        raise ValueError(f"{CAP_ENV_VAR} must be a nonnegative integer, got {env!r}")
+    return int(env)
 
 
 @dataclass(frozen=True)
@@ -59,7 +68,15 @@ def enumerate_elements(
     generator_order: tuple[int, ...] | None = None,
 ) -> Iterator[EnumerationRecord]:
     """Yield every fully commutative element of length <= max_len once, in
-    length order, as (canonical-by-construction word, diagram) pairs."""
+    length order, as (canonical-by-construction word, diagram) pairs.
+
+    Level ln extends the elements of length ln - 1.  Every element u of
+    length < ln is in `seen` already, by induction: u = ws with l(u) =
+    l(w) + 1 gives E_w E_s = E_u with no loop.  A loop-free E_w E_s is a
+    basis diagram of length at most l(w) + 1 = ln, because crossing numbers
+    are subadditive under stacking.  So an unseen extension has length
+    exactly ln, and no length is computed.
+    """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     n = cfg.n
@@ -68,7 +85,9 @@ def enumerate_elements(
 
     def record(word: Word, d: AffineDiagram, ln: int) -> EnumerationRecord:
         lab = labels(cfg, word) if with_labels else None
-        return EnumerationRecord(word, d, ln, lab, mirror(d) == d)
+        # mirror(d) == d, read entrywise: top[i] is bottom[i] with its side flipped
+        symmetric = all(ts != bs and tp == bp for (ts, tp), (bs, bp) in zip(d.top, d.bottom))
+        return EnumerationRecord(word, d, ln, lab, symmetric)
 
     start = identity(n)
     seen = {start}
@@ -81,8 +100,6 @@ def enumerate_elements(
             for s in order:
                 r = times_generator(d, s)
                 if r.contractible or r.diagram in seen:
-                    continue
-                if length(r.diagram) != ln:
                     continue
                 seen.add(r.diagram)
                 count += 1
@@ -98,10 +115,8 @@ def enumerate_elements(
 
 def wc_counts(cfg: GroupConfig, max_len: int, cap: int | None = None) -> dict[int, int]:
     """Per-length element counts from the diagram-keyed enumeration."""
-    counts: dict[int, int] = {}
-    for rec in enumerate_elements(cfg, max_len, with_labels=False, cap=cap):
-        counts[rec.length] = counts.get(rec.length, 0) + 1
-    return counts
+    recs = enumerate_elements(cfg, max_len, with_labels=False, cap=cap)
+    return dict(Counter(rec.length for rec in recs))
 
 
 def oracle_counts(cfg: GroupConfig, max_len: int, cap: int | None = None) -> dict[int, int]:

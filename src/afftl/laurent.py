@@ -124,9 +124,25 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, obj) -> LaurentPoly:
         out: dict[int, int] = {}
-        for entry in obj:
-            out[int(entry["exp"])] = out.get(int(entry["exp"]), 0) + int(entry["c"])
+        for entry in json_list(obj, "coeff"):
+            e = json_int(entry["exp"], "exp")
+            out[e] = out.get(e, 0) + json_int(entry["c"], "c")
         return cls.from_dict(out)
+
+
+def json_int(value, field: str) -> int:
+    """A JSON integer, read strictly at the input boundary: floats, strings
+    and booleans raise ValueError naming the field instead of coercing."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def json_list(value, field: str) -> list:
+    """A JSON list, read strictly: a string or an object is not iterated."""
+    if type(value) is not list:
+        raise ValueError(f"{field} must be a list, not {type(value).__name__}")
+    return value
 
 
 def _coerce(x) -> LaurentPoly:

@@ -18,7 +18,9 @@ reads descents off the words; and the greedy formulations
 `left_decomposition_greedy`) move each letter to the front or back with
 `greedy_front_adjacent`/`greedy_back_adjacent`, one generator at a time,
 where the library reads the heap's minimal and maximal elements off one
-scan per side.  The differential tests play each against its library
+scan per side; and `enumerate_filtered` keeps an extension only after
+computing its length and builds the mirror for the involution flag, where
+the library relies on the length argument and compares the rows entrywise.  The differential tests play each against its library
 counterpart.  `class_has_braid` (the definition of full commutativity)
 and `braid_witness_left` are reference statements used by the word tests.
 """
@@ -36,7 +38,11 @@ from afftl.diagrams import (
     class_of,
     descent_arcs,
     edge_list,
+    generator,
     generator_times,
+    identity,
+    length,
+    mirror,
     multiply,
     partner,
     straight_diagram,
@@ -406,3 +412,29 @@ def left_decomposition_greedy(cfg, word):
             w = greedy_front_adjacent(cfg, w, s)[1:]
         groups.append(g)
     return tuple(groups)
+
+
+def enumerate_filtered(cfg, max_len, generator_order=None):
+    """The breadth-first enumeration with the length filter: each extension
+    is a general `multiply` by the generator's diagram, and it is kept only
+    when it is loop-free, unseen and of length exactly the level's.  Yields
+    (word, diagram, length, is_involution) with is_involution read as
+    mirror(d) == d."""
+    n = cfg.n
+    order = generator_order or tuple(cfg.generators())
+    start = identity(n)
+    seen = {start}
+    yield (), start, 0, mirror(start) == start
+    frontier = [((), start)]
+    for ln in range(1, max_len + 1):
+        nxt = []
+        for word, d in frontier:
+            for s in order:
+                r = multiply(d, generator(n, s))
+                if r.contractible or r.diagram in seen or length(r.diagram) != ln:
+                    continue
+                seen.add(r.diagram)
+                w2 = word + (s,)
+                yield w2, r.diagram, ln, mirror(r.diagram) == r.diagram
+                nxt.append((w2, r.diagram))
+        frontier = nxt

@@ -168,6 +168,68 @@ class TestMul:
         assert elapsed < 1.5, elapsed
 
 
+def _element(coeff=None, word=None, **fields):
+    term = {"coeff": coeff or [{"exp": 0, "c": 1}], "word": [1] if word is None else word}
+    return json.dumps({"n": 4, "terms": [term], **fields})
+
+
+class TestStrictJson:
+    """JSON numbers are read as exact integers or refused: no truncation,
+    no strings or booleans as numbers, no objects as lists."""
+
+    @pytest.mark.parametrize(
+        "elt, field",
+        [
+            (_element(coeff=[{"exp": 1.5, "c": 2.9}]), "exp"),
+            (_element(coeff=[{"exp": 1, "c": 2.9}]), "c"),
+            (_element(coeff=[{"exp": 0, "c": True}]), "c"),
+            (_element(coeff=[{"exp": True, "c": 1}]), "exp"),
+            (_element(coeff={"exp": 0, "c": 1}), "coeff"),
+            (_element(word="12"), "word"),
+            (_element(word=[True]), "word letter"),
+            (_element(word=[1.0]), "word letter"),
+            (_element(n=4.0), "n"),
+            (_element(terms={}), "terms"),
+        ],
+        ids=["float-exp", "float-c", "bool-c", "bool-exp", "object-coeff", "string-word",
+             "bool-letter", "float-letter", "float-n", "object-terms"],
+    )
+    def test_malformed_element(self, capsys, elt, field):
+        one = _element(coeff=[{"exp": 0, "c": 1}], word=[])
+        for a, b in ((elt, one), (one, elt)):
+            code, out, err = run_cli(capsys, "mul", "--n", "4", "--a", a, "--b", b)
+            assert code == 1 and out == ""
+            obj = json.loads(err)
+            assert obj["error"] == "ValueError"
+            assert obj["message"].startswith(f"{field} must be")
+
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda o: o["top"][0].update(pos=2.7), "pos"),
+            (lambda o: o["bottom"][1].update(pos="2"), "pos"),
+            (lambda o: o.update(loops=True), "loops"),
+            (lambda o: o.update(n=4.0), "n"),
+            (lambda o: o.update(top={}), "top"),
+        ],
+        ids=["float-pos", "string-pos", "bool-loops", "float-n", "object-top"],
+    )
+    def test_malformed_diagram(self, capsys, mutate, field):
+        _, out, _ = run_cli(capsys, "diagram", "--n", "4", "--word", "2 1")
+        obj = json.loads(out)["diagram"]
+        mutate(obj)
+        code, out, err = run_cli(capsys, "straighten", "--diagram", json.dumps(obj))
+        assert code == 1 and out == ""
+        assert json.loads(err)["message"].startswith(f"{field} must be")
+
+    def test_integers_still_parse(self, capsys):
+        elt = _element(coeff=[{"exp": -2, "c": 3}, {"exp": 5, "c": -1}], word=[1, 2])
+        code, out, _ = run_cli(capsys, "mul", "--n", "4", "--a", elt, "--b", _element(word=[]))
+        assert code == 0
+        (term,) = json.loads(out)["terms"]
+        assert term == {"coeff": [{"exp": -2, "c": 3}, {"exp": 5, "c": -1}], "word": [1, 2]}
+
+
 class TestCells:
     def test_label(self, capsys):
         code, out, _ = run_cli(capsys, "cells", "label", "--n", "4", "--word", "1 2")
@@ -212,6 +274,13 @@ class TestEnumerate:
         lines = [json.loads(line) for line in out.splitlines()]
         assert len(lines) == 10  # 1 + 3 + 6
         assert lines[0]["word"] == []
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_bad_cap_variable(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("AFFTL_MAX_ELEMENTS", value)
+        code, out, err = run_cli(capsys, "enumerate", "--n", "3", "--max-len", "2")
+        assert code == 1 and out == ""
+        assert "AFFTL_MAX_ELEMENTS" in json.loads(err)["message"]
 
     def test_labels_included(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--max-len", "1")

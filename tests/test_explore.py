@@ -61,6 +61,18 @@ class TestEnumerate:
         assert element_cap() == 123
         monkeypatch.delenv("AFFTL_MAX_ELEMENTS")
         assert element_cap() == 10**7
+        monkeypatch.setenv("AFFTL_MAX_ELEMENTS", "0")
+        assert element_cap() == 0
+        with pytest.raises(RuntimeError):
+            list(enumerate_elements(GroupConfig(4), 1, with_labels=False))
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "-0x1", "2.5", "1e3", "²"])
+    def test_cap_env_rejects(self, monkeypatch, value):
+        monkeypatch.setenv("AFFTL_MAX_ELEMENTS", value)
+        with pytest.raises(ValueError, match="AFFTL_MAX_ELEMENTS must be a nonnegative integer"):
+            element_cap()
+        # an explicit cap does not read the variable
+        assert element_cap(5) == 5
 
     def test_record_json_roundtrip(self):
         cfg = GroupConfig(4)

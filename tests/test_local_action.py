@@ -1,13 +1,20 @@
-"""The constant-size generator action against the general product, and the
-enumeration's involution flag (mirror symmetry of the diagram) against the
-affine-permutation oracle."""
+"""The constant-size generator action against the general product, its
+self-checks on broken input, and the enumeration's involution flag (mirror
+symmetry of the diagram) against the affine-permutation oracle."""
+
+from dataclasses import replace
+
+import pytest
 
 from afftl.config import GroupConfig
 from afftl.diagrams import (
     BOT,
     TOP,
+    InvariantError,
+    _generator_action,
     generator,
     generator_times,
+    identity,
     multiply,
     partner,
     times_generator,
@@ -63,3 +70,27 @@ class TestCarriedPermutation:
             assert sum(r.is_involution for r in recs) > 1
             for r in recs:
                 assert r.is_involution == perm_of(cfg, r.word).is_involution(), r.word
+
+
+def _edited(d, side, entries):
+    """d with some window entries of one row replaced (not a valid diagram)."""
+    row = list(d.top if side == TOP else d.bottom)
+    for i, entry in entries.items():
+        row[i] = entry
+    return replace(d, **{"top" if side == TOP else "bottom": tuple(row)})
+
+
+class TestSelfChecks:
+    @pytest.mark.parametrize("side", [TOP, BOT])
+    @pytest.mark.parametrize("entry", [0, 1], ids=["node s", "node s+1"])
+    def test_broken_matching(self, side, entry):
+        # the partner of node s (or s+1) is a translate of that node itself
+        d = _edited(identity(4), side, {entry: (side, entry + 1 + 4)})
+        with pytest.raises(InvariantError, match="broken matching"):
+            _generator_action(d, 1, side)
+
+    def test_winding_loop_beside_a_through_strand(self):
+        # bottom nodes 1 and 2 joined around the cylinder, top rows vertical
+        d = _edited(identity(4), BOT, {0: (BOT, -2), 1: (BOT, 5)})
+        with pytest.raises(InvariantError, match="through strand"):
+            times_generator(d, 1)
