@@ -20,7 +20,8 @@ reads descents off the words; and the greedy formulations
 where the library reads the heap's minimal and maximal elements off one
 scan per side; and `enumerate_filtered` keeps an extension only after
 computing its length and builds the mirror for the involution flag, where
-the library relies on the length argument and compares the rows entrywise.  The differential tests play each against its library
+the library relies on the length argument and compares the rows
+entrywise.  The differential tests play each against its library
 counterpart.  `class_has_braid` (the definition of full commutativity)
 and `braid_witness_left` are reference statements used by the word tests.
 """
