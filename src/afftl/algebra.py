@@ -7,8 +7,9 @@ is bilinear diagram stacking with delta bookkeeping.
 
 `rewrite_mul` is an independent engine computing basis-times-generator
 products purely at word level, using only the defining relations and the
-factorization located by `braid_witness`; it never touches diagrams and
-exists so the two engines can be played against each other.
+braid witness that `words.braid_witness` reads off the heap of the word;
+it never touches diagrams or affine permutations and exists so the
+engines can be played against each other.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .laurent import (
     ONE, ZERO, LaurentPoly, delta_power, json_int, json_list, norm1, pack, product_bits, unpack
 )
 from .straightening import stack, straighten
-from .words import braid_witness, check_word, descent_mask, is_fc_reduced
+from .words import _braid_split, check_word, descent_mask
 
 Word = tuple[int, ...]
 
@@ -219,9 +220,7 @@ def rewrite_mul(cfg: GroupConfig, word, s: int) -> tuple[int, Word]:
     The input must be a reduced word of a fully commutative element; the
     result is commutation-equivalent to the canonical word of the product.
     """
-    word = check_word(cfg, word)
-    cfg.check_generator(s)
-    return _rewrite_mul_cached(cfg, word, s)
+    return rewrite_eval(cfg, (s,), start=word)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -229,29 +228,33 @@ def _rewrite_mul_cached(cfg: GroupConfig, word: Word, s: int) -> tuple[int, Word
     if descent_mask(cfg.masks, word, False) >> s & 1:
         # s is a right descent: the square relation contributes one delta
         return 1, word
-    extended = word + (s,)
-    if is_fc_reduced(cfg, extended):
-        return 0, extended
+    wit = _braid_split(cfg, word, s)
+    if wit is None:
+        return 0, word + (s,)
     # appending s collapses: word = w1 + (s, t) + w2 with s commuting past
     # w2 and t adjacent to s, so the product contracts to w1 + (s,) + w2
-    wit = braid_witness(cfg, word, s)
+    return _fold(cfg, wit.w1 + (s,), wit.w2)
+
+
+def _fold(cfg: GroupConfig, cur: Word, letters: Word) -> tuple[int, Word]:
+    """E_cur times the letters' generators in turn: (delta exponent, word)."""
     exponent = 0
-    cur = wit.w1 + (s,)
-    for letter in wit.w2:
-        e, cur = _rewrite_mul_cached(cfg, cur, letter)
+    for s in letters:
+        e, cur = _rewrite_mul_cached(cfg, cur, s)
         exponent += e
     return exponent, cur
 
 
 def rewrite_eval(cfg: GroupConfig, letters, start=()) -> tuple[int, Word]:
     """Fold rewrite_mul over a generator sequence, starting from a reduced
-    word (default: the identity)."""
-    cur = check_word(cfg, start)
-    exponent = 0
-    for s in check_word(cfg, letters):
-        e, cur = _rewrite_mul_cached(cfg, cur, s)
-        exponent += e
-    return exponent, cur
+    word of a fully commutative element (default: the identity), which is
+    checked by folding it from the identity: it must come back unchanged
+    with no delta, since a descent keeps the length and a collapse
+    shortens the word."""
+    start = check_word(cfg, start)
+    if _fold(cfg, (), start) != (0, start):
+        raise ValueError("word must be a reduced word of a fully commutative element")
+    return _fold(cfg, start, check_word(cfg, letters))
 
 
 def element_to_json(a: AlgebraElement) -> dict:

@@ -136,30 +136,16 @@ def congruence_candidates(d: AffineDiagram) -> dict[str, dict[int, tuple | None]
     n = d.n
     out: dict[str, dict[int, tuple | None]] = {"T1": {}, "B1": {}, "T2": {}, "B2": {}}
     top_arcs, bottom_arcs, _ = edge_list(d)
-    top_minimal = sorted(descent_arcs(d, TOP))
-    bottom_minimal = sorted(descent_arcs(d, BOT))
-    for k in top_minimal:
-        cover = _innermost_cover(n, top_arcs, k)
-        if cover is not None:
-            out["T1"][k] = cover
-        elif d.loops:
-            out["T1"][k] = None
-    for k in bottom_minimal:
-        cover = _innermost_cover(n, bottom_arcs, k)
-        if cover is not None:
-            out["B1"][k] = cover
-        elif d.loops:
-            out["B1"][k] = None
-    # A strand entering at the node left of a minimal arc and exiting past
-    # the arc's far end marks the arc as slideable (kinds T2 / B2).
-    for k in top_minimal:
-        side, j = partner(d, TOP, k - 1)
-        if side == BOT and j >= k + 1:
-            out["T2"][class_of(n, k - 1)] = (k,)
-    for k in bottom_minimal:
-        side, j = partner(d, BOT, k - 1)
-        if side == TOP and j >= k + 1:
-            out["B2"][class_of(n, k - 1)] = (k,)
+    for side, other, arcs in ((TOP, BOT, top_arcs), (BOT, TOP, bottom_arcs)):
+        for k in sorted(descent_arcs(d, side)):
+            cover = _innermost_cover(n, arcs, k)
+            if cover is not None or d.loops:
+                out[side + "1"][k] = cover
+            # A strand entering at the node left of a minimal arc and exiting
+            # past the arc's far end marks the arc as slideable (T2 / B2).
+            end, j = partner(d, side, k - 1)
+            if end == other and j >= k + 1:
+                out[side + "2"][class_of(n, k - 1)] = (k,)
     return out
 
 

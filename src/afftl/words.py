@@ -10,8 +10,8 @@ elements of Coxeter groups*).  Left descents are the heap's minimal
 elements and right descents its maximal ones, so one scan of the word
 finds each descent set (`descent_mask`), and peeling minimal elements
 layer by layer gives the left decomposition.  The obstruction produced by
-appending a letter that breaks full commutativity is located by searching
-the commutation class.
+appending a letter that breaks full commutativity is read off the heap of
+the extended word (`_braid_split`).
 
 The module also hosts an affine-permutation model of the group (window
 notation), used throughout as an independent oracle for lengths, element
@@ -68,12 +68,7 @@ def mask_letters(mask: int) -> list[int]:
 
 def drop_letter(word: Word, s: int, left: bool) -> Word:
     """The word without the first (left) or last occurrence of s."""
-    if left:
-        p = word.index(s)
-    else:
-        p = len(word) - 1
-        while word[p] != s:
-            p -= 1
+    p = word.index(s) if left else len(word) - 1 - word[::-1].index(s)
     return word[:p] + word[p + 1:]
 
 
@@ -146,6 +141,11 @@ def _heap_reach(cfg: GroupConfig, word: Word) -> list[int]:
     return reach
 
 
+def _between(reach: list[int], x: int, z: int) -> int:
+    """The heap positions strictly between positions x < z, as a bitmask."""
+    return sum(1 << u for u in range(x + 1, z) if reach[x] >> u & 1 and reach[u] >> z & 1)
+
+
 def heap_is_fc(cfg: GroupConfig, word) -> bool:
     """FC test for a word already known to be reduced.
 
@@ -155,16 +155,11 @@ def heap_is_fc(cfg: GroupConfig, word) -> bool:
     """
     word = check_word(cfg, word)
     reach = _heap_reach(cfg, word)
-    by_letter: dict[int, list[int]] = {}
-    for p, s in enumerate(word):
-        by_letter.setdefault(s, []).append(p)
-    for positions in by_letter.values():
-        for x, z in zip(positions, positions[1:]):
-            between = sum(
-                1 for u in range(x + 1, z) if reach[x] >> u & 1 and reach[u] >> z & 1
-            )
-            if between <= 1:
-                return False
+    last: dict[int, int] = {}
+    for z, s in enumerate(word):
+        if s in last and _between(reach, last[s], z).bit_count() <= 1:
+            return False
+        last[s] = z
     return True
 
 
@@ -197,19 +192,38 @@ def braid_witness(cfg: GroupConfig, word, t: int) -> BraidWitness:
     cfg.check_generator(t)
     if not is_fc_reduced(cfg, word):
         raise ValueError("word must be a reduced word of a fully commutative element")
-    if descent_mask(cfg.masks, word, False) >> t & 1 or is_fc_reduced(cfg, word + (t,)):
+    wit = None if descent_mask(cfg.masks, word, False) >> t & 1 else _braid_split(cfg, word, t)
+    if wit is None:
         raise ValueError("appending the letter keeps the element fully commutative")
-    blockers = cfg.masks[t]
-    for u in sorted(commutation_class(cfg, word)):
-        for p in range(len(u) - 1):
-            if u[p] != t:
-                continue
-            s = u[p + 1]
-            if not blockers >> s & 1:
-                continue
-            if all(not blockers >> x & 1 for x in u[p + 2:]):
-                return BraidWitness(u[:p], s, u[p + 2:])
-    raise InvariantError("no factorization found; input was not reduced FC")
+    return wit
+
+
+def _braid_split(cfg: GroupConfig, word: Word, t: int) -> BraidWitness | None:
+    """None when word + (t,) is FC, else its braid witness; the word is
+    reduced FC and t is not one of its right descents.
+
+    Let p be the last t of the word.  The positions above p in the heap of
+    word + (t,) all come after p, so the heap of word[p:] + (t,) has them:
+    call them U.  The extension is FC unless exactly one position s of U
+    lies below the appended t; then the rest, w1, is an order ideal, s is
+    minimal in U, and no letter of w2 = U - {s} is adjacent to t, so
+    word = w1 t s w2 up to commutations.
+    """
+    if t not in word:
+        return None
+    p = len(word) - 1 - word[::-1].index(t)
+    tail = word[p:] + (t,)
+    reach = _heap_reach(cfg, tail)
+    between = _between(reach, 0, len(tail) - 1)
+    if not between:
+        raise InvariantError("the appended letter is a right descent")
+    if between & (between - 1):
+        return None
+    s = between.bit_length() - 1
+    up, inner = reach[0], range(1, len(tail) - 1)
+    w1 = word[:p] + tuple(tail[i] for i in inner if not up >> i & 1)
+    w2 = tuple(tail[i] for i in inner if up >> i & 1 and i != s)
+    return BraidWitness(w1, tail[s], w2)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ computing its length and builds the mirror for the involution flag, where
 the library relies on the length argument and compares the rows
 entrywise.  The differential tests play each against its library
 counterpart.  `class_has_braid` (the definition of full commutativity)
-and `braid_witness_left` are reference statements used by the word tests.
+and `braid_witness_left` are reference statements used by the word tests,
+and `braid_witness_by_class` finds the braid witness by searching the
+sorted commutation class, where the library reads it off the heap.
 """
 
 from afftl.algebra import AlgebraElement
@@ -333,6 +335,21 @@ def class_has_braid(cfg, word):
                     seen.add(w2)
                     todo.append(w2)
     return False
+
+
+def braid_witness_by_class(cfg, word, t):
+    """The first factorization u = w1 + (t, s) + w2, over the words u of the
+    commutation class in lexicographic order, with s adjacent to t and t
+    commuting with every letter of w2; None when no word of the class has
+    one.  For a reduced FC word and a letter t that is not a right descent,
+    it exists exactly when appending t breaks full commutativity."""
+    for u in sorted(commutation_class_adjacent(cfg, word)):
+        for p in range(len(u) - 1):
+            if u[p] == t and cfg.adjacent(t, u[p + 1]) and all(
+                cfg.commutes(t, x) for x in u[p + 2:]
+            ):
+                return BraidWitness(u[:p], u[p + 1], u[p + 2:])
+    return None
 
 
 def braid_witness_left(cfg, word, t):

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from afftl import straightening
+from afftl import algebra, straightening, verify
 from afftl.cli import main, parse_word
+from afftl.config import GroupConfig
 from afftl.diagrams import ProductResult
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -293,6 +294,26 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--n", "4", "--max-len", "4", "--seed", "7")
         assert code == 0
         assert all(line.startswith("PASS") for line in out.strip().splitlines())
+
+    @pytest.mark.parametrize("n,max_len,pairs", [(4, 6, 961), (7, 8, 12769)])
+    def test_engine_agreement_filters_the_shared_records(self, n, max_len, pairs, monkeypatch):
+        # the records up to length 3, in enumeration order, from the list
+        # run_all enumerated once
+        from afftl.explore import enumerate_elements
+
+        cfg = GroupConfig(n)
+        recs = list(enumerate_elements(cfg, max_len, with_labels=False))
+        short = list(enumerate_elements(cfg, 3, with_labels=False))
+        real, seen = algebra.rewrite_eval, []
+
+        def spy(cfg, letters, start):
+            seen.append((start, letters))
+            return real(cfg, letters, start=start)
+
+        monkeypatch.setattr(algebra, "rewrite_eval", spy)
+        got = verify.check_engine_agreement(cfg, recs, 3)
+        assert got == ("engine-agreement", True, f"{pairs} basis pairs")
+        assert seen == [(a.word, b.word) for a in short for b in short]
 
 
 def _miscounting(real):

@@ -7,10 +7,12 @@ from afftl.diagrams import (
     generator,
     identity,
     length,
+    mirror,
     multiply,
     short_arc_count,
     validate,
 )
+from afftl.explore import enumerate_elements
 from afftl.straightening import (
     congruence_candidates,
     find_distinguished,
@@ -81,6 +83,20 @@ class TestFindDistinguished:
         d = stack(cfg, (1, 3, 2, 4)).diagram
         f = find_distinguished(d)
         assert f.kind == "T1" and f.uses_loop and f.cover is None
+
+    @pytest.mark.parametrize("n,max_len", [(3, 8), (4, 8), (5, 7), (6, 6)])
+    def test_candidates_of_mirror_swap_rows(self, n, max_len):
+        # swapping the rows of a diagram swaps the T and B candidates,
+        # positions and covering arcs included
+        swap = {"T1": "B1", "B1": "T1", "T2": "B2", "B2": "T2"}
+        checked = 0
+        for rec in enumerate_elements(GroupConfig(n), max_len, with_labels=False):
+            cands = congruence_candidates(rec.diagram)
+            assert congruence_candidates(mirror(rec.diagram)) == {
+                swap[kind]: found for kind, found in cands.items()
+            }
+            checked += 1
+        assert checked > 40
 
     def test_straight_input_errors(self):
         cfg = GroupConfig(4)

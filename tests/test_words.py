@@ -2,14 +2,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_fc_word
-from oracles import braid_witness_left, class_has_braid
+from conftest import random_fc_word, shuffled
+from oracles import braid_witness_by_class, braid_witness_left, class_has_braid
 
+from afftl.algebra import is_reduced_word
 from afftl.config import GroupConfig
 from afftl.explore import enumerate_elements
 from afftl.words import (
     AffinePermutation,
+    _braid_split,
     braid_witness,
     commutation_class,
     greedy_back,
@@ -127,6 +131,24 @@ class TestFcChecks:
         assert is_fc_reduced(cfg, ())
 
 
+# Horizons of the exhaustive witness sweep: (n, max length).
+WITNESS_HORIZONS = [(3, 10), (4, 10), (5, 9), (6, 8), (7, 8)]
+
+
+def assert_same_witness(cfg, w, t, got, want):
+    """The heap's witness against the class search's: both absent, or the
+    same adjacent letter s, and w1 t s w2 and w1 t w2 give the same
+    elements (the word's and the product's) for both."""
+    assert (got is None) == (want is None), (w, t)
+    if got is None:
+        return
+    assert got.s == want.s, (w, t)
+    assert cfg.adjacent(t, got.s)
+    assert all(cfg.commutes(t, x) for x in got.w2)
+    assert perm_of(cfg, got.w1 + (t, got.s) + got.w2) == perm_of(cfg, w)
+    assert perm_of(cfg, got.w1 + (t,) + got.w2) == perm_of(cfg, want.w1 + (t,) + want.w2)
+
+
 class TestBraidWitness:
     def test_minimal_example(self):
         cfg = GroupConfig(4)
@@ -134,10 +156,13 @@ class TestBraidWitness:
         assert (wit.w1, wit.s, wit.w2) == ((), 2, ())
 
     def test_searches_commutation_class(self):
-        # the factorization only appears after commuting 3 to the front
+        # the factorization only appears after commuting 3 to the front; the
+        # heap puts everything not above the last 1 into w1, so the 4 goes
+        # there too (only s is unique, w1 and w2 are one valid choice)
         cfg = GroupConfig(5)
         wit = braid_witness(cfg, (1, 3, 2, 4), 1)
-        assert (wit.w1, wit.s, wit.w2) == ((3,), 2, (4,))
+        assert (wit.w1, wit.s, wit.w2) == ((3, 4), 2, ())
+        self._witness_conditions(cfg, (1, 3, 2, 4), 1, wit)
 
     def test_precondition_violations(self):
         cfg = GroupConfig(5)
@@ -191,6 +216,42 @@ class TestBraidWitness:
                     self._witness_conditions(cfg, w, t, wit)
                     checked += 1
             assert checked > 20
+
+    @pytest.mark.parametrize("n,max_len", WITNESS_HORIZONS)
+    def test_heap_witness_matches_class_search(self, n, max_len):
+        # every enumerated element and every letter that is not a right
+        # descent, on the enumerated word and on a commutation-shuffled copy
+        cfg = GroupConfig(n)
+        rng = random.Random(n)
+        for rec in enumerate_elements(cfg, max_len, with_labels=False):
+            for t in cfg.generators():
+                if t in right_descents(cfg, rec.word):
+                    continue
+                want = braid_witness_by_class(cfg, rec.word, t)
+                for w in (rec.word, shuffled(cfg, rec.word, rng)):
+                    assert_same_witness(cfg, w, t, _braid_split(cfg, w, t), want)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_heap_witness_property(self, data):
+        n = data.draw(st.integers(3, 10))
+        cfg = GroupConfig(n)
+        word = ()
+        for x in data.draw(st.lists(st.integers(1, n), max_size=12)):
+            if is_reduced_word(cfg, word + (x,)):
+                word += (x,)
+        t = data.draw(st.integers(1, n))
+        if t in right_descents(cfg, word):
+            with pytest.raises(ValueError):
+                braid_witness(cfg, word, t)
+            return
+        want = braid_witness_by_class(cfg, word, t)
+        assert_same_witness(cfg, word, t, _braid_split(cfg, word, t), want)
+        if want is None:
+            with pytest.raises(ValueError):
+                braid_witness(cfg, word, t)
+        else:
+            assert braid_witness(cfg, word, t) == _braid_split(cfg, word, t)
 
     def test_left_mirror(self):
         cfg = GroupConfig(4)
