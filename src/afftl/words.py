@@ -68,7 +68,12 @@ def mask_letters(mask: int) -> list[int]:
 
 def drop_letter(word: Word, s: int, left: bool) -> Word:
     """The word without the first (left) or last occurrence of s."""
-    p = word.index(s) if left else len(word) - 1 - word[::-1].index(s)
+    if left:
+        p = word.index(s)
+    else:
+        p = len(word) - 1
+        while word[p] != s:
+            p -= 1
     return word[:p] + word[p + 1:]
 
 
