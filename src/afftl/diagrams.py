@@ -6,8 +6,10 @@ edges cross, together with a count of closed loops winding around the
 cylinder (long horizontal edges; these coexist only with short horizontal
 edges).  The window arrays store, for positions 1..n of each row, the
 partner node as a (side, position) pair in the universal cover; every
-other partner follows by periodicity.  Equality of diagrams is exact
-equality of the window arrays and the loop count.
+other partner follows by periodicity.  A diagram is the NamedTuple
+(n, top, bottom, loops) and a product the NamedTuple (diagram,
+contractible): equality and hashing are the tuple's, so a diagram also
+equals a bare tuple of its four fields; never compare it with one.
 
 Multiplication stacks one diagram on top of another, identifies the middle
 rows, and traces connectivity.  Middle cycles closing with zero offset
@@ -34,8 +36,8 @@ coordinate magnitudes).  Broken internal self-checks raise
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .laurent import json_int, json_list
 
@@ -49,22 +51,20 @@ class InvariantError(Exception):
     """An internal self-check failed: a bug, never a property of the input."""
 
 
-@dataclass(frozen=True)
-class AffineDiagram:
+class AffineDiagram(NamedTuple):
     n: int
     top: tuple[NodeRef, ...]
     bottom: tuple[NodeRef, ...]
     loops: int = 0
 
     def __post_init__(self):
-        # Construction hook, deliberately empty: internal constructions are
-        # trusted and input is validated by from_json_dict.  Kept so that
-        # constructions can be counted (perfbench/tracer.py patches it).
+        # Empty, and nothing calls it any more: a NamedTuple has no
+        # construction hook.  Kept only because perfbench/tracer.py patches
+        # it by name to count constructions.
         pass
 
 
-@dataclass(frozen=True)
-class ProductResult:
+class ProductResult(NamedTuple):
     diagram: AffineDiagram
     contractible: int
 

@@ -15,7 +15,7 @@ of `afftl.diagrams`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .config import GroupConfig
@@ -155,6 +155,11 @@ def find_distinguished(d: AffineDiagram) -> CongruenceFinding:
         raise ValueError("diagram is not admissible")
     if is_straight(d) is not None:
         raise ValueError("diagram is straight; nothing to peel")
+    return _distinguished(d)
+
+
+def _distinguished(d: AffineDiagram) -> CongruenceFinding:
+    """find_distinguished for a d already known admissible, not straight."""
     cands = congruence_candidates(d)
     for kind in ("T1", "B1", "T2", "B2"):
         if cands[kind]:
@@ -172,8 +177,8 @@ def _arc_surgery(d: AffineDiagram, side: str, remove_add) -> AffineDiagram:
         _set_entry(d.n, entries, p, (side, q))
         _set_entry(d.n, entries, q, (side, p))
     if side == TOP:
-        return replace(d, top=tuple(entries))
-    return replace(d, bottom=tuple(entries))
+        return d._replace(top=tuple(entries))
+    return d._replace(bottom=tuple(entries))
 
 
 def peel(d: AffineDiagram, f: CongruenceFinding) -> PeelStep:
@@ -194,7 +199,7 @@ def peel(d: AffineDiagram, f: CongruenceFinding) -> PeelStep:
             if not d.loops:
                 raise InvariantError("loop peel on a diagram without loops")
             rest = _arc_surgery(d, side, [(k + 1, k + n)])
-            rest = replace(rest, loops=d.loops - 1)
+            rest = rest._replace(loops=d.loops - 1)
         letter = k
         end = "left" if f.kind == "T1" else "right"
     elif f.kind in ("T2", "B2"):
@@ -233,8 +238,9 @@ def straighten(d: AffineDiagram) -> StraightWord:
     left: list[int] = []
     right: list[int] = []
     cur = d
+    # cur stays admissible: each peel checks its rest's length, defined only then
     while (core := is_straight(cur)) is None:
-        step = peel(cur, find_distinguished(cur))
+        step = peel(cur, _distinguished(cur))
         if step.end == "left":
             left.append(step.letter)
         else:

@@ -189,15 +189,18 @@ class BraidWitness:
 def braid_witness(cfg: GroupConfig, word, t: int) -> BraidWitness:
     """Locate how appending t to a reduced FC word breaks full commutativity.
 
-    Exists exactly when word + (t,) is no longer a reduced word of an FC
-    element while the word itself is; raises ValueError otherwise.  The
-    adjacent letter s is unique across all valid factorizations.
+    Exists exactly when word + (t,) is a reduced word of a non-FC element
+    while the word is one of an FC element; raises ValueError otherwise,
+    with its own message when t is a right descent.  The adjacent letter s
+    is unique across all valid factorizations.
     """
     word = check_word(cfg, word)
     cfg.check_generator(t)
     if not is_fc_reduced(cfg, word):
         raise ValueError("word must be a reduced word of a fully commutative element")
-    wit = None if descent_mask(cfg.masks, word, False) >> t & 1 else _braid_split(cfg, word, t)
+    if descent_mask(cfg.masks, word, False) >> t & 1:
+        raise ValueError("the letter is a right descent: appending it shortens the element")
+    wit = _braid_split(cfg, word, t)
     if wit is None:
         raise ValueError("appending the letter keeps the element fully commutative")
     return wit

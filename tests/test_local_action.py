@@ -2,8 +2,6 @@
 self-checks on broken input, and the enumeration's involution flag (mirror
 symmetry of the diagram) against the affine-permutation oracle."""
 
-from dataclasses import replace
-
 import pytest
 
 from afftl.config import GroupConfig
@@ -77,7 +75,7 @@ def _edited(d, side, entries):
     row = list(d.top if side == TOP else d.bottom)
     for i, entry in entries.items():
         row[i] = entry
-    return replace(d, **{"top" if side == TOP else "bottom": tuple(row)})
+    return d._replace(**{"top" if side == TOP else "bottom": tuple(row)})
 
 
 class TestSelfChecks:

@@ -166,13 +166,15 @@ class TestBraidWitness:
 
     def test_precondition_violations(self):
         cfg = GroupConfig(5)
-        with pytest.raises(ValueError):
-            braid_witness(cfg, (2,), 1)  # appending keeps the element FC
-        with pytest.raises(ValueError):
-            braid_witness(cfg, (2,), 2)  # descent: the product shortens
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="keeps the element fully commutative"):
+            braid_witness(cfg, (2,), 1)
+        with pytest.raises(ValueError, match="right descent: appending it shortens"):
+            braid_witness(cfg, (2,), 2)
+        with pytest.raises(ValueError, match="keeps the element fully commutative"):
             # appending s3 to s1 s3 s2 s4 stays fully commutative
             braid_witness(cfg, (1, 3, 2, 4), 3)
+        with pytest.raises(ValueError, match="reduced word of a fully commutative"):
+            braid_witness(cfg, (1, 2, 1), 3)
 
     def _witness_conditions(self, cfg, w, t, wit):
         assert wit.w1 + (t, wit.s) + wit.w2 in commutation_class(cfg, w)
