@@ -21,7 +21,9 @@ descent of u.  If u = t v, then E_t E_s E_t = E_t gives
 E_t E_w = E_t E_v = E_u.  Conversely, a loop-free E_t E_w has the minimal
 arc (t, t+1) on its top row, and the top minimal arcs of a word's diagram
 are its left descents.  The right side is the mirror image, with the last
-occurrence of s removed.
+occurrence of s removed.  A commuting block that some reduced word holds as
+a contiguous factor is an antichain of the heap, so a(w) is the heap's
+width (`words.heap_width`); `a_bruteforce` is the definition by exhaustion.
 """
 
 from __future__ import annotations

@@ -132,18 +132,64 @@ def commutation_class(cfg: GroupConfig, word, cap: int = 500_000) -> frozenset[W
 def _heap_reach(cfg: GroupConfig, word: Word) -> list[int]:
     """Reachability of the heap order as bitmasks: bit j of reach[i] is set
     when position i precedes j, that is i < j and the letters are equal or
-    adjacent, closed transitively."""
+    adjacent, closed transitively.
+
+    Only the next occurrence of each letter equal or adjacent to word[i]
+    needs a look, since every later occurrence of that letter lies above it.
+    """
     masks = cfg.masks
-    m = len(word)
-    reach = [0] * m
-    for i in range(m - 1, -1, -1):
-        near = masks[word[i]] | 1 << word[i]
+    reach = [0] * len(word)
+    after = [-1] * len(masks)  # after[y]: the next position holding y
+    for i in range(len(word) - 1, -1, -1):
+        x, near = word[i], masks[word[i]]
         r = 0
-        for j in range(i + 1, m):
-            if near >> word[j] & 1:
+        # the letter itself and its two neighbours, the bits of masks[x]
+        for y in (x, (near & -near).bit_length() - 1, near.bit_length() - 1):
+            j = after[y]
+            if j >= 0:
                 r |= 1 << j | reach[j]
         reach[i] = r
+        after[x] = i
     return reach
+
+
+def heap_width(cfg: GroupConfig, word) -> int:
+    """Width of the word's heap: the size of its largest antichain.
+
+    An antichain is a set of pairwise commuting letters that some linear
+    extension, that is some commutation-equivalent word, holds as a
+    contiguous factor, so for a reduced FC word this is a(w).  By Dilworth
+    the width is the least number of chains covering the heap, and since
+    the reach rows are transitively closed that is m minus a maximum
+    matching of i -> j whenever i precedes j (König).  Augmenting paths
+    are searched with an explicit stack, so long words do not recurse, and
+    each step takes an unmatched j when the row has one.
+    """
+    word = check_word(cfg, word)
+    reach = _heap_reach(cfg, word)
+    owner = [-1] * len(word)  # owner[j]: the position matched to j
+    unowned = (1 << len(word)) - 1
+    for root in range(len(word)):
+        # path[k + 1] is owner[via[k]], reached from path[k] through via[k]
+        path, via, seen = [root], [], 0
+        while path:
+            row = reach[path[-1]] & ~seen
+            if not row:
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            free = row & unowned or row
+            j = (free & -free).bit_length() - 1
+            seen |= 1 << j
+            via.append(j)
+            if owner[j] < 0:
+                for u, v in zip(path, via):
+                    owner[v] = u
+                unowned ^= 1 << j
+                break
+            path.append(owner[j])
+    return unowned.bit_count()
 
 
 def _between(reach: list[int], x: int, z: int) -> int:

@@ -295,6 +295,28 @@ class TestVerify:
         assert code == 0
         assert all(line.startswith("PASS") for line in out.strip().splitlines())
 
+    def test_a_agreement_covers_every_length(self, capsys):
+        # above length 8, where the check used to stop
+        code, out, _ = run_cli(capsys, "verify", "--n", "4", "--max-len", "10", "--seed", "0")
+        assert code == 0
+        lines = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert lines["PASS a-agreement"] == lines["PASS unit-laws"].replace("diagrams", "elements")
+        assert lines["PASS counts-vs-oracle"] == "lengths 0..10"
+
+    def test_a_agreement_names_both_values(self, monkeypatch):
+        from afftl import cells, words
+        from afftl.explore import enumerate_elements
+
+        cfg = GroupConfig(5)
+        recs = [rec for rec in enumerate_elements(cfg, 3, with_labels=False) if rec.length == 3]
+        word = recs[0].word
+        arcs = cells.a_value(cfg, word)
+        real = words.heap_width
+        monkeypatch.setattr(words, "heap_width", lambda cfg, word: real(cfg, word) + 1)
+        assert verify.check_a_agreement(cfg, recs) == (
+            "a-agreement", False, f"fails at {word}: {arcs} arcs, heap width {arcs + 1}"
+        )
+
     @pytest.mark.parametrize("n,max_len,pairs", [(4, 6, 961), (7, 8, 12769)])
     def test_engine_agreement_filters_the_shared_records(self, n, max_len, pairs, monkeypatch):
         # the records up to length 3, in enumeration order, from the list

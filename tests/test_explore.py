@@ -22,6 +22,24 @@ class TestCounts:
             cfg = GroupConfig(n)
             assert wc_counts(cfg, 8) == oracle_counts(cfg, 8)
 
+    @pytest.mark.parametrize(
+        "n, start, period, horizon",
+        [
+            (3, 2, (6,), 24),
+            (4, 3, (16, 18), 24),
+            (5, 5, (50,), 22),
+            (6, 7, (150, 156, 152, 156, 150, 158), 20),
+        ],
+    )
+    def test_periodic_tails(self, n, start, period, horizon):
+        # FC counts per length are eventually periodic (Hanusa & Jones 2010,
+        # "The enumeration of fully commutative affine permutations"), checked
+        # here at lengths the oracle enumeration cannot reach in tier-1
+        counts = wc_counts(GroupConfig(n), horizon)
+        assert set(counts) == set(range(horizon + 1))
+        for length in range(start, horizon + 1):
+            assert counts[length] == period[(length - start) % len(period)], length
+
     def test_each_element_once(self):
         cfg = GroupConfig(4)
         keys = [canonical_key(r.diagram) for r in enumerate_elements(cfg, 6, with_labels=False)]
