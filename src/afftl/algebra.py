@@ -7,7 +7,7 @@ is bilinear diagram stacking with delta bookkeeping.
 
 `rewrite_mul` is an independent engine computing basis-times-generator
 products purely at word level, using only the defining relations and the
-braid witness that `words.braid_witness` reads off the heap of the word;
+braid witness that `words._braid_split` reads off the heap of the word;
 it never touches diagrams or affine permutations and exists so the
 engines can be played against each other.
 """

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from .algebra import is_reduced_word
 from .config import GroupConfig
 from .diagrams import TOP, InvariantError, edge_list, generator_times, times_generator
+from .laurent import json_int
 from .straightening import stack, straighten
 from .words import (
     Word,
@@ -62,6 +63,8 @@ class TwoSidedLabel:
 
     @classmethod
     def small(cls, k: int) -> TwoSidedLabel:
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         return cls("small", size=k)
 
     @classmethod
@@ -88,8 +91,10 @@ class TwoSidedLabel:
     @classmethod
     def from_json(cls, obj: dict) -> TwoSidedLabel:
         if obj["kind"] == "small":
-            return cls.small(int(obj["k"]))
-        return cls.alternating(obj["start"], int(obj["factors"]))
+            return cls.small(json_int(obj["k"], "k"))
+        if obj["kind"] == "alternating":
+            return cls.alternating(obj["start"], json_int(obj["factors"], "factors"))
+        raise ValueError(f"kind must be 'small' or 'alternating', not {obj['kind']!r}")
 
 
 @dataclass(frozen=True)

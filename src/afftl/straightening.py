@@ -7,10 +7,15 @@ winding loop) splits off on its own row, and otherwise a slanted strand
 next to a minimal arc is shortened by multiplying with a generator.  The
 four peel kinds are tried in the fixed priority T1 > B1 > T2 > B2, with
 the smallest qualifying class as tie-break, which makes the produced word
-canonical.  Every peel re-stacks the emitted letter and checks that the
-original diagram is recovered with no contractible loop; a failed check
-raises InvariantError.  Generator products here all use the local action
-of `afftl.diagrams`.
+canonical; the search stops at the first kind that qualifies.  Every peel
+re-stacks the emitted letter and checks that the original diagram is
+recovered with no contractible loop; a failed check raises InvariantError.
+Generator products here all use the local action of `afftl.diagrams`.
+
+A peel depends only on the current diagram, so once a peel leaves a rest
+of length at most `_PREFIX_REUSE`, `straighten` returns the rest's cached
+word with the peeled letters on its ends.  Longer diagrams peel down to
+that length first, so at most `_PREFIX_REUSE` calls of `straighten` nest.
 """
 
 from __future__ import annotations
@@ -28,13 +33,13 @@ from .diagrams import (
     class_of,
     descent_arcs,
     edge_list,
-    generator_times,
     identity,
     is_admissible,
     length,
     partner,
     short_arc_count,
     times_generator,
+    _generator_action,
     _set_entry,
 )
 from .words import check_word
@@ -66,8 +71,8 @@ def stack(cfg: GroupConfig, word) -> ProductResult:
     return _stack_cached(cfg.n, check_word(cfg, word))
 
 
-# Longest word whose stack is built on the cached stack of its one-letter
-# shorter prefix; also the most calls of _stack_cached ever nested.
+# Longest word stacked onto the cached stack of word[:-1], and longest rest
+# straightened through its cached word; also the most calls of either nested.
 _PREFIX_REUSE = 64
 
 
@@ -126,29 +131,6 @@ def _innermost_cover(n: int, arcs, k: int) -> tuple[int, int] | None:
     return best
 
 
-def congruence_candidates(d: AffineDiagram) -> dict[str, dict[int, tuple | None]]:
-    """All classes qualifying for each peel kind.
-
-    T1/B1 values are the innermost covering arc lift (None for the loop
-    sub-case); T2/B2 values are the position k of the minimal arc (k, k+1)
-    sitting right of the slanted strand.
-    """
-    n = d.n
-    out: dict[str, dict[int, tuple | None]] = {"T1": {}, "B1": {}, "T2": {}, "B2": {}}
-    top_arcs, bottom_arcs, _ = edge_list(d)
-    for side, other, arcs in ((TOP, BOT, top_arcs), (BOT, TOP, bottom_arcs)):
-        for k in sorted(descent_arcs(d, side)):
-            cover = _innermost_cover(n, arcs, k)
-            if cover is not None or d.loops:
-                out[side + "1"][k] = cover
-            # A strand entering at the node left of a minimal arc and exiting
-            # past the arc's far end marks the arc as slideable (T2 / B2).
-            end, j = partner(d, side, k - 1)
-            if end == other and j >= k + 1:
-                out[side + "2"][class_of(n, k - 1)] = (k,)
-    return out
-
-
 def find_distinguished(d: AffineDiagram) -> CongruenceFinding:
     """Highest-priority peelable class of an admissible non-straight diagram."""
     if not is_admissible(d):
@@ -160,14 +142,19 @@ def find_distinguished(d: AffineDiagram) -> CongruenceFinding:
 
 def _distinguished(d: AffineDiagram) -> CongruenceFinding:
     """find_distinguished for a d already known admissible, not straight."""
-    cands = congruence_candidates(d)
-    for kind in ("T1", "B1", "T2", "B2"):
-        if cands[kind]:
-            cls = min(cands[kind])
-            info = cands[kind][cls]
-            if kind in ("T1", "B1"):
-                return CongruenceFinding(cls, kind, info, uses_loop=info is None)
-            return CongruenceFinding(cls, kind, None)
+    top_arcs, bottom_arcs, _ = edge_list(d)
+    for side, arcs in ((TOP, top_arcs), (BOT, bottom_arcs)):
+        for k in sorted(descent_arcs(d, side)):
+            cover = _innermost_cover(d.n, arcs, k)
+            if cover is not None or d.loops:
+                return CongruenceFinding(k, side + "1", cover, uses_loop=cover is None)
+    for side, other in ((TOP, BOT), (BOT, TOP)):
+        # A strand entering at the node left of a minimal arc and exiting
+        # past the arc's far end marks the arc as slideable (T2 / B2).
+        slides = [class_of(d.n, k - 1) for k in descent_arcs(d, side)
+                  if (end := partner(d, side, k - 1))[0] == other and end[1] >= k + 1]
+        if slides:
+            return CongruenceFinding(min(slides), side + "2", None)
     raise InvariantError("no peelable class found on a non-straight admissible diagram")
 
 
@@ -176,9 +163,7 @@ def _arc_surgery(d: AffineDiagram, side: str, remove_add) -> AffineDiagram:
     for p, q in remove_add:
         _set_entry(d.n, entries, p, (side, q))
         _set_entry(d.n, entries, q, (side, p))
-    if side == TOP:
-        return d._replace(top=tuple(entries))
-    return d._replace(bottom=tuple(entries))
+    return d._replace(**{"top" if side == TOP else "bottom": tuple(entries)})
 
 
 def peel(d: AffineDiagram, f: CongruenceFinding) -> PeelStep:
@@ -188,45 +173,31 @@ def peel(d: AffineDiagram, f: CongruenceFinding) -> PeelStep:
     exactly, the length drops by one, and the number of short horizontal
     edges is preserved; all three facts are checked.
     """
-    n = d.n
-    if f.kind in ("T1", "B1"):
-        side = TOP if f.kind == "T1" else BOT
-        k = f.cls
+    if f.kind not in ("T1", "B1", "T2", "B2"):
+        raise ValueError(f"unknown peel kind {f.kind!r}")
+    side = f.kind[0]  # d's row the letter touches: the top row is the word's left end
+    if f.kind[1] == "1":
+        k = letter = f.cls
         if f.cover is not None:
-            i0, j0 = f.cover
-            rest = _arc_surgery(d, side, [(i0, k), (k + 1, j0)])
+            rest = _arc_surgery(d, side, [(f.cover[0], k), (k + 1, f.cover[1])])
+        elif not d.loops:
+            raise InvariantError("loop peel on a diagram without loops")
         else:
-            if not d.loops:
-                raise InvariantError("loop peel on a diagram without loops")
-            rest = _arc_surgery(d, side, [(k + 1, k + n)])
-            rest = rest._replace(loops=d.loops - 1)
-        letter = k
-        end = "left" if f.kind == "T1" else "right"
-    elif f.kind in ("T2", "B2"):
-        if f.kind == "T2":
-            r = generator_times(f.cls, d)
-            end = "left"
-        else:
-            r = times_generator(d, f.cls)
-            end = "right"
+            rest = _arc_surgery(d, side, [(k + 1, k + d.n)])._replace(loops=d.loops - 1)
+    else:
+        r = _generator_action(d, f.cls, side)
         if r.contractible:
             raise InvariantError("slide peel created a contractible loop")
         rest = r.diagram
-        letter = class_of(n, f.cls + 1)
-    else:
-        raise ValueError(f"unknown peel kind {f.kind!r}")
-
-    if end == "left":
-        back = generator_times(letter, rest)
-    else:
-        back = times_generator(rest, letter)
+        letter = class_of(d.n, f.cls + 1)
+    back = _generator_action(rest, letter, side)
     if back.contractible or back.diagram != d:
         raise InvariantError(f"peel reconstruction failed at class {f.cls} kind {f.kind}")
     if length(rest) != length(d) - 1:
         raise InvariantError("peel did not drop length by one")
     if short_arc_count(rest) != short_arc_count(d):
         raise InvariantError("peel changed the short-edge count")
-    return PeelStep(letter, end, rest)
+    return PeelStep(letter, "left" if side == TOP else "right", rest)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -235,18 +206,19 @@ def straighten(d: AffineDiagram) -> StraightWord:
     emit the commuting core in increasing class order."""
     if not is_admissible(d):
         raise ValueError("only admissible diagrams straighten")
-    left: list[int] = []
-    right: list[int] = []
-    cur = d
+    left, right, cur = [], [], d
     # cur stays admissible: each peel checks its rest's length, defined only then
     while (core := is_straight(cur)) is None:
         step = peel(cur, _distinguished(cur))
-        if step.end == "left":
-            left.append(step.letter)
-        else:
-            right.append(step.letter)
+        (left if step.end == "left" else right).append(step.letter)
         cur = step.rest
-    word = tuple(left) + tuple(sorted(core)) + tuple(reversed(right))
+        if length(cur) <= _PREFIX_REUSE:
+            rest = straighten(cur)
+            middle, core = rest.letters, rest.core
+            break
+    else:
+        middle = tuple(sorted(core))
+    word = tuple(left) + middle + tuple(reversed(right))
     check = _stack_cached(d.n, word)
     if check.contractible or check.diagram != d:
         raise InvariantError("straightened word does not re-stack")

@@ -26,6 +26,8 @@ counterpart.  `class_has_braid` (the definition of full commutativity)
 and `braid_witness_left` are reference statements used by the word tests,
 and `braid_witness_by_class` finds the braid witness by searching the
 sorted commutation class, where the library reads it off the heap.
+`congruence_candidates` builds the qualifying classes of all four peel
+kinds, where the library stops at the first kind that qualifies.
 """
 
 from afftl.algebra import AlgebraElement
@@ -52,7 +54,7 @@ from afftl.diagrams import (
     times_generator,
 )
 from afftl.laurent import ZERO, delta_power
-from afftl.straightening import stack
+from afftl.straightening import _innermost_cover, stack
 from afftl.words import BraidWitness, braid_witness, check_word, greedy_back, greedy_front
 
 
@@ -456,3 +458,26 @@ def enumerate_filtered(cfg, max_len, generator_order=None):
                 yield w2, r.diagram, ln, mirror(r.diagram) == r.diagram
                 nxt.append((w2, r.diagram))
         frontier = nxt
+
+
+def congruence_candidates(d: AffineDiagram) -> dict[str, dict[int, tuple | None]]:
+    """All classes qualifying for each peel kind.
+
+    T1/B1 values are the innermost covering arc lift (None for the loop
+    sub-case); T2/B2 values are the position k of the minimal arc (k, k+1)
+    sitting right of the slanted strand.
+    """
+    n = d.n
+    out: dict[str, dict[int, tuple | None]] = {"T1": {}, "B1": {}, "T2": {}, "B2": {}}
+    top_arcs, bottom_arcs, _ = edge_list(d)
+    for side, other, arcs in ((TOP, BOT, top_arcs), (BOT, TOP, bottom_arcs)):
+        for k in sorted(descent_arcs(d, side)):
+            cover = _innermost_cover(n, arcs, k)
+            if cover is not None or d.loops:
+                out[side + "1"][k] = cover
+            # A strand entering at the node left of a minimal arc and exiting
+            # past the arc's far end marks the arc as slideable (T2 / B2).
+            end, j = partner(d, side, k - 1)
+            if end == other and j >= k + 1:
+                out[side + "2"][class_of(n, k - 1)] = (k,)
+    return out

@@ -12,6 +12,8 @@ import time
 
 import pytest
 
+from oracles import congruence_candidates
+
 from afftl.algebra import rewrite_eval
 from afftl.cells import (
     M_NONSQUARE,
@@ -40,7 +42,6 @@ from afftl.diagrams import (
 )
 from afftl.explore import enumerate_elements, oracle_counts
 from afftl.straightening import (
-    congruence_candidates,
     find_distinguished,
     is_straight,
     peel,

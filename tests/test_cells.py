@@ -372,6 +372,26 @@ class TestTwoSidedLabel:
         for lab in (TwoSidedLabel.small(2), TwoSidedLabel.alternating("even", 3)):
             assert TwoSidedLabel.from_json(lab.to_json()) == lab
 
+    @pytest.mark.parametrize(
+        "obj,field",
+        [
+            ({"kind": "bogus", "start": "odd", "factors": 1}, "kind"),
+            ({"kind": "small", "k": 2.7}, "k"),
+            ({"kind": "small", "k": "3"}, "k"),
+            ({"kind": "small", "k": True}, "k"),
+            ({"kind": "small", "k": -4}, "k"),
+            ({"kind": "alternating", "start": "odd", "factors": 2.0}, "factors"),
+            ({"kind": "alternating", "start": "odd", "factors": "2"}, "factors"),
+        ],
+    )
+    def test_from_json_strict(self, obj, field):
+        with pytest.raises(ValueError, match=field):
+            TwoSidedLabel.from_json(obj)
+
+    def test_small_rejects_negative_size(self):
+        with pytest.raises(ValueError, match="k"):
+            TwoSidedLabel.small(-4)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TwoSidedLabel.alternating("up", 1)

@@ -339,17 +339,17 @@ class TestVerify:
 
 
 def _miscounting(real):
-    """The left generator action, reporting one contractible loop too many."""
+    """The generator action, reporting one contractible loop too many."""
 
-    def action(s, d):
-        r = real(s, d)
+    def action(d, s, side):
+        r = real(d, s, side)
         return ProductResult(r.diagram, r.contractible + 1)
 
     return action
 
 
 # "2 1 3 2" straightens with a T1 peel first, whose reconstruction uses the
-# left generator action.
+# generator action on the top row.
 BROKEN_PEEL = textwrap.dedent(
     """
     import sys
@@ -357,7 +357,7 @@ BROKEN_PEEL = textwrap.dedent(
     from afftl.cli import main
     from test_cli import _miscounting
 
-    straightening.generator_times = _miscounting(straightening.generator_times)
+    straightening._generator_action = _miscounting(straightening._generator_action)
     print(__debug__)
     sys.exit(main(["eval", "--n", "4", "--word", "2 1 3 2"]))
     """
@@ -373,7 +373,7 @@ class TestInvariantError:
 
     def test_in_process(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            straightening, "generator_times", _miscounting(straightening.generator_times)
+            straightening, "_generator_action", _miscounting(straightening._generator_action)
         )
         straightening.straighten.cache_clear()
         try:

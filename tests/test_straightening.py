@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 
 from conftest import random_fc_word
+from oracles import congruence_candidates
 
 from afftl.config import GroupConfig
 from afftl.diagrams import (
@@ -14,13 +17,16 @@ from afftl.diagrams import (
 )
 from afftl.explore import enumerate_elements
 from afftl.straightening import (
-    congruence_candidates,
+    _distinguished,
     find_distinguished,
     is_straight,
     peel,
     stack,
     straighten,
 )
+
+# (n, max_len) for the whole-horizon straightening sweeps, n = 3..8
+HORIZONS = ((3, 10), (4, 10), (5, 9), (6, 9), (7, 8), (8, 8))
 
 
 class TestStack:
@@ -104,6 +110,28 @@ class TestFindDistinguished:
             find_distinguished(stack(cfg, (1, 3)).diagram)
 
 
+class TestFirstMatchFinding:
+    def test_agrees_with_all_kinds_oracle_on_every_peel(self):
+        # _distinguished stops at the first kind that qualifies; the oracle
+        # builds all four, and the smallest class of its first nonempty kind
+        # must be the finding, covering arc and loop sub-case included
+        peels = 0
+        for n, max_len in HORIZONS:
+            for rec in enumerate_elements(GroupConfig(n), max_len, with_labels=False):
+                d = rec.diagram
+                while is_straight(d) is None:
+                    cands = congruence_candidates(d)
+                    kind = next(k for k in ("T1", "B1", "T2", "B2") if cands[k])
+                    cls = min(cands[kind])
+                    cover = cands[kind][cls] if kind.endswith("1") else None
+                    f = _distinguished(d)
+                    assert (f.kind, f.cls, f.cover) == (kind, cls, cover), rec.word
+                    assert f.uses_loop == (kind.endswith("1") and cover is None)
+                    d = peel(d, f).rest
+                    peels += 1
+        assert peels == 28050
+
+
 class TestPeel:
     def test_covered_peel(self):
         cfg = GroupConfig(4)
@@ -174,3 +202,29 @@ class TestStraighten:
 
         with pytest.raises(ValueError):
             straighten(rotation_diagram(4))
+
+
+class TestStraightenCache:
+    def test_words_do_not_depend_on_cache_order(self):
+        # a rest's cached word finishes every diagram peeled down to it, so
+        # warming the cache from the long end must give the same words
+        for n, max_len in HORIZONS[:-1]:
+            recs = list(enumerate_elements(GroupConfig(n), max_len, with_labels=False))
+            straighten.cache_clear()
+            up = [straighten(rec.diagram).letters for rec in recs]
+            straighten.cache_clear()
+            down = [straighten(rec.diagram).letters for rec in reversed(recs)]
+            assert up == down[::-1]
+
+    def test_long_diagram_from_cold_cache(self):
+        # 3,000 letters: peels down to the reuse bound, then nests at most
+        # that many calls, well inside the default recursion limit
+        word = (1, 2, 3, 4) * 750
+        d = stack(GroupConfig(4), word).diagram
+        straighten.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert straighten(d).letters == word
+        finally:
+            sys.setrecursionlimit(limit)
