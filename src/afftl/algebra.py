@@ -15,8 +15,8 @@ engines can be played against each other.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .config import GroupConfig
 from .diagrams import AffineDiagram, InvariantError, canonical_key, identity, length, multiply
@@ -29,8 +29,7 @@ from .words import _braid_split, check_word, descent_mask
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FcEval:
+class FcEval(NamedTuple):
     """Normal form of a word: stack(word) = delta**exponent on the basis
     diagram, whose canonical straightened word is also reported."""
     exponent: int
@@ -73,12 +72,6 @@ class AlgebraElement:
     @classmethod
     def one(cls, n: int) -> AlgebraElement:
         return cls(n, {identity(n): ONE})
-
-    @classmethod
-    def from_diagram(cls, d: AffineDiagram, coeff: LaurentPoly | int = 1) -> AlgebraElement:
-        if isinstance(coeff, int):
-            coeff = ONE * coeff
-        return cls(d.n, {d: coeff})
 
     @classmethod
     def from_word(cls, cfg: GroupConfig, word) -> AlgebraElement:

@@ -29,7 +29,7 @@ width (`words.heap_width`); `a_bruteforce` is the definition by exhaustion.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import is_reduced_word
 from .config import GroupConfig
@@ -51,8 +51,7 @@ from .words import (
 M_NONSQUARE = "M-nonsquare cell"
 
 
-@dataclass(frozen=True)
-class TwoSidedLabel:
+class TwoSidedLabel(NamedTuple):
     """Label of a two-sided cell: either Small(k) for the class of all
     size-k commuting blocks (k below half the rank), or an alternating
     label (start parity, factor count) for even n."""
@@ -69,8 +68,10 @@ class TwoSidedLabel:
 
     @classmethod
     def alternating(cls, start: str, factors: int) -> TwoSidedLabel:
-        if start not in ("odd", "even") or factors < 1:
-            raise ValueError("bad alternating label")
+        if start not in ("odd", "even"):
+            raise ValueError(f"start must be 'odd' or 'even', not {start!r}")
+        if factors < 1:
+            raise ValueError(f"factors must be >= 1, got {factors}")
         return cls("alternating", start=start, factors=factors)
 
     def sort_key(self):
@@ -90,15 +91,18 @@ class TwoSidedLabel:
 
     @classmethod
     def from_json(cls, obj: dict) -> TwoSidedLabel:
-        if obj["kind"] == "small":
-            return cls.small(json_int(obj["k"], "k"))
-        if obj["kind"] == "alternating":
-            return cls.alternating(obj["start"], json_int(obj["factors"], "factors"))
-        raise ValueError(f"kind must be 'small' or 'alternating', not {obj['kind']!r}")
+        try:
+            kind = obj["kind"]
+            if kind == "small":
+                return cls.small(json_int(obj["k"], "k"))
+            if kind == "alternating":
+                return cls.alternating(obj["start"], json_int(obj["factors"], "factors"))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed label JSON: {exc}") from exc
+        raise ValueError(f"kind must be 'small' or 'alternating', not {kind!r}")
 
 
-@dataclass(frozen=True)
-class CellLabels:
+class CellLabels(NamedTuple):
     two_sided: TwoSidedLabel
     left_pattern: frozenset[tuple[int, int]]  # bottom short arcs
     right_pattern: frozenset[tuple[int, int]]  # top short arcs
@@ -118,27 +122,23 @@ class CellLabels:
         }
 
 
-@dataclass(frozen=True)
-class CancelStep:
+class CancelStep(NamedTuple):
     side: str
     s: int
     t: int
 
 
-@dataclass(frozen=True)
-class ReduceResult:
+class ReduceResult(NamedTuple):
     word: Word
     trace: tuple[CancelStep, ...]
 
 
-@dataclass(frozen=True)
-class InvolutionDecomposition:
+class InvolutionDecomposition(NamedTuple):
     x: Word
     core: frozenset[int]
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     two_sided: TwoSidedLabel
     left_cells: int
     right_cells: int

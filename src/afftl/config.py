@@ -71,7 +71,6 @@ class GroupConfig:
         return odd, even
 
 
-@lru_cache(maxsize=1 << 8)
 def _adjacency_masks(n: int) -> tuple[int, ...]:
     masks = [0]
     for i in range(1, n + 1):

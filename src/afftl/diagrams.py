@@ -92,7 +92,6 @@ def _check_n(n: int) -> None:
         raise ValueError(f"need n >= 3, got {n}")
 
 
-@lru_cache(maxsize=1 << 8)
 def identity(n: int) -> AffineDiagram:
     _check_n(n)
     top = tuple((BOT, i) for i in range(1, n + 1))
@@ -100,7 +99,6 @@ def identity(n: int) -> AffineDiagram:
     return AffineDiagram(n, top, bottom, 0)
 
 
-@lru_cache(maxsize=1 << 12)
 def generator(n: int, i: int) -> AffineDiagram:
     """The diagram joining i and i+1 in both rows, all other classes vertical."""
     if not 1 <= i <= n:

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .config import GroupConfig
 from .cells import CellLabels, labels
@@ -43,8 +42,7 @@ def element_cap(cap: int | None = None) -> int:
     return int(env)
 
 
-@dataclass(frozen=True)
-class EnumerationRecord:
+class EnumerationRecord(NamedTuple):
     word: Word
     diagram: AffineDiagram
     length: int

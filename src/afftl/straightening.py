@@ -20,8 +20,8 @@ that length first, so at most `_PREFIX_REUSE` calls of `straighten` nest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .config import GroupConfig
 from .diagrams import (
@@ -45,23 +45,20 @@ from .diagrams import (
 from .words import check_word
 
 
-@dataclass(frozen=True)
-class CongruenceFinding:
+class CongruenceFinding(NamedTuple):
     cls: int
     kind: str  # "T1" | "B1" | "T2" | "B2"
     cover: tuple[int, int] | None  # innermost covering arc lift (T1/B1 case a)
     uses_loop: bool = False  # T1/B1 case b
 
 
-@dataclass(frozen=True)
-class PeelStep:
+class PeelStep(NamedTuple):
     letter: int
     end: str  # "left" | "right"
     rest: AffineDiagram
 
 
-@dataclass(frozen=True)
-class StraightWord:
+class StraightWord(NamedTuple):
     letters: tuple[int, ...]
     core: frozenset[int]
 

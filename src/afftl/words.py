@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .config import GroupConfig
 from .diagrams import InvariantError
@@ -223,8 +224,7 @@ def is_fc_reduced(cfg: GroupConfig, word) -> bool:
     return heap_is_fc(cfg, word)
 
 
-@dataclass(frozen=True)
-class BraidWitness:
+class BraidWitness(NamedTuple):
     """Factorization word = w1 + (t, s) + w2 with s adjacent to t and t
     commuting with every letter of w2."""
     w1: Word
@@ -371,18 +371,15 @@ def to_affine_permutation(cfg: GroupConfig, word) -> AffinePermutation:
     return p
 
 
-@lru_cache(maxsize=1 << 16)
-def _perm_of(n: int, word: Word) -> AffinePermutation:
-    return to_affine_permutation(GroupConfig(n), word)
+_perm_of = lru_cache(maxsize=1 << 16)(to_affine_permutation)
 
 
 def perm_of(cfg: GroupConfig, word) -> AffinePermutation:
     """Cached variant of to_affine_permutation."""
-    return _perm_of(cfg.n, tuple(word))
+    return _perm_of(cfg, tuple(word))
 
 
-@dataclass(frozen=True)
-class LeftDecomposition:
+class LeftDecomposition(NamedTuple):
     """Factorization into blocks of pairwise commuting letters: the layers
     of the heap, peeled from the bottom.
 

@@ -382,6 +382,15 @@ class TestTwoSidedLabel:
             ({"kind": "small", "k": -4}, "k"),
             ({"kind": "alternating", "start": "odd", "factors": 2.0}, "factors"),
             ({"kind": "alternating", "start": "odd", "factors": "2"}, "factors"),
+            ({"kind": "alternating", "start": "up", "factors": 2}, "start"),
+            ({"kind": "alternating", "start": "odd", "factors": 0}, "factors"),
+            ({"kind": "small"}, "'k'"),
+            ({"kind": "alternating", "factors": 2}, "'start'"),
+            ({"kind": "alternating", "start": "odd"}, "'factors'"),
+            ({"k": 2}, "'kind'"),
+            (["small", 2], "malformed label JSON"),
+            ("small", "malformed label JSON"),
+            (None, "malformed label JSON"),
         ],
     )
     def test_from_json_strict(self, obj, field):
@@ -393,7 +402,7 @@ class TestTwoSidedLabel:
             TwoSidedLabel.small(-4)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="start"):
             TwoSidedLabel.alternating("up", 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="factors"):
             TwoSidedLabel.alternating("odd", 0)

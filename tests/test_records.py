@@ -1,0 +1,59 @@
+"""One record idiom: a record whose constructor checks nothing is a
+`typing.NamedTuple`; `@dataclass` is kept only where the constructor
+validates its input.  Walks every afftl module so a new dataclass, or a
+record moved back to one, shows up here.
+"""
+
+import dataclasses
+import importlib
+import pkgutil
+
+import afftl
+
+VALIDATING = {"config.GroupConfig", "laurent.LaurentPoly", "words.AffinePermutation"}
+
+# Field names in order, and the defaults, as the records had them as
+# frozen dataclasses.
+RECORDS = {
+    "algebra.FcEval": (("exponent", "diagram", "word"), {}),
+    "cells.TwoSidedLabel": (("kind", "size", "start", "factors"), {"size": 0, "start": "", "factors": 0}),
+    "cells.CellLabels": (("two_sided", "left_pattern", "right_pattern", "loops"), {}),
+    "cells.CancelStep": (("side", "s", "t"), {}),
+    "cells.ReduceResult": (("word", "trace"), {}),
+    "cells.InvolutionDecomposition": (("x", "core"), {}),
+    "cells.CensusRow": (("two_sided", "left_cells", "right_cells", "elements_seen"), {}),
+    "explore.EnumerationRecord": (("word", "diagram", "length", "labels", "is_involution"), {}),
+    "straightening.CongruenceFinding": (("cls", "kind", "cover", "uses_loop"), {"uses_loop": False}),
+    "straightening.PeelStep": (("letter", "end", "rest"), {}),
+    "straightening.StraightWord": (("letters", "core"), {}),
+    "words.BraidWitness": (("w1", "s", "w2"), {}),
+    "words.LeftDecomposition": (("groups",), {}),
+}
+
+
+def _classes():
+    for info in pkgutil.iter_modules(afftl.__path__):
+        module = importlib.import_module(f"afftl.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                yield f"{info.name}.{name}", obj
+
+
+def test_only_validating_types_are_dataclasses():
+    found = {name for name, cls in _classes() if dataclasses.is_dataclass(cls)}
+    assert found == VALIDATING
+
+
+def test_records_are_named_tuples():
+    classes = dict(_classes())
+    for name, (fields, defaults) in RECORDS.items():
+        cls = classes[name]
+        assert issubclass(cls, tuple), name
+        assert cls._fields == fields, name
+        assert cls._field_defaults == defaults, name
+
+
+def test_repr_names_the_fields():
+    from afftl.cells import TwoSidedLabel
+
+    assert repr(TwoSidedLabel.small(2)) == "TwoSidedLabel(kind='small', size=2, start='', factors=0)"
