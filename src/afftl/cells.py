@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .algebra import is_reduced_word
 from .config import GroupConfig
-from .diagrams import TOP, InvariantError, edge_list, generator_times, times_generator
+from .diagrams import InvariantError, edge_list, generator_times, short_arc_count, times_generator
 from .laurent import json_int
 from .straightening import stack, straighten
 from .words import (
@@ -161,9 +161,9 @@ def _require_reduced_fc(cfg: GroupConfig, word) -> Word:
 
 
 def a_value(cfg: GroupConfig, word) -> int:
-    """Number of top short-arc orbits of the word's diagram."""
-    d = stack(cfg, word).diagram
-    return sum(1 for side, _ in d.top if side == TOP) // 2
+    """Number of top short-arc orbits of the word's diagram (top and
+    bottom arcs balance)."""
+    return short_arc_count(stack(cfg, word).diagram) // 2
 
 
 def a_bruteforce(cfg: GroupConfig, word, bound: int = 12) -> int:

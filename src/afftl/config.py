@@ -5,31 +5,35 @@ braid relation exactly when i and j are consecutive modulo n, and commute
 otherwise.  For n == 3 every pair is adjacent.  n >= 3 throughout.
 
 Public methods validate their generator indices.  Internal loops read the
-precomputed adjacency bitmasks in `masks` instead, on letters already
-checked at the entry point that received them.
+adjacency bitmasks in `masks` (built on first use) instead, on letters
+already checked at the entry point that received them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 
 @dataclass(frozen=True)
 class GroupConfig:
     n: int
-    # Adjacency bitmasks: bit j of masks[i] is set when s_i and s_j do not
-    # commute (masks[0] is 0).  Unchecked: indices outside 1..n are the
-    # caller's responsibility.
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # The generator indices 1..n, for checking a whole word at once.
-    letters: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"need at least 3 generators, got n={self.n}")
-        object.__setattr__(self, "masks", _adjacency_masks(self.n))
-        object.__setattr__(self, "letters", frozenset(self.generators()))
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Adjacency bitmasks: bit j of masks[i] is set when s_i and s_j do
+        not commute (masks[0] is 0).  Unchecked: indices outside 1..n are
+        the caller's responsibility.  Built on first use: about n*n/2 bits."""
+        return _adjacency_masks(self.n)
+
+    @cached_property
+    def letters(self) -> frozenset[int]:
+        """The generator indices 1..n, for checking a whole word at once."""
+        return frozenset(self.generators())
 
     def generators(self) -> range:
         return range(1, self.n + 1)

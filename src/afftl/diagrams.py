@@ -9,7 +9,9 @@ partner node as a (side, position) pair in the universal cover; every
 other partner follows by periodicity.  A diagram is the NamedTuple
 (n, top, bottom, loops) and a product the NamedTuple (diagram,
 contractible): equality and hashing are the tuple's, so a diagram also
-equals a bare tuple of its four fields; never compare it with one.
+equals a bare tuple of its four fields; never compare it with one.  This
+module alone stores and reads the windows: other modules go through its
+functions.  Crossing numbers take one linear pass over the edges.
 
 Multiplication stacks one diagram on top of another, identifies the middle
 rows, and traces connectivity.  Middle cycles closing with zero offset
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 from .laurent import json_int, json_list
@@ -93,10 +96,7 @@ def _check_n(n: int) -> None:
 
 
 def identity(n: int) -> AffineDiagram:
-    _check_n(n)
-    top = tuple((BOT, i) for i in range(1, n + 1))
-    bottom = tuple((TOP, i) for i in range(1, n + 1))
-    return AffineDiagram(n, top, bottom, 0)
+    return straight_diagram(n, ())
 
 
 def generator(n: int, i: int) -> AffineDiagram:
@@ -116,14 +116,42 @@ def straight_diagram(n: int, commuting: Iterable[int]) -> AffineDiagram:
     chosen = set(gens)
     if any(i % n + 1 in chosen for i in chosen):
         raise ValueError("generators are not pairwise non-adjacent")
-    top = [(BOT, j) for j in range(1, n + 1)]
-    bottom = [(TOP, j) for j in range(1, n + 1)]
-    for i in chosen:
-        _set_entry(n, top, i, (TOP, i + 1))
-        _set_entry(n, top, i + 1, (TOP, i))
-        _set_entry(n, bottom, i, (BOT, i + 1))
-        _set_entry(n, bottom, i + 1, (BOT, i))
-    return AffineDiagram(n, tuple(top), tuple(bottom), 0)
+    top = tuple((BOT, j) for j in range(1, n + 1))
+    bottom = tuple((TOP, j) for j in range(1, n + 1))
+    arcs = [(i, i + 1) for i in chosen]
+    return join_arcs(join_arcs(AffineDiagram(n, top, bottom, 0), TOP, arcs), BOT, arcs)
+
+
+def is_straight(d: AffineDiagram) -> frozenset[int] | None:
+    """The set S with d == straight_diagram(d.n, S) (the empty set for the
+    identity), or None when there is none."""
+    if d.loops:
+        return None
+    # Every class is an unshifted vertical or an end of a minimal arc
+    # mirrored on the bottom row, and right ends partner the left ends.
+    lefts, rights = set(), set()
+    for i, (t, b) in enumerate(zip(d.top, d.bottom), 1):
+        side, p = t
+        if side == BOT:
+            if p != i or b != (TOP, i):
+                return None
+        elif p - i in (1, -1) and b == (BOT, p):
+            (lefts if p > i else rights).add(i)
+        else:
+            return None
+    if {i % d.n + 1 for i in lefts} != rights:
+        return None
+    return frozenset(lefts)
+
+
+def join_arcs(d: AffineDiagram, side: str, arcs) -> AffineDiagram:
+    """d with p and q joined on `side`'s row for each (p, q) in arcs; the
+    caller rejoins every node whose old arc the list breaks."""
+    entries = list(d.top if side == TOP else d.bottom)
+    for p, q in arcs:
+        _set_entry(d.n, entries, p, (side, q))
+        _set_entry(d.n, entries, q, (side, p))
+    return d._replace(**{"top" if side == TOP else "bottom": tuple(entries)})
 
 
 def edge_list(d: AffineDiagram):
@@ -261,24 +289,23 @@ def validate(d: AffineDiagram) -> list[str]:
 
 @lru_cache(maxsize=1 << 18)
 def _nu_vector(d: AffineDiagram) -> tuple[int, ...]:
+    # An edge spanning lo..hi crosses the line after class k once per x in
+    # lo..hi-1 with x = k mod n: (hi - lo) // n times each line, once more
+    # the (hi - lo) % n lines from lo's class on.  Those runs fill a
+    # difference array over two periods, folded onto one: O(n + edges).
     n = d.n
     top_arcs, bottom_arcs, verticals = edge_list(d)
-    spans = [(p, q) for p, q in top_arcs + bottom_arcs]
-    spans += [(min(p, q), max(p, q)) for p, q in verticals]
-    out = []
-    for k in range(1, n + 1):
-        total = d.loops
-        for lo, hi in spans:
-            if hi - lo < 1:
-                continue
-            # lifts of the line between classes k and k+1 inside (lo, hi):
-            # integers m with lo <= k + m*n <= hi - 1
-            m_lo = -((lo - k) // -n)
-            m_hi = (hi - 1 - k) // n
-            if m_hi >= m_lo:
-                total += m_hi - m_lo + 1
-        out.append(total)
-    return tuple(out)
+    laps = d.loops
+    diff = [0] * (2 * n)
+    for p, q in top_arcs + bottom_arcs + verticals:
+        lo, hi = (p, q) if p < q else (q, p)
+        whole, rest = divmod(hi - lo, n)
+        laps += whole
+        start = (lo - 1) % n
+        diff[start] += 1
+        diff[start + rest] -= 1
+    runs = list(accumulate(diff))
+    return tuple(laps + runs[k] + runs[k + n] for k in range(n))
 
 
 def crossing_number(d: AffineDiagram, k: int) -> int:
@@ -496,3 +523,8 @@ def mirror(d: AffineDiagram) -> AffineDiagram:
         tuple((flip[s], p) for s, p in d.top),
         d.loops,
     )
+
+
+def is_mirror_symmetric(d: AffineDiagram) -> bool:
+    """mirror(d) == d, read entrywise without building the mirror."""
+    return all(ts != bs and tp == bp for (ts, tp), (bs, bp) in zip(d.top, d.bottom))

@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 
 from .config import GroupConfig
 from .cells import CellLabels, labels
-from .diagrams import AffineDiagram, identity, times_generator
+from .diagrams import AffineDiagram, identity, is_mirror_symmetric, times_generator
 from .words import AffinePermutation, Word, heap_is_fc
 
 DEFAULT_CAP = 10**7
@@ -83,9 +83,7 @@ def enumerate_elements(
 
     def record(word: Word, d: AffineDiagram, ln: int) -> EnumerationRecord:
         lab = labels(cfg, word) if with_labels else None
-        # mirror(d) == d, read entrywise: top[i] is bottom[i] with its side flipped
-        symmetric = all(ts != bs and tp == bp for (ts, tp), (bs, bp) in zip(d.top, d.bottom))
-        return EnumerationRecord(word, d, ln, lab, symmetric)
+        return EnumerationRecord(word, d, ln, lab, is_mirror_symmetric(d))
 
     start = identity(n)
     seen = {start}

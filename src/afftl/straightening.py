@@ -10,7 +10,7 @@ the smallest qualifying class as tie-break, which makes the produced word
 canonical; the search stops at the first kind that qualifies.  Every peel
 re-stacks the emitted letter and checks that the original diagram is
 recovered with no contractible loop; a failed check raises InvariantError.
-Generator products here all use the local action of `afftl.diagrams`.
+Every diagram edit and window read here is an `afftl.diagrams` function.
 
 A peel depends only on the current diagram, so once a peel leaves a rest
 of length at most `_PREFIX_REUSE`, `straighten` returns the rest's cached
@@ -35,12 +35,13 @@ from .diagrams import (
     edge_list,
     identity,
     is_admissible,
+    is_straight,
+    join_arcs,
     length,
     partner,
     short_arc_count,
     times_generator,
     _generator_action,
-    _set_entry,
 )
 from .words import check_word
 
@@ -91,30 +92,6 @@ def _stack_cached(n: int, word: tuple[int, ...]) -> ProductResult:
     return ProductResult(d, contractible)
 
 
-def is_straight(d: AffineDiagram) -> frozenset[int] | None:
-    """The commuting generator set S when d is the diagram of a product of
-    pairwise non-adjacent generators (empty set for the identity); None
-    otherwise."""
-    if d.loops:
-        return None
-    # Read the windows: every class is an unshifted vertical, or an end of
-    # a minimal arc mirrored on the bottom row; the right ends must be
-    # exactly the partners of the left ends.
-    lefts, rights = set(), set()
-    for i, (t, b) in enumerate(zip(d.top, d.bottom), 1):
-        side, p = t
-        if side == BOT:
-            if p != i or b != (TOP, i):
-                return None
-        elif p - i in (1, -1) and b == (BOT, p):
-            (lefts if p > i else rights).add(i)
-        else:
-            return None
-    if {i % d.n + 1 for i in lefts} != rights:
-        return None
-    return frozenset(lefts)
-
-
 def _innermost_cover(n: int, arcs, k: int) -> tuple[int, int] | None:
     """Among arc lifts strictly covering positions (k, k+1), the one with
     the largest left endpoint; None if no arc covers."""
@@ -155,14 +132,6 @@ def _distinguished(d: AffineDiagram) -> CongruenceFinding:
     raise InvariantError("no peelable class found on a non-straight admissible diagram")
 
 
-def _arc_surgery(d: AffineDiagram, side: str, remove_add) -> AffineDiagram:
-    entries = list(d.top if side == TOP else d.bottom)
-    for p, q in remove_add:
-        _set_entry(d.n, entries, p, (side, q))
-        _set_entry(d.n, entries, q, (side, p))
-    return d._replace(**{"top" if side == TOP else "bottom": tuple(entries)})
-
-
 def peel(d: AffineDiagram, f: CongruenceFinding) -> PeelStep:
     """Split one generator off d at the distinguished class.
 
@@ -176,11 +145,11 @@ def peel(d: AffineDiagram, f: CongruenceFinding) -> PeelStep:
     if f.kind[1] == "1":
         k = letter = f.cls
         if f.cover is not None:
-            rest = _arc_surgery(d, side, [(f.cover[0], k), (k + 1, f.cover[1])])
+            rest = join_arcs(d, side, [(f.cover[0], k), (k + 1, f.cover[1])])
         elif not d.loops:
             raise InvariantError("loop peel on a diagram without loops")
         else:
-            rest = _arc_surgery(d, side, [(k + 1, k + d.n)])._replace(loops=d.loops - 1)
+            rest = join_arcs(d, side, [(k + 1, k + d.n)])._replace(loops=d.loops - 1)
     else:
         r = _generator_action(d, f.cls, side)
         if r.contractible:

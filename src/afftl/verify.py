@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import cache
 
 from . import algebra, cells, diagrams, explore, straightening, words
 from .config import GroupConfig
@@ -152,7 +153,10 @@ def check_core_order_independence(
 def check_involutions(cfg: GroupConfig, recs) -> Check:
     count = 0
     for rec in recs:
-        if not words.perm_of(cfg, rec.word).is_involution():
+        # the diagram's mirror flag against the permutation oracle
+        if rec.is_involution != words.perm_of(cfg, rec.word).is_involution():
+            return ("involutions", False, f"mirror flag disagrees with the permutation at {rec.word}")
+        if not rec.is_involution:
             continue
         dec = cells.involution_decompose(cfg, rec.word)
         if cells.a_value(cfg, rec.word) != len(dec.core):
@@ -163,10 +167,10 @@ def check_involutions(cfg: GroupConfig, recs) -> Check:
 
 def check_neighbour_symmetry(cfg: GroupConfig) -> Check:
     cores = [tuple(sorted(t)) for t in cfg.commuting_sets()]
+    reached = cache(lambda q: [w for _, w in cells.core_neighbours(cfg, q)])
     for q in cores:
-        for s, q2 in cells.core_neighbours(cfg, q):
-            back = cells.core_neighbours(cfg, q2)
-            if not any(w == q for _, w in back):
+        for q2 in reached(q):
+            if q not in reached(q2):
                 return ("neighbour-symmetry", False, f"{q} -> {q2} not symmetric")
     return ("neighbour-symmetry", True, f"{len(cores)} cores")
 

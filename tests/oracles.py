@@ -28,6 +28,8 @@ and `braid_witness_by_class` finds the braid witness by searching the
 sorted commutation class, where the library reads it off the heap.
 `congruence_candidates` builds the qualifying classes of all four peel
 kinds, where the library stops at the first kind that qualifies.
+`nu_vector_per_class` counts each line's crossings edge by edge, where
+the library adds every edge's runs to a difference array in one pass.
 """
 
 from afftl.algebra import AlgebraElement
@@ -250,6 +252,28 @@ def multiply_by_partner(a, b):
             winding += 1
     diagram = AffineDiagram(n, top_row, bottom_row, a.loops + b.loops + winding)
     return ProductResult(diagram, contractible)
+
+
+def nu_vector_per_class(d):
+    """Crossing numbers of the n lines, each summed over every edge: the
+    integers m with lo <= k + m*n <= hi - 1 lift the line between classes
+    k and k+1 into the edge's span lo..hi."""
+    n = d.n
+    top_arcs, bottom_arcs, verticals = edge_list(d)
+    spans = [(p, q) for p, q in top_arcs + bottom_arcs]
+    spans += [(min(p, q), max(p, q)) for p, q in verticals]
+    out = []
+    for k in range(1, n + 1):
+        total = d.loops
+        for lo, hi in spans:
+            if hi - lo < 1:
+                continue
+            m_lo = -((lo - k) // -n)
+            m_hi = (hi - 1 - k) // n
+            if m_hi >= m_lo:
+                total += m_hi - m_lo + 1
+        out.append(total)
+    return tuple(out)
 
 
 def is_straight_by_construction(d):

@@ -317,6 +317,37 @@ class TestVerify:
             "a-agreement", False, f"fails at {word}: {arcs} arcs, heap width {arcs + 1}"
         )
 
+    def test_involutions_compare_the_mirror_flag(self, monkeypatch):
+        from afftl import explore
+
+        cfg = GroupConfig(7)
+        recs = list(explore.enumerate_elements(cfg, 8, with_labels=False))
+        assert verify.check_involutions(cfg, recs) == ("involutions", True, "57 involutions")
+        # the diagram side misses one involution: s_2, which s_1 precedes
+        target = recs[2]
+        assert target.word == (2,) and target.is_involution
+        real = explore.is_mirror_symmetric
+        monkeypatch.setattr(explore, "is_mirror_symmetric", lambda d: d != target.diagram and real(d))
+        recs = list(explore.enumerate_elements(cfg, 8, with_labels=False))
+        assert verify.check_involutions(cfg, recs) == (
+            "involutions", False, "mirror flag disagrees with the permutation at (2,)"
+        )
+
+    @pytest.mark.parametrize("n,cores", [(6, 18), (7, 29)])
+    def test_neighbour_symmetry_searches_each_core_once(self, n, cores, monkeypatch):
+        from afftl import cells
+
+        real, calls = cells.core_neighbours, []
+
+        def spy(cfg, word):
+            calls.append(word)
+            return real(cfg, word)
+
+        monkeypatch.setattr(cells, "core_neighbours", spy)
+        got = verify.check_neighbour_symmetry(GroupConfig(n))
+        assert got == ("neighbour-symmetry", True, f"{cores} cores")
+        assert len(calls) == len(set(calls)) == cores
+
     @pytest.mark.parametrize("n,max_len,pairs", [(4, 6, 961), (7, 8, 12769)])
     def test_engine_agreement_filters_the_shared_records(self, n, max_len, pairs, monkeypatch):
         # the records up to length 3, in enumeration order, from the list

@@ -149,6 +149,6 @@ class TestPeelResultsAreValid:
                 assert type(step.rest) is AffineDiagram
                 assert validate(step.rest) == [], (n, rec.word, f)
                 assert known[step.rest] == rec.length - 1, (n, rec.word, f)
-        # _arc_surgery builds the T1/B1 rests, including the loop sub-case
+        # diagrams.join_arcs builds the T1/B1 rests, including the loop sub-case
         assert kinds == {"T1", "B1", "T2", "B2"}
         assert loop_peels > 0

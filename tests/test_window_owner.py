@@ -1,0 +1,45 @@
+"""One module owns the diagram: `afftl.diagrams` alone reads and writes
+the window arrays.  Parses every other afftl module, so a new `.top` or
+`.bottom` read, a `top=`/`bottom=` rewrite, or an import of the entry
+writer `_set_entry` outside `diagrams` shows up here.
+"""
+
+import ast
+from pathlib import Path
+
+import afftl
+
+SRC = Path(afftl.__file__).parent
+WINDOWS = {"top", "bottom"}
+
+
+def _breaches(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Attribute) and node.attr in WINDOWS:
+            yield f"{where} reads .{node.attr}"
+        elif isinstance(node, ast.keyword) and node.arg in WINDOWS:
+            yield f"{where} passes {node.arg}="
+        elif isinstance(node, ast.ImportFrom) and any(a.name == "_set_entry" for a in node.names):
+            yield f"{where} imports _set_entry"
+
+
+def test_only_diagrams_touches_windows():
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "diagrams.py"]
+    assert {"straightening.py", "cells.py", "explore.py"} <= {p.name for p in paths}
+    assert [b for p in paths for b in _breaches(p)] == []
+
+
+def test_guard_sees_each_breach(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from afftl.diagrams import _set_entry\n"
+        "x = d.top\n"
+        "y = d._replace(bottom=())\n",
+        encoding="utf-8",
+    )
+    assert list(_breaches(probe)) == [
+        "probe.py:1 imports _set_entry",
+        "probe.py:2 reads .top",
+        "probe.py:3 passes bottom=",
+    ]
