@@ -218,7 +218,7 @@ def rewrite_mul(cfg: GroupConfig, word, s: int) -> tuple[int, Word]:
 
 @lru_cache(maxsize=1 << 18)
 def _rewrite_mul_cached(cfg: GroupConfig, word: Word, s: int) -> tuple[int, Word]:
-    if descent_mask(cfg.masks, word, False) >> s & 1:
+    if descent_mask(cfg, word, False) >> s & 1:
         # s is a right descent: the square relation contributes one delta
         return 1, word
     wit = _braid_split(cfg, word, s)

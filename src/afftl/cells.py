@@ -21,8 +21,11 @@ descent of u.  If u = t v, then E_t E_s E_t = E_t gives
 E_t E_w = E_t E_v = E_u.  Conversely, a loop-free E_t E_w has the minimal
 arc (t, t+1) on its top row, and the top minimal arcs of a word's diagram
 are its left descents.  The right side is the mirror image, with the last
-occurrence of s removed.  A commuting block that some reduced word holds as
-a contiguous factor is an antichain of the heap, so a(w) is the heap's
+occurrence of s removed.  t is a descent of u exactly when the first t
+has one lower neighbour occurrence, the first s (`words.absorbers`).  An
+involution w = s u s sheds a letter s that is a descent on both sides and
+occurs twice until its heap is an antichain.  A commuting block that some
+reduced word holds as a contiguous factor is an antichain of the heap, so a(w) is the heap's
 width (`words.heap_width`); `a_bruteforce` is the definition by exhaustion.
 """
 
@@ -38,6 +41,7 @@ from .laurent import json_int
 from .straightening import stack, straighten
 from .words import (
     Word,
+    absorbers,
     check_word,
     commutation_class,
     descent_mask,
@@ -45,6 +49,7 @@ from .words import (
     left_decomposition,
     mask_letters,
     perm_of,
+    reduced_perm,
     right_groups,
 )
 
@@ -174,7 +179,7 @@ def a_bruteforce(cfg: GroupConfig, word, bound: int = 12) -> int:
         raise ValueError(f"word length {len(word)} exceeds bound {bound}")
     # a letter x extends a block (a bitmask of its letters) unless the
     # block already holds x or a neighbour of x
-    clash = [m | 1 << x for x, m in enumerate(cfg.masks)]
+    clash = {x: 1 << x | sum(1 << y for y in cfg.neighbours_of(x)) for x in set(word)}
     best = 0
     for u in commutation_class(cfg, word):
         for a in range(len(u) - best):
@@ -203,28 +208,21 @@ def cancellable(cfg: GroupConfig, word, s: int, side: str) -> int | None:
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     cfg.check_generator(s)
-    left = side == "left"
-    if not descent_mask(cfg.masks, word, left) >> s & 1:
+    t = absorbers(cfg, word, side == "left").get(s)
+    if t is None:
         raise ValueError(f"{s} is not a {side} descent")
-    return _absorber(cfg.masks, word, s, left)
-
-
-def _absorber(masks: tuple[int, ...], word: Word, s: int, left: bool) -> int | None:
-    # the smallest neighbour of s that is a descent of the word without s
-    found = descent_mask(masks, drop_letter(word, s, left), left) & masks[s]
-    return (found & -found).bit_length() - 1 if found else None
+    return t or None
 
 
 def _cancel_options(
     cfg: GroupConfig, word: Word, sides: tuple[str, ...] = ("left", "right")
 ) -> list[CancelStep]:
     # by side in the given order, then by descent: seeded choices rely on it
-    masks = cfg.masks
     return [
         CancelStep(side, s, t)
         for side in sides
-        for s in mask_letters(descent_mask(masks, word, side == "left"))
-        if (t := _absorber(masks, word, s, side == "left")) is not None
+        for s, t in absorbers(cfg, word, side == "left").items()
+        if t
     ]
 
 
@@ -346,25 +344,21 @@ def involution_decompose(
     p = perm_of(cfg, w)
     if not p.is_involution():
         raise ValueError("element is not an involution")
-    masks = cfg.masks
     x: list[int] = []
-    while any(masks[a] >> b & 1 for a in w for b in w):
-        options = []
-        for s in mask_letters(descent_mask(masks, w, True)):
-            rest = drop_letter(w, s, True)
-            if descent_mask(masks, rest, False) >> s & 1:
-                options.append((s, drop_letter(rest, s, False)))
+    while (left := descent_mask(cfg, w, True)).bit_count() < len(w):
+        both = left & descent_mask(cfg, w, False)
+        options = [s for s in mask_letters(both) if w.count(s) > 1]
         if not options:
             raise InvariantError("involution with entangled support but no conjugating descent")
-        s, w = options[0] if rng is None else rng.choice(options)
+        s = options[0] if rng is None else rng.choice(options)
+        w = drop_letter(drop_letter(w, s, True), s, False)
         x.append(s)
-    core = frozenset(w)
-    if len(w) != len(core):
-        raise InvariantError("terminal element is not a commuting block")
+    core = frozenset(w)  # w is an antichain: distinct, commuting letters
     full = tuple(x) + tuple(sorted(core)) + tuple(reversed(x))
-    if perm_of(cfg, full).length() != len(full):
+    q = reduced_perm(cfg, full)
+    if q is None:
         raise InvariantError("decomposition is not reduced")
-    if perm_of(cfg, full) != p:
+    if q != p:
         raise InvariantError("decomposition does not multiply back")
     return InvolutionDecomposition(tuple(x), core)
 
@@ -387,8 +381,8 @@ def right_cell_involution(cfg: GroupConfig, word) -> Word | str:
     y = tuple(s for g in head for s in sorted(g))
     q = tuple(s for g in tail for s in sorted(g))
     d = y + q + tuple(reversed(y))
-    p = perm_of(cfg, d)
-    if p.length() != len(d):
+    p = reduced_perm(cfg, d)
+    if p is None:
         raise InvariantError("involution candidate is not reduced")
     if not p.is_involution():
         raise InvariantError("involution candidate is not an involution")

@@ -4,9 +4,10 @@ Generators are indexed 1..n and sit on a cycle: s_i and s_j satisfy the
 braid relation exactly when i and j are consecutive modulo n, and commute
 otherwise.  For n == 3 every pair is adjacent.  n >= 3 throughout.
 
-Public methods validate their generator indices.  Internal loops read the
-adjacency bitmasks in `masks` (built on first use) instead, on letters
-already checked at the entry point that received them.
+Public methods validate their generator indices.  The heap loops of
+`afftl.words` test adjacency by arithmetic on letters already checked at
+the entry point that received them: the neighbours of x are x - 1 or n
+and x % n + 1.
 """
 
 from __future__ import annotations
@@ -22,13 +23,6 @@ class GroupConfig:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"need at least 3 generators, got n={self.n}")
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Adjacency bitmasks: bit j of masks[i] is set when s_i and s_j do
-        not commute (masks[0] is 0).  Unchecked: indices outside 1..n are
-        the caller's responsibility.  Built on first use: about n*n/2 bits."""
-        return _adjacency_masks(self.n)
 
     @cached_property
     def letters(self) -> frozenset[int]:
@@ -73,14 +67,6 @@ class GroupConfig:
         odd = frozenset(range(1, self.n, 2))
         even = frozenset(range(2, self.n + 1, 2))
         return odd, even
-
-
-def _adjacency_masks(n: int) -> tuple[int, ...]:
-    masks = [0]
-    for i in range(1, n + 1):
-        before, after = (i - 2) % n + 1, i % n + 1
-        masks.append(1 << before | 1 << after)
-    return tuple(masks)
 
 
 @lru_cache(maxsize=1 << 5)

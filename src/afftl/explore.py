@@ -131,10 +131,11 @@ def oracle_counts(cfg: GroupConfig, max_len: int, cap: int | None = None) -> dic
         nxt = []
         for p, w in frontier:
             for s in cfg.generators():
+                # p has length ln - 1, so p s has length ln when p ascends at s
+                if not p.ascends(s):
+                    continue
                 p2 = p.times_generator(s)
                 if p2.window in seen or p2.window in rejected:
-                    continue
-                if p2.length() != ln:
                     continue
                 w2 = w + (s,)
                 if not heap_is_fc(cfg, w2):

@@ -80,16 +80,11 @@ def render_ascii(d: AffineDiagram) -> str:
     lines.extend(_arc_rows(n, bottom_arcs, toward_row=False))
     lines.append("B: " + label_row[3:])
     lines.append("edges:")
-    for p, q in sorted(top_arcs):
-        mark = "" if q <= n else f" (wraps +{(q - class_of(n, q)) // n})"
-        lines.append(f"  T{p}-T{q}{mark}")
-    for p, q in sorted(verticals):
-        off = (q - class_of(n, q)) // n
-        mark = "" if off == 0 else f" (wraps {off:+d})"
-        lines.append(f"  T{p}-B{q}{mark}")
-    for p, q in sorted(bottom_arcs):
-        mark = "" if q <= n else f" (wraps +{(q - class_of(n, q)) // n})"
-        lines.append(f"  B{p}-B{q}{mark}")
+    for (r1, r2), edges in (("TT", top_arcs), ("TB", verticals), ("BB", bottom_arcs)):
+        for p, q in sorted(edges):
+            off = (q - class_of(n, q)) // n
+            mark = f" (wraps {off:+d})" if off else ""
+            lines.append(f"  {r1}{p}-{r2}{q}{mark}")
     if d.loops:
         lines.append(f"  loops x{d.loops}")
     return "\n".join(line.rstrip() for line in lines) + "\n"
@@ -116,46 +111,21 @@ def render_svg(d: AffineDiagram) -> str:
         'stroke="#bbb" stroke-dasharray="4 3"/>',
     ]
 
-    def draw_translates(emit, lo: int, hi: int) -> None:
-        # draw every period translate whose span meets the window frame
-        reach = (hi - lo) // n + 2
-        for m in range(-reach, reach + 1):
-            if x(hi + m * n) < 0 or x(lo + m * n) > width:
-                continue
-            parts.append(emit(m * n))
-
-    for p, q in top_arcs:
-        depth = 18 + 9 * min(abs(q - p) - 1, 4)
-        draw_translates(
-            lambda off, p=p, q=q, depth=depth: (
-                f'<path d="M {x(p + off)} {y_top} C {x(p + off)} {y_top + depth}, '
-                f'{x(q + off)} {y_top + depth}, {x(q + off)} {y_top}" '
-                'fill="none" stroke="black"/>'
-            ),
-            p,
-            q,
-        )
-    for p, q in bottom_arcs:
-        depth = 18 + 9 * min(abs(q - p) - 1, 4)
-        draw_translates(
-            lambda off, p=p, q=q, depth=depth: (
-                f'<path d="M {x(p + off)} {y_bot} C {x(p + off)} {y_bot - depth}, '
-                f'{x(q + off)} {y_bot - depth}, {x(q + off)} {y_bot}" '
-                'fill="none" stroke="black"/>'
-            ),
-            p,
-            q,
-        )
-    for p, q in verticals:
-        draw_translates(
-            lambda off, p=p, q=q: (
-                f'<path d="M {x(p + off)} {y_top} C {x(p + off)} {y_top + 45}, '
-                f'{x(q + off)} {y_bot - 45}, {x(q + off)} {y_bot}" '
-                'fill="none" stroke="black"/>'
-            ),
-            min(p, q),
-            max(p, q),
-        )
+    # each end bows into the strip: an arc by its span, a vertical by 45
+    for edges, y1, y2 in ((top_arcs, y_top, y_top), (bottom_arcs, y_bot, y_bot),
+                          (verticals, y_top, y_bot)):
+        for p, q in edges:
+            bow = 45 if y1 != y2 else 18 + 9 * min(abs(q - p) - 1, 4)
+            c1, c2 = (y + bow if y == y_top else y - bow for y in (y1, y2))
+            lo, hi = min(p, q), max(p, q)
+            reach = (hi - lo) // n + 2
+            # every period translate whose span meets the window frame
+            for off in range(-reach * n, reach * n + 1, n):
+                if x(hi + off) >= 0 and x(lo + off) <= width:
+                    parts.append(
+                        f'<path d="M {x(p + off)} {y1} C {x(p + off)} {c1}, '
+                        f'{x(q + off)} {c2}, {x(q + off)} {y2}" fill="none" stroke="black"/>'
+                    )
     mid = (y_top + y_bot) / 2
     for k in range(d.loops):
         y = mid + 10 * (k - (d.loops - 1) / 2)

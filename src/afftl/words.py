@@ -11,14 +11,19 @@ elements and right descents its maximal ones, so one scan of the word
 finds each descent set (`descent_mask`), and peeling minimal elements
 layer by layer gives the left decomposition.  The obstruction produced by
 appending a letter that breaks full commutativity is read off the heap of
-the extended word (`_braid_split`).
+the extended word (`_braid_split`).  Removing the first s, a left
+descent, makes a neighbour t of s a left descent exactly when the first t
+has one lower neighbour occurrence, the first s, so one scan answers this
+for every s (`absorbers`); the right side is the mirror image.
 
 The module also hosts an affine-permutation model of the group (window
 notation), used throughout as an independent oracle for lengths, element
-identity and involution tests.
+identity and involution tests; a word is reduced when each letter ascends
+(`reduced_perm`).
 
-Public functions check their words and generators; the loops inside test
-adjacency with one lookup in the configuration's bitmasks.
+Public functions check their words and generators.  The loops inside, and
+no other module's, test adjacency by arithmetic: the neighbours of x are
+x - 1 or n and x % n + 1.
 """
 
 from __future__ import annotations
@@ -46,20 +51,40 @@ def support(word) -> frozenset[int]:
     return frozenset(word)
 
 
-def descent_mask(masks: tuple[int, ...], word: Word, left: bool) -> int:
+def descent_mask(cfg: GroupConfig, word: Word, left: bool) -> int:
     """Left (or right) descent set of a word as a bitmask, in one scan.
 
     A letter is a descent when its first (last) occurrence has no earlier
     (later) adjacent letter, that is when it is a minimal (maximal) element
-    of the heap.  `masks` is `GroupConfig.masks`; the letters are not
-    checked.
+    of the heap.  The letters are not checked.
     """
+    n = cfg.n
     blocked = found = 0
     for x in word if left else reversed(word):
         if not blocked >> x & 1:
             found |= 1 << x
-        blocked |= masks[x]
+        blocked |= 1 << (x - 1 or n) | 1 << (x % n + 1)
     return found
+
+
+def absorbers(cfg: GroupConfig, word: Word, left: bool) -> dict[int, int]:
+    """Each left (right) descent s, ascending, mapped to the smallest
+    neighbour of s that is a descent of the word without its first (last)
+    s, or to 0 when there is none.  The letters are not checked."""
+    n = cfg.n
+    count: dict[int, int] = {}  # occurrences of each letter scanned so far
+    found: dict[int, int] = {}
+    for x in word if left else reversed(word):
+        if x not in count:
+            a, b = x - 1 or n, x % n + 1
+            below = count.get(a, 0) + count.get(b, 0)
+            s = a if a in count else b  # the lower neighbour when below == 1
+            if not below:
+                found[x] = 0
+            elif below == 1 and s in found and not 0 < found[s] < x:
+                found[s] = x
+        count[x] = count.get(x, 0) + 1
+    return dict(sorted(found.items()))
 
 
 def mask_letters(mask: int) -> list[int]:
@@ -87,7 +112,7 @@ def greedy_front(cfg: GroupConfig, word, s: int) -> Word | None:
     """
     cfg.check_generator(s)
     word = check_word(cfg, word)
-    if descent_mask(cfg.masks, word, True) >> s & 1:
+    if descent_mask(cfg, word, True) >> s & 1:
         return (s,) + drop_letter(word, s, True)
     return None
 
@@ -96,31 +121,31 @@ def greedy_back(cfg: GroupConfig, word, s: int) -> Word | None:
     """Mirror of greedy_front: a word for the same element ending with s."""
     cfg.check_generator(s)
     word = check_word(cfg, word)
-    if descent_mask(cfg.masks, word, False) >> s & 1:
+    if descent_mask(cfg, word, False) >> s & 1:
         return drop_letter(word, s, False) + (s,)
     return None
 
 
 def left_descents(cfg: GroupConfig, word) -> frozenset[int]:
     """Left descent set of an FC element given by a reduced word."""
-    return frozenset(mask_letters(descent_mask(cfg.masks, check_word(cfg, word), True)))
+    return frozenset(mask_letters(descent_mask(cfg, check_word(cfg, word), True)))
 
 
 def right_descents(cfg: GroupConfig, word) -> frozenset[int]:
-    return frozenset(mask_letters(descent_mask(cfg.masks, check_word(cfg, word), False)))
+    return frozenset(mask_letters(descent_mask(cfg, check_word(cfg, word), False)))
 
 
 def commutation_class(cfg: GroupConfig, word, cap: int = 500_000) -> frozenset[Word]:
     """All words obtainable by swapping adjacent commuting letters."""
     start = check_word(cfg, word)
-    masks = cfg.masks
+    n = cfg.n
     seen = {start}
     stack = [start]
     while stack:
         w = stack.pop()
         for i in range(len(w) - 1):
             a, b = w[i], w[i + 1]
-            if a != b and not masks[a] >> b & 1:
+            if (a - b) % n not in (0, 1, n - 1):
                 w2 = w[:i] + (b, a) + w[i + 2:]
                 if w2 not in seen:
                     if len(seen) >= cap:
@@ -138,16 +163,15 @@ def _heap_reach(cfg: GroupConfig, word: Word) -> list[int]:
     Only the next occurrence of each letter equal or adjacent to word[i]
     needs a look, since every later occurrence of that letter lies above it.
     """
-    masks = cfg.masks
+    n = cfg.n
     reach = [0] * len(word)
-    after = [-1] * len(masks)  # after[y]: the next position holding y
+    after: dict[int, int] = {}  # after[y]: the next position holding y
     for i in range(len(word) - 1, -1, -1):
-        x, near = word[i], masks[word[i]]
+        x = word[i]
         r = 0
-        # the letter itself and its two neighbours, the bits of masks[x]
-        for y in (x, (near & -near).bit_length() - 1, near.bit_length() - 1):
-            j = after[y]
-            if j >= 0:
+        for y in (x, x - 1 or n, x % n + 1):
+            if y in after:
+                j = after[y]
                 r |= 1 << j | reach[j]
         reach[i] = r
         after[x] = i
@@ -219,7 +243,7 @@ def is_fc_reduced(cfg: GroupConfig, word) -> bool:
     """Whether the word is a reduced expression of a fully commutative
     element.  Reducedness comes from the affine-permutation oracle."""
     word = check_word(cfg, word)
-    if to_affine_permutation(cfg, word).length() != len(word):
+    if reduced_perm(cfg, word) is None:
         return False
     return heap_is_fc(cfg, word)
 
@@ -244,7 +268,7 @@ def braid_witness(cfg: GroupConfig, word, t: int) -> BraidWitness:
     cfg.check_generator(t)
     if not is_fc_reduced(cfg, word):
         raise ValueError("word must be a reduced word of a fully commutative element")
-    if descent_mask(cfg.masks, word, False) >> t & 1:
+    if descent_mask(cfg, word, False) >> t & 1:
         raise ValueError("the letter is a right descent: appending it shortens the element")
     wit = _braid_split(cfg, word, t)
     if wit is None:
@@ -349,6 +373,10 @@ class AffinePermutation:
             out[c - 1] = i - (v - c)
         return AffinePermutation._trusted(self.n, tuple(out))
 
+    def ascends(self, i: int) -> bool:
+        """Whether l(self * s_i) = l(self) + 1 (Bjorner-Brenti 8.3)."""
+        return self.image(i) < self.image(i + 1)
+
     def length(self) -> int:
         """Coxeter length (periodic inversion count)."""
         w = self.window
@@ -367,6 +395,16 @@ def to_affine_permutation(cfg: GroupConfig, word) -> AffinePermutation:
     word = check_word(cfg, word)
     p = AffinePermutation.identity(cfg.n)
     for s in word:
+        p = p.times_generator(s)
+    return p
+
+
+def reduced_perm(cfg: GroupConfig, word) -> AffinePermutation | None:
+    """The word's affine permutation, or None if the word is not reduced."""
+    p = AffinePermutation.identity(cfg.n)
+    for s in check_word(cfg, word):
+        if not p.ascends(s):
+            return None
         p = p.times_generator(s)
     return p
 
@@ -401,10 +439,10 @@ def left_decomposition(cfg: GroupConfig, word) -> LeftDecomposition:
     letter goes one layer above the highest layer holding an equal or
     adjacent letter (so letters in one layer commute), and one scan builds
     every layer as a bitmask."""
-    masks = cfg.masks
+    n = cfg.n
     layers: list[int] = []
     for x in check_word(cfg, word):
-        near = masks[x] | 1 << x
+        near = 1 << x | 1 << (x - 1 or n) | 1 << (x % n + 1)
         k = len(layers)
         while k and not layers[k - 1] & near:
             k -= 1

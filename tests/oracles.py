@@ -30,10 +30,15 @@ sorted commutation class, where the library reads it off the heap.
 kinds, where the library stops at the first kind that qualifies.
 `nu_vector_per_class` counts each line's crossings edge by edge, where
 the library adds every edge's runs to a difference array in one pass.
+`absorber_by_rescan` drops one descent and rescans the rest for each
+descent, and `involution_decompose_by_rescan` conjugates away a letter
+only after dropping it from the front and rescanning the rest, while some
+pair of the word's letters is adjacent; the library reads every descent's
+absorber, and the letters to conjugate away, off one scan per side.
 """
 
 from afftl.algebra import AlgebraElement
-from afftl.cells import CancelStep, ReduceResult
+from afftl.cells import CancelStep, InvolutionDecomposition, ReduceResult
 from afftl.diagrams import (
     BOT,
     TOP,
@@ -57,7 +62,16 @@ from afftl.diagrams import (
 )
 from afftl.laurent import ZERO, delta_power
 from afftl.straightening import _innermost_cover, stack
-from afftl.words import BraidWitness, braid_witness, check_word, greedy_back, greedy_front
+from afftl.words import (
+    BraidWitness,
+    braid_witness,
+    check_word,
+    descent_mask,
+    drop_letter,
+    greedy_back,
+    greedy_front,
+    mask_letters,
+)
 
 
 def crosses(e1, e2) -> bool:
@@ -505,3 +519,26 @@ def congruence_candidates(d: AffineDiagram) -> dict[str, dict[int, tuple | None]
             if end == other and j >= k + 1:
                 out[side + "2"][class_of(n, k - 1)] = (k,)
     return out
+
+
+def absorber_by_rescan(cfg, word, s, left):
+    """The smallest neighbour of the descent s that is a descent, on the
+    same side, of the word without its first (last) s, or 0."""
+    rest = descent_mask(cfg, drop_letter(word, s, left), left)
+    return next((t for t in cfg.neighbours_of(s) if rest >> t & 1), 0)
+
+
+def involution_decompose_by_rescan(cfg, word, rng=None):
+    """involution_decompose by the pair test and one drop and rescan per
+    left descent; the word must be a reduced word of an FC involution."""
+    w = check_word(cfg, word)
+    x = []
+    while any(cfg.adjacent(a, b) for a in w for b in w):
+        options = []
+        for s in mask_letters(descent_mask(cfg, w, True)):
+            rest = drop_letter(w, s, True)
+            if descent_mask(cfg, rest, False) >> s & 1:
+                options.append((s, drop_letter(rest, s, False)))
+        s, w = options[0] if rng is None else rng.choice(options)
+        x.append(s)
+    return InvolutionDecomposition(tuple(x), frozenset(w))

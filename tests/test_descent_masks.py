@@ -87,9 +87,9 @@ class TestArbitraryWords:
     def test_dropping_a_descent_matches_the_greedy_move(self, case):
         n, word = case
         cfg = GroupConfig(n)
-        for s in mask_letters(descent_mask(cfg.masks, word, True)):
+        for s in mask_letters(descent_mask(cfg, word, True)):
             assert drop_letter(word, s, True) == greedy_front(cfg, word, s)[1:]
-        for s in mask_letters(descent_mask(cfg.masks, word, False)):
+        for s in mask_letters(descent_mask(cfg, word, False)):
             assert drop_letter(word, s, False) == greedy_back(cfg, word, s)[:-1]
 
     def test_mask_letters_ascending(self):

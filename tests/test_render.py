@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 
 from afftl.config import GroupConfig
 from afftl.diagrams import generator, identity
+from afftl.explore import enumerate_elements
 from afftl.render import render, render_ascii, render_svg
 from afftl.straightening import stack
 
@@ -56,3 +59,16 @@ class TestDispatch:
         assert render(d, "svg") == render_svg(d)
         with pytest.raises(ValueError):
             render(d, "png")
+
+
+def test_every_small_diagram_renders_as_pinned():
+    """ascii and svg of every element at n = 3, 4, 5, 6, 8 up to length
+    8, 9, 7, 6, 5, hashed in enumeration order: the output byte for byte."""
+    digest = hashlib.sha256()
+    for n, max_len in ((3, 8), (4, 9), (5, 7), (6, 6), (8, 5)):
+        for rec in enumerate_elements(GroupConfig(n), max_len, with_labels=False):
+            digest.update(render_ascii(rec.diagram).encode())
+            digest.update(render_svg(rec.diagram).encode())
+    assert digest.hexdigest() == (
+        "3e276333c9d23dd3553b2c5decc3583e78011b60ab95a91bcaf450d01e9b71ff"
+    )

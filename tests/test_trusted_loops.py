@@ -1,6 +1,6 @@
 """Internal loops that trust their input, against the validating oracles.
 
-The word layer tests adjacency with bitmasks and keeps the heap order as
+The word layer tests adjacency by arithmetic and keeps the heap order as
 bitmasks, `straight_diagram` checks the generator set instead of the built
 diagram, and `multiply` and `is_straight` read the window arrays directly.
 Each is compared with the old formulation kept in `tests/oracles.py`; the
@@ -45,6 +45,7 @@ from afftl.straightening import is_straight, stack
 from afftl.words import (
     _heap_reach,
     commutation_class,
+    descent_mask,
     greedy_back,
     greedy_front,
     heap_is_fc,
@@ -74,13 +75,15 @@ def class_or_overflow(fn, cfg, word):
 
 class TestAdjacencyMasks:
     def test_masks_equal_adjacent(self):
+        # j is a left descent of (i, j), and i a right one, unless i and j
+        # are adjacent
         for n in range(3, 13):
             cfg = GroupConfig(n)
-            masks = cfg.masks
-            assert len(masks) == n + 1 and masks[0] == 0
             for i in cfg.generators():
                 for j in cfg.generators():
-                    assert bool(masks[i] >> j & 1) == cfg.adjacent(i, j), (n, i, j)
+                    apart = 0 if cfg.adjacent(i, j) else 1
+                    assert descent_mask(cfg, (i, j), True) == 1 << i | apart << j, (n, i, j)
+                    assert descent_mask(cfg, (i, j), False) == 1 << j | apart << i, (n, i, j)
 
     def test_a_bruteforce_equals_adjacent_scan(self):
         for n in range(3, 8):
