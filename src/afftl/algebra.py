@@ -7,9 +7,9 @@ is bilinear diagram stacking with delta bookkeeping.
 
 `rewrite_mul` is an independent engine computing basis-times-generator
 products purely at word level, using only the defining relations and the
-braid witness that `words._braid_split` reads off the heap of the word;
-it never touches diagrams or affine permutations and exists so the
-engines can be played against each other.
+descents and braid witness that `words` reads off the heap, one pass each;
+it never touches diagrams, affine permutations or the oracle's FC test,
+and exists so the engines can be played against each other.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .laurent import (
     ONE, ZERO, LaurentPoly, delta_power, json_int, json_list, norm1, pack, product_bits, unpack
 )
 from .straightening import stack, straighten
-from .words import _braid_split, check_word, descent_mask
+from .words import _braid_split, absorbers, check_word
 
 Word = tuple[int, ...]
 
@@ -218,7 +218,7 @@ def rewrite_mul(cfg: GroupConfig, word, s: int) -> tuple[int, Word]:
 
 @lru_cache(maxsize=1 << 18)
 def _rewrite_mul_cached(cfg: GroupConfig, word: Word, s: int) -> tuple[int, Word]:
-    if descent_mask(cfg, word, False) >> s & 1:
+    if s in absorbers(cfg, word, False):
         # s is a right descent: the square relation contributes one delta
         return 1, word
     wit = _braid_split(cfg, word, s)

@@ -13,19 +13,21 @@ outside the non-square alternating family contains exactly one involution.
 
 Descents are read off the heap of a reduced word (Stembridge 1996, *On
 the fully commutative elements of Coxeter groups*): the left descents are
-its minimal elements and the right descents its maximal ones, one scan per
-side (`words.descent_mask`).  Cancellation is decided on words.  Write
-w = s u for a left descent s, u being w with the first occurrence of s
-removed; an adjacent t absorbs s (E_t E_w = E_u) exactly when t is a left
-descent of u.  If u = t v, then E_t E_s E_t = E_t gives
+its minimal elements and the right descents its maximal ones.  One scan
+per side (`words.absorbers`) finds the descents of that side, ascending,
+each with the neighbour that absorbs it.  Cancellation is decided on
+words.  Write w = s u for a left descent s, u being w with the first
+occurrence of s removed; an adjacent t absorbs s (E_t E_w = E_u) exactly
+when t is a left descent of u.  If u = t v, then E_t E_s E_t = E_t gives
 E_t E_w = E_t E_v = E_u.  Conversely, a loop-free E_t E_w has the minimal
 arc (t, t+1) on its top row, and the top minimal arcs of a word's diagram
 are its left descents.  The right side is the mirror image, with the last
 occurrence of s removed.  t is a descent of u exactly when the first t
-has one lower neighbour occurrence, the first s (`words.absorbers`).  An
-involution w = s u s sheds a letter s that is a descent on both sides and
-occurs twice until its heap is an antichain.  A commuting block that some
-reduced word holds as a contiguous factor is an antichain of the heap, so a(w) is the heap's
+has one lower neighbour occurrence, the first s.  An involution w = s u s
+sheds a letter s that is a descent on both sides and occurs twice until
+every letter is a left descent: its heap is an antichain.  A commuting
+block that some reduced word holds as a contiguous factor is an antichain
+of the heap, so a(w) is the heap's
 width (`words.heap_width`); `a_bruteforce` is the definition by exhaustion.
 """
 
@@ -44,10 +46,8 @@ from .words import (
     absorbers,
     check_word,
     commutation_class,
-    descent_mask,
     drop_letter,
     left_decomposition,
-    mask_letters,
     perm_of,
     reduced_perm,
     right_groups,
@@ -345,9 +345,9 @@ def involution_decompose(
     if not p.is_involution():
         raise ValueError("element is not an involution")
     x: list[int] = []
-    while (left := descent_mask(cfg, w, True)).bit_count() < len(w):
-        both = left & descent_mask(cfg, w, False)
-        options = [s for s in mask_letters(both) if w.count(s) > 1]
+    while len(left := absorbers(cfg, w, True)) < len(w):
+        right = absorbers(cfg, w, False)
+        options = [s for s in left if s in right and w.count(s) > 1]
         if not options:
             raise InvariantError("involution with entangled support but no conjugating descent")
         s = options[0] if rng is None else rng.choice(options)

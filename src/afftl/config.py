@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 
 @dataclass(frozen=True)
@@ -73,14 +74,10 @@ class GroupConfig:
 def _independent_sets(n: int) -> tuple[frozenset[int], ...]:
     if n > 20:
         raise ValueError("independent-set enumeration capped at n <= 20")
-    out = []
-    for mask in range(1 << n):
-        ok = True
-        for i in range(n):
-            if mask >> i & 1 and mask >> ((i + 1) % n) & 1:
-                ok = False
-                break
-        if ok:
-            out.append(frozenset(i + 1 for i in range(n) if mask >> i & 1))
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return tuple(out)
+    # by size, then lexicographically: the order combinations come in
+    return tuple(
+        frozenset(c)
+        for k in range(n // 2 + 1)
+        for c in combinations(range(1, n + 1), k)
+        if all(b - a > 1 for a, b in zip(c, c[1:])) and not (k > 1 and c[0] == 1 and c[-1] == n)
+    )

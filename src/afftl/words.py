@@ -6,15 +6,17 @@ expressions contain a factor sts with s, t adjacent.  A reduced word of an
 FC element has a single commutation class, so the element is its heap: the
 positions of the word, ordered by the transitive closure of "i < j and the
 letters are equal or adjacent" (Stembridge 1996, *On the fully commutative
-elements of Coxeter groups*).  Left descents are the heap's minimal
-elements and right descents its maximal ones, so one scan of the word
-finds each descent set (`descent_mask`), and peeling minimal elements
-layer by layer gives the left decomposition.  The obstruction produced by
-appending a letter that breaks full commutativity is read off the heap of
-the extended word (`_braid_split`).  Removing the first s, a left
-descent, makes a neighbour t of s a left descent exactly when the first t
-has one lower neighbour occurrence, the first s, so one scan answers this
-for every s (`absorbers`); the right side is the mirror image.
+elements of Coxeter groups*).  Letters are kept as counts, sets and
+layers keyed by letter, so every heap question but the width (`heap_width`,
+on reachability bitmasks over positions) is one pass over the word, in time
+independent of n.  A letter is a left (right) descent, a minimal (maximal)
+element, when no neighbour occurs before its first (after its last)
+occurrence; removing the first s, a left descent, makes a neighbour t a
+left descent exactly when the first t has one lower neighbour occurrence,
+the first s (`absorbers`).  Between consecutive occurrences of a letter in
+a reduced FC word lie at least two neighbour occurrences (`heap_is_fc`),
+which also locates the obstruction that appending a letter can produce
+(`_braid_split`).
 
 The module also hosts an affine-permutation model of the group (window
 notation), used throughout as an independent oracle for lengths, element
@@ -51,26 +53,12 @@ def support(word) -> frozenset[int]:
     return frozenset(word)
 
 
-def descent_mask(cfg: GroupConfig, word: Word, left: bool) -> int:
-    """Left (or right) descent set of a word as a bitmask, in one scan.
-
-    A letter is a descent when its first (last) occurrence has no earlier
-    (later) adjacent letter, that is when it is a minimal (maximal) element
-    of the heap.  The letters are not checked.
-    """
-    n = cfg.n
-    blocked = found = 0
-    for x in word if left else reversed(word):
-        if not blocked >> x & 1:
-            found |= 1 << x
-        blocked |= 1 << (x - 1 or n) | 1 << (x % n + 1)
-    return found
-
-
 def absorbers(cfg: GroupConfig, word: Word, left: bool) -> dict[int, int]:
     """Each left (right) descent s, ascending, mapped to the smallest
     neighbour of s that is a descent of the word without its first (last)
-    s, or to 0 when there is none.  The letters are not checked."""
+    s, or to 0 when there is none; the keys are the descent set.  A letter
+    is a descent when no neighbour occurs before its first (after its last)
+    occurrence.  The letters are not checked."""
     n = cfg.n
     count: dict[int, int] = {}  # occurrences of each letter scanned so far
     found: dict[int, int] = {}
@@ -85,11 +73,6 @@ def absorbers(cfg: GroupConfig, word: Word, left: bool) -> dict[int, int]:
                 found[s] = x
         count[x] = count.get(x, 0) + 1
     return dict(sorted(found.items()))
-
-
-def mask_letters(mask: int) -> list[int]:
-    """The letters of a bitmask, ascending."""
-    return [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
 def drop_letter(word: Word, s: int, left: bool) -> Word:
@@ -112,7 +95,7 @@ def greedy_front(cfg: GroupConfig, word, s: int) -> Word | None:
     """
     cfg.check_generator(s)
     word = check_word(cfg, word)
-    if descent_mask(cfg, word, True) >> s & 1:
+    if s in absorbers(cfg, word, True):
         return (s,) + drop_letter(word, s, True)
     return None
 
@@ -121,18 +104,18 @@ def greedy_back(cfg: GroupConfig, word, s: int) -> Word | None:
     """Mirror of greedy_front: a word for the same element ending with s."""
     cfg.check_generator(s)
     word = check_word(cfg, word)
-    if descent_mask(cfg, word, False) >> s & 1:
+    if s in absorbers(cfg, word, False):
         return drop_letter(word, s, False) + (s,)
     return None
 
 
 def left_descents(cfg: GroupConfig, word) -> frozenset[int]:
     """Left descent set of an FC element given by a reduced word."""
-    return frozenset(mask_letters(descent_mask(cfg, check_word(cfg, word), True)))
+    return frozenset(absorbers(cfg, check_word(cfg, word), True))
 
 
 def right_descents(cfg: GroupConfig, word) -> frozenset[int]:
-    return frozenset(mask_letters(descent_mask(cfg, check_word(cfg, word), False)))
+    return frozenset(absorbers(cfg, check_word(cfg, word), False))
 
 
 def commutation_class(cfg: GroupConfig, word, cap: int = 500_000) -> frozenset[Word]:
@@ -217,25 +200,23 @@ def heap_width(cfg: GroupConfig, word) -> int:
     return unowned.bit_count()
 
 
-def _between(reach: list[int], x: int, z: int) -> int:
-    """The heap positions strictly between positions x < z, as a bitmask."""
-    return sum(1 << u for u in range(x + 1, z) if reach[x] >> u & 1 and reach[u] >> z & 1)
-
-
 def heap_is_fc(cfg: GroupConfig, word) -> bool:
     """FC test for a word already known to be reduced.
 
-    Between two consecutive occurrences of a letter s in the heap order
-    there must lie at least two other elements; exactly one means some
-    commutation-equivalent word contains a braid factor sts.
+    Every neighbour occurrence between consecutive occurrences of a letter
+    s lies between them in the heap, and every chain from one s to the
+    next leaves and enters through one, so with at most one of them some
+    commutation-equivalent word contains ss or sts (Stembridge 1996).
     """
-    word = check_word(cfg, word)
-    reach = _heap_reach(cfg, word)
-    last: dict[int, int] = {}
-    for z, s in enumerate(word):
-        if s in last and _between(reach, last[s], z).bit_count() <= 1:
+    n = cfg.n
+    since: dict[int, int] = {}  # neighbour occurrences since x last occurred
+    for x in check_word(cfg, word):
+        if since.get(x, 2) <= 1:
             return False
-        last[s] = z
+        since[x] = 0
+        for y in (x - 1 or n, x % n + 1):
+            if y in since:
+                since[y] += 1
     return True
 
 
@@ -268,7 +249,7 @@ def braid_witness(cfg: GroupConfig, word, t: int) -> BraidWitness:
     cfg.check_generator(t)
     if not is_fc_reduced(cfg, word):
         raise ValueError("word must be a reduced word of a fully commutative element")
-    if descent_mask(cfg, word, False) >> t & 1:
+    if t in absorbers(cfg, word, False):
         raise ValueError("the letter is a right descent: appending it shortens the element")
     wit = _braid_split(cfg, word, t)
     if wit is None:
@@ -280,28 +261,32 @@ def _braid_split(cfg: GroupConfig, word: Word, t: int) -> BraidWitness | None:
     """None when word + (t,) is FC, else its braid witness; the word is
     reduced FC and t is not one of its right descents.
 
-    Let p be the last t of the word.  The positions above p in the heap of
-    word + (t,) all come after p, so the heap of word[p:] + (t,) has them:
-    call them U.  The extension is FC unless exactly one position s of U
-    lies below the appended t; then the rest, w1, is an order ideal, s is
-    minimal in U, and no letter of w2 = U - {s} is adjacent to t, so
-    word = w1 t s w2 up to commutations.
+    Let p be the last t of the word.  As in `heap_is_fc`, the extension is
+    FC unless exactly one neighbour occurrence s of t comes after p.  The
+    positions above p, U, come after p, each with a letter equal or
+    adjacent to that of p or of an earlier position of U, so s is the first
+    of them.  The rest, w1, is an order ideal, and no letter of
+    w2 = U - {s} is adjacent to t, so word = w1 t s w2 up to commutations.
     """
     if t not in word:
         return None
+    n = cfg.n
     p = len(word) - 1 - word[::-1].index(t)
-    tail = word[p:] + (t,)
-    reach = _heap_reach(cfg, tail)
-    between = _between(reach, 0, len(tail) - 1)
-    if not between:
+    tail = word[p + 1:]
+    hits = tail.count(t - 1 or n) + tail.count(t % n + 1)
+    if not hits:
         raise InvariantError("the appended letter is a right descent")
-    if between & (between - 1):
+    if hits > 1:
         return None
-    s = between.bit_length() - 1
-    up, inner = reach[0], range(1, len(tail) - 1)
-    w1 = word[:p] + tuple(tail[i] for i in inner if not up >> i & 1)
-    w2 = tuple(tail[i] for i in inner if up >> i & 1 and i != s)
-    return BraidWitness(w1, tail[s], w2)
+    w1, up = list(word[:p]), []
+    above = {t}  # the letters of p and of U so far
+    for x in tail:
+        if above.isdisjoint((x, x - 1 or n, x % n + 1)):
+            w1.append(x)
+        else:
+            above.add(x)
+            up.append(x)
+    return BraidWitness(tuple(w1), up[0], tuple(up[1:]))
 
 
 @dataclass(frozen=True)
@@ -437,19 +422,19 @@ class LeftDecomposition(NamedTuple):
 def left_decomposition(cfg: GroupConfig, word) -> LeftDecomposition:
     """Left decomposition of an FC element given by a reduced word: each
     letter goes one layer above the highest layer holding an equal or
-    adjacent letter (so letters in one layer commute), and one scan builds
-    every layer as a bitmask."""
+    adjacent letter (so letters in one layer commute).  The layer of a
+    letter's last occurrence is its highest, so one scan keeping those
+    layers builds every layer."""
     n = cfg.n
-    layers: list[int] = []
+    level: dict[int, int] = {}  # the layer of each letter's last occurrence
+    layers: list[set[int]] = []
     for x in check_word(cfg, word):
-        near = 1 << x | 1 << (x - 1 or n) | 1 << (x % n + 1)
-        k = len(layers)
-        while k and not layers[k - 1] & near:
-            k -= 1
+        k = 1 + max(level.get(x, -1), level.get(x - 1 or n, -1), level.get(x % n + 1, -1))
         if k == len(layers):
-            layers.append(0)
-        layers[k] |= 1 << x
-    return LeftDecomposition(tuple(frozenset(mask_letters(g)) for g in layers))
+            layers.append(set())
+        layers[k].add(x)
+        level[x] = k
+    return LeftDecomposition(tuple(map(frozenset, layers)))
 
 
 def right_groups(cfg: GroupConfig, word) -> tuple[frozenset[int], ...]:

@@ -4,9 +4,9 @@ The diagram-validation oracles scan translates one period at a time over a
 window wide enough for the coordinates involved, so their cost grows with
 the coordinate magnitudes; the library computes the same answers in closed
 form.  The word oracles test adjacency through the validating
-`GroupConfig.adjacent` where the library reads bitmasks; `multiply_by_partner`
-traces strands through `partner`/`class_of` where the library indexes the
-windows; `straight_diagram_checked` builds the diagram and then checks it
+`GroupConfig.adjacent` where the library uses arithmetic on the cycle;
+`multiply_by_partner` traces strands through `partner`/`class_of` where
+the library indexes the windows; `straight_diagram_checked` builds the diagram and then checks it
 is an involution, where the library checks the generator set; and
 `is_straight_by_construction` compares with a built straight diagram where
 the library reads the windows; `mul_pairwise` sums one Laurent product
@@ -33,8 +33,9 @@ the library adds every edge's runs to a difference array in one pass.
 `absorber_by_rescan` drops one descent and rescans the rest for each
 descent, and `involution_decompose_by_rescan` conjugates away a letter
 only after dropping it from the front and rescanning the rest, while some
-pair of the word's letters is adjacent; the library reads every descent's
-absorber, and the letters to conjugate away, off one scan per side.
+pair of the word's letters is adjacent, both with the greedy descent
+scans; the library reads every descent's absorber, and the letters to
+conjugate away, off one scan per side.
 """
 
 from afftl.algebra import AlgebraElement
@@ -66,11 +67,9 @@ from afftl.words import (
     BraidWitness,
     braid_witness,
     check_word,
-    descent_mask,
     drop_letter,
     greedy_back,
     greedy_front,
-    mask_letters,
 )
 
 
@@ -524,8 +523,8 @@ def congruence_candidates(d: AffineDiagram) -> dict[str, dict[int, tuple | None]
 def absorber_by_rescan(cfg, word, s, left):
     """The smallest neighbour of the descent s that is a descent, on the
     same side, of the word without its first (last) s, or 0."""
-    rest = descent_mask(cfg, drop_letter(word, s, left), left)
-    return next((t for t in cfg.neighbours_of(s) if rest >> t & 1), 0)
+    rest = _DESCENTS_GREEDY["left" if left else "right"](cfg, drop_letter(word, s, left))
+    return next((t for t in cfg.neighbours_of(s) if t in rest), 0)
 
 
 def involution_decompose_by_rescan(cfg, word, rng=None):
@@ -535,9 +534,9 @@ def involution_decompose_by_rescan(cfg, word, rng=None):
     x = []
     while any(cfg.adjacent(a, b) for a in w for b in w):
         options = []
-        for s in mask_letters(descent_mask(cfg, w, True)):
+        for s in sorted(left_descents_greedy(cfg, w)):
             rest = drop_letter(w, s, True)
-            if descent_mask(cfg, rest, False) >> s & 1:
+            if s in right_descents_greedy(cfg, rest):
                 options.append((s, drop_letter(rest, s, False)))
         s, w = options[0] if rng is None else rng.choice(options)
         x.append(s)

@@ -1,9 +1,9 @@
 """Descent sets read off the heap, against the greedy formulations.
 
 A word's left descents are the minimal elements of its heap and its right
-descents the maximal ones, so `descent_mask` finds each set in one scan,
-and cancellation, core reduction and the left decomposition read those
-masks.  Each is compared with the old formulation, one `greedy_front` or
+descents the maximal ones, so `absorbers` finds each set in one scan, and
+cancellation, core reduction and the left decomposition read the heap the
+same way.  Each is compared with the old formulation, one `greedy_front` or
 `greedy_back` per generator, kept in `tests/oracles.py`: on every
 enumerated element and a commutation-shuffled copy of it, and on
 arbitrary words, where the two definitions agree as well.
@@ -28,13 +28,11 @@ from afftl.cells import _cancel_options, cancellable, reduce_to_core
 from afftl.config import GroupConfig
 from afftl.explore import enumerate_elements
 from afftl.words import (
-    descent_mask,
     drop_letter,
     greedy_back,
     greedy_front,
     left_decomposition,
     left_descents,
-    mask_letters,
     right_descents,
 )
 
@@ -87,15 +85,10 @@ class TestArbitraryWords:
     def test_dropping_a_descent_matches_the_greedy_move(self, case):
         n, word = case
         cfg = GroupConfig(n)
-        for s in mask_letters(descent_mask(cfg, word, True)):
+        for s in left_descents(cfg, word):
             assert drop_letter(word, s, True) == greedy_front(cfg, word, s)[1:]
-        for s in mask_letters(descent_mask(cfg, word, False)):
+        for s in right_descents(cfg, word):
             assert drop_letter(word, s, False) == greedy_back(cfg, word, s)[:-1]
-
-    def test_mask_letters_ascending(self):
-        assert mask_letters(0) == []
-        assert mask_letters(0b101101) == [0, 2, 3, 5]
-        assert mask_letters(1 << 70 | 2) == [1, 70]
 
 
 class TestReduceToCoreTraces:

@@ -5,10 +5,12 @@ arithmetic on the n-cycle, and no configuration carries an adjacency table.
 it is played against the per-descent drop and rescan it replaced.  The
 involution decomposition is played against its drop-and-rescan form, and
 `reduced_perm` against the Coxeter length.  The heap commands take memory
-and time bounded by the word, not by n.
+and time bounded by the word, not by n, and neither the permutation
+oracle's FC test nor the rewrite engine builds the heap order.
 """
 
 import ast
+import hashlib
 import random
 import time
 import tracemalloc
@@ -18,13 +20,30 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import absorber_by_rescan, involution_decompose_by_rescan
+from oracles import (
+    absorber_by_rescan,
+    involution_decompose_by_rescan,
+    left_descents_greedy,
+    right_descents_greedy,
+)
 
 import afftl
+from afftl.algebra import _rewrite_mul_cached, rewrite_eval
 from afftl.cells import involution_decompose, labels
 from afftl.config import GroupConfig
-from afftl.explore import enumerate_elements
-from afftl.words import absorbers, descent_mask, mask_letters, reduced_perm, to_affine_permutation
+from afftl.diagrams import multiply
+from afftl.explore import enumerate_elements, oracle_counts
+from afftl.straightening import stack
+from afftl.words import (
+    absorbers,
+    check_word,
+    left_decomposition,
+    left_descents,
+    reduced_perm,
+    right_descents,
+    right_groups,
+    to_affine_permutation,
+)
 
 PROPERTY = settings(max_examples=300, deadline=None, database=None)
 
@@ -43,7 +62,7 @@ def test_absorbers_match_rescan(case):
     n, word = case
     cfg = GroupConfig(n)
     for left in (True, False):
-        descents = mask_letters(descent_mask(cfg, word, left))
+        descents = sorted((left_descents_greedy if left else right_descents_greedy)(cfg, word))
         found = absorbers(cfg, word, left)
         assert list(found) == descents
         assert found == {s: absorber_by_rescan(cfg, word, s, left) for s in descents}
@@ -103,3 +122,43 @@ def test_involution_at_large_n_is_fast():
     dec = involution_decompose(GroupConfig(20000), (1,))
     assert time.perf_counter() - start < 5
     assert dec == ((), frozenset({1}))
+
+
+def test_heap_scans_at_large_n_are_fast():
+    # letter bitmasks cost O(n) bits per letter scanned: at this n the
+    # left decomposition took about 3 s that way on a 2-core machine
+    n = 400000
+    m = n // 2
+    cfg = GroupConfig(n)
+    word = (m, m - 1, m + 1, m)
+    check_word(cfg, word)  # builds the config's letter set once, in O(n)
+    for scan in (left_decomposition, right_groups, left_descents, right_descents):
+        start = time.perf_counter()
+        scan(cfg, word)
+        assert time.perf_counter() - start < 0.05, scan.__name__
+    assert left_decomposition(cfg, word).groups == ({m}, {m - 1, m + 1}, {m})
+    assert left_descents(cfg, word) == right_descents(cfg, word) == {m}
+
+
+# sha256 of the repr of the list of rewrite_eval(cfg, b, start=a) over the
+# pairs (a, b) of words below, in order: pins the words themselves, which
+# the diagram engine fixes only up to commutation
+REWRITE_PAIRS_N5_L3 = "5784ee626803f5a6d98dbc340fe0f19ca0de82f608cf85b5c1e79d51855d681f"
+
+
+def test_engines_do_not_read_the_heap_order(monkeypatch):
+    # the permutation oracle's FC test and the rewrite engine each make
+    # their own pass over the word; only heap_width builds the order
+    def forbidden(cfg, word):
+        raise AssertionError("_heap_reach called")
+
+    monkeypatch.setattr("afftl.words._heap_reach", forbidden)
+    _rewrite_mul_cached.cache_clear()
+    cfg = GroupConfig(5)
+    assert oracle_counts(cfg, 9) == {0: 1, 1: 5, 2: 15, 3: 30, 4: 45, **dict.fromkeys(range(5, 10), 50)}
+    recs = list(enumerate_elements(cfg, 3, with_labels=False))
+    got = [rewrite_eval(cfg, b.word, start=a.word) for a in recs for b in recs]
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == REWRITE_PAIRS_N5_L3
+    for (exponent, word), (a, b) in zip(got, product(recs, recs)):
+        prod = multiply(a.diagram, b.diagram)
+        assert (exponent, stack(cfg, word).diagram) == (prod.contractible, prod.diagram)

@@ -1,8 +1,9 @@
 """Internal loops that trust their input, against the validating oracles.
 
 The word layer tests adjacency by arithmetic and keeps the heap order as
-bitmasks, `straight_diagram` checks the generator set instead of the built
-diagram, and `multiply` and `is_straight` read the window arrays directly.
+bitmasks only for the width, `straight_diagram` checks the generator set
+instead of the built diagram, and `multiply` and `is_straight` read the
+window arrays directly.
 Each is compared with the old formulation kept in `tests/oracles.py`; the
 public entry points must still reject bad generator indices, and stacking
 must not recurse once per letter.
@@ -45,7 +46,6 @@ from afftl.straightening import is_straight, stack
 from afftl.words import (
     _heap_reach,
     commutation_class,
-    descent_mask,
     greedy_back,
     greedy_front,
     heap_is_fc,
@@ -81,9 +81,9 @@ class TestAdjacencyMasks:
             cfg = GroupConfig(n)
             for i in cfg.generators():
                 for j in cfg.generators():
-                    apart = 0 if cfg.adjacent(i, j) else 1
-                    assert descent_mask(cfg, (i, j), True) == 1 << i | apart << j, (n, i, j)
-                    assert descent_mask(cfg, (i, j), False) == 1 << j | apart << i, (n, i, j)
+                    apart = set() if cfg.adjacent(i, j) else {i, j}
+                    assert left_descents(cfg, (i, j)) == {i} | apart, (n, i, j)
+                    assert right_descents(cfg, (i, j)) == {j} | apart, (n, i, j)
 
     def test_a_bruteforce_equals_adjacent_scan(self):
         for n in range(3, 8):

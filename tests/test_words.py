@@ -23,6 +23,7 @@ from afftl.words import (
     left_decomposition,
     left_descents,
     perm_of,
+    reduced_perm,
     right_descents,
     right_groups,
     support,
@@ -109,6 +110,10 @@ class TestGreedyFront:
                 assert (greedy_front(cfg, w, s) is not None) == drops
 
 
+# Horizons of the exhaustive witness and FC sweeps: (n, max length).
+WITNESS_HORIZONS = [(3, 10), (4, 10), (5, 9), (6, 8), (7, 8)]
+
+
 class TestFcChecks:
     def test_braid_class_examples(self):
         cfg = GroupConfig(4)
@@ -123,16 +128,38 @@ class TestFcChecks:
                 continue  # heap criterion assumes a reduced word
             assert heap_is_fc(cfg, w) == (not class_has_braid(cfg, w))
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_heap_agrees_with_class_search_property(self, data):
+        n = data.draw(st.integers(3, 10))
+        cfg = GroupConfig(n)
+        word = ()
+        for x in data.draw(st.lists(st.integers(1, n), max_size=12)):
+            if reduced_perm(cfg, word + (x,)) is not None:
+                word += (x,)
+        assert heap_is_fc(cfg, word) == (not class_has_braid(cfg, word)), word
+
+    @pytest.mark.parametrize("n,max_len", WITNESS_HORIZONS)
+    def test_heap_agrees_with_class_search_on_extensions(self, n, max_len):
+        # every reduced one-letter extension of every enumerated element
+        cfg = GroupConfig(n)
+        broken = 0
+        for rec in enumerate_elements(cfg, max_len, with_labels=False):
+            for t in cfg.generators():
+                w = rec.word + (t,)
+                if reduced_perm(cfg, w) is None:
+                    continue
+                fc = heap_is_fc(cfg, w)
+                assert fc == (not class_has_braid(cfg, w)), w
+                broken += not fc
+        assert broken > 0
+
     def test_is_fc_reduced(self):
         cfg = GroupConfig(4)
         assert is_fc_reduced(cfg, (2, 1, 3, 2))
         assert not is_fc_reduced(cfg, (1, 1))       # not reduced
         assert not is_fc_reduced(cfg, (1, 2, 1))    # braid word
         assert is_fc_reduced(cfg, ())
-
-
-# Horizons of the exhaustive witness sweep: (n, max length).
-WITNESS_HORIZONS = [(3, 10), (4, 10), (5, 9), (6, 8), (7, 8)]
 
 
 def assert_same_witness(cfg, w, t, got, want):
