@@ -13,7 +13,7 @@ and x % n + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 
 
@@ -24,11 +24,6 @@ class GroupConfig:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"need at least 3 generators, got n={self.n}")
-
-    @cached_property
-    def letters(self) -> frozenset[int]:
-        """The generator indices 1..n, for checking a whole word at once."""
-        return frozenset(self.generators())
 
     def generators(self) -> range:
         return range(1, self.n + 1)

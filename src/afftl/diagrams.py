@@ -5,13 +5,16 @@ rows so that the matching is invariant under shifting by n and no two
 edges cross, together with a count of closed loops winding around the
 cylinder (long horizontal edges; these coexist only with short horizontal
 edges).  The window arrays store, for positions 1..n of each row, the
-partner node as a (side, position) pair in the universal cover; every
-other partner follows by periodicity.  A diagram is the NamedTuple
-(n, top, bottom, loops) and a product the NamedTuple (diagram,
-contractible): equality and hashing are the tuple's, so a diagram also
-equals a bare tuple of its four fields; never compare it with one.  This
-module alone stores and reads the windows: other modules go through its
-functions.  Crossing numbers take one linear pass over the edges.
+partner node in the universal cover as one int, 2 * pos + (side is the
+bottom row), so `>> 1` reads the position, `& 1` the row, and adding 2k
+shifts the node k positions; every other partner follows by periodicity.
+A diagram is the NamedTuple (n, top, bottom, loops) and a product the
+NamedTuple (diagram, contractible): equality and hashing are the tuple's,
+so a diagram also equals a bare tuple of its four fields; never compare it
+with one.  This module alone stores and reads the windows, and only
+`node` and `node_ref` translate between entries and (side, pos) pairs:
+other modules go through its functions.  Crossing numbers take one linear
+pass over the edges.
 
 Multiplication stacks one diagram on top of another, identifies the middle
 rows, and traces connectivity.  Middle cycles closing with zero offset
@@ -29,9 +32,10 @@ products of arbitrary diagrams and as the cross-check of the local action.
 
 Constructing an AffineDiagram checks nothing: internal constructions are
 trusted.  Diagrams from outside are checked once, at the input boundary,
-by `from_json_dict`, which runs `validate` (shape, involution, balance,
-and a closed-form periodic crossing test whose cost does not depend on
-coordinate magnitudes).  Broken internal self-checks raise
+by `from_json_dict`, which rejects bad sides while parsing and runs
+`validate` (shape, involution, balance, and planarity decided by one
+linear sweep over three periods of each row, whose cost does not depend
+on coordinate magnitudes).  Broken internal self-checks raise
 `InvariantError`, which survives `python -O`.
 """
 
@@ -46,8 +50,7 @@ from .laurent import json_int, json_list
 
 TOP = "T"
 BOT = "B"
-
-NodeRef = tuple[str, int]
+_SIDES = (TOP, BOT)
 
 
 class InvariantError(Exception):
@@ -56,8 +59,8 @@ class InvariantError(Exception):
 
 class AffineDiagram(NamedTuple):
     n: int
-    top: tuple[NodeRef, ...]
-    bottom: tuple[NodeRef, ...]
+    top: tuple[int, ...]
+    bottom: tuple[int, ...]
     loops: int = 0
 
     def __post_init__(self):
@@ -72,22 +75,25 @@ class ProductResult(NamedTuple):
     contractible: int
 
 
+def node(side: str, pos: int) -> int:
+    """The window entry naming the node at cover position pos of side's row."""
+    return 2 * pos + (side == BOT)
+
+
+def node_ref(entry: int) -> tuple[str, int]:
+    """The (side, pos) pair a window entry names."""
+    return _SIDES[entry & 1], entry >> 1
+
+
 def class_of(n: int, pos: int) -> int:
     return (pos - 1) % n + 1
 
 
-def partner(d: AffineDiagram, side: str, pos: int) -> NodeRef:
+def partner(d: AffineDiagram, side: str, pos: int) -> tuple[str, int]:
     """Partner of the node at an arbitrary cover position, by periodicity."""
-    c = class_of(d.n, pos)
+    c = (pos - 1) % d.n
     row = d.top if side == TOP else d.bottom
-    s2, p2 = row[c - 1]
-    return (s2, p2 + (pos - c))
-
-
-def _set_entry(n: int, entries: list[NodeRef], pos: int, target: NodeRef) -> None:
-    # store the window representative of the partner of the node at `pos`
-    c = class_of(n, pos)
-    entries[c - 1] = (target[0], target[1] + (c - pos))
+    return node_ref(row[c] + 2 * (pos - 1 - c))
 
 
 def _check_n(n: int) -> None:
@@ -116,8 +122,8 @@ def straight_diagram(n: int, commuting: Iterable[int]) -> AffineDiagram:
     chosen = set(gens)
     if any(i % n + 1 in chosen for i in chosen):
         raise ValueError("generators are not pairwise non-adjacent")
-    top = tuple((BOT, j) for j in range(1, n + 1))
-    bottom = tuple((TOP, j) for j in range(1, n + 1))
+    top = tuple(node(BOT, j) for j in range(1, n + 1))
+    bottom = tuple(node(TOP, j) for j in range(1, n + 1))
     arcs = [(i, i + 1) for i in chosen]
     return join_arcs(join_arcs(AffineDiagram(n, top, bottom, 0), TOP, arcs), BOT, arcs)
 
@@ -131,12 +137,11 @@ def is_straight(d: AffineDiagram) -> frozenset[int] | None:
     # mirrored on the bottom row, and right ends partner the left ends.
     lefts, rights = set(), set()
     for i, (t, b) in enumerate(zip(d.top, d.bottom), 1):
-        side, p = t
-        if side == BOT:
-            if p != i or b != (TOP, i):
+        if t & 1:
+            if t != node(BOT, i) or b != node(TOP, i):
                 return None
-        elif p - i in (1, -1) and b == (BOT, p):
-            (lefts if p > i else rights).add(i)
+        elif (t >> 1) - i in (1, -1) and b == t + 1:
+            (lefts if t >> 1 > i else rights).add(i)
         else:
             return None
     if {i % d.n + 1 for i in lefts} != rights:
@@ -147,10 +152,13 @@ def is_straight(d: AffineDiagram) -> frozenset[int] | None:
 def join_arcs(d: AffineDiagram, side: str, arcs) -> AffineDiagram:
     """d with p and q joined on `side`'s row for each (p, q) in arcs; the
     caller rejoins every node whose old arc the list breaks."""
+    n = d.n
     entries = list(d.top if side == TOP else d.bottom)
     for p, q in arcs:
-        _set_entry(d.n, entries, p, (side, q))
-        _set_entry(d.n, entries, q, (side, p))
+        # the node at p sits p - 1 - c right of window entry c
+        for a, b in ((p, q), (q, p)):
+            c = (a - 1) % n
+            entries[c] = node(side, b - (a - 1 - c))
     return d._replace(**{"top" if side == TOP else "bottom": tuple(entries)})
 
 
@@ -163,16 +171,13 @@ def edge_list(d: AffineDiagram):
     top_arcs = []
     bottom_arcs = []
     verticals = []
-    for i in range(1, d.n + 1):
-        side, p = d.top[i - 1]
-        if side == TOP:
-            if p > i:
-                top_arcs.append((i, p))
-        else:
-            verticals.append((i, p))
-        side, p = d.bottom[i - 1]
-        if side == BOT and p > i:
-            bottom_arcs.append((i, p))
+    for i, (t, b) in enumerate(zip(d.top, d.bottom), 1):
+        if t & 1:
+            verticals.append((i, t >> 1))
+        elif t >> 1 > i:
+            top_arcs.append((i, t >> 1))
+        if b & 1 and b >> 1 > i:
+            bottom_arcs.append((i, b >> 1))
     return top_arcs, bottom_arcs, verticals
 
 
@@ -185,76 +190,70 @@ def short_arc_count(d: AffineDiagram) -> int:
 def _involution_problems(d: AffineDiagram) -> list[str]:
     problems = []
     for side, row in ((TOP, d.top), (BOT, d.bottom)):
-        for i in range(1, d.n + 1):
-            tgt = row[i - 1]
-            if tgt == (side, i):
+        for i, entry in enumerate(row, 1):
+            if entry == node(side, i):
                 problems.append(f"fixed point at {side}{i}")
-            elif partner(d, *tgt) != (side, i):
+            elif partner(d, *node_ref(entry)) != (side, i):
                 problems.append(f"involution breach at {side}{i}")
     return problems
 
 
-def _shape_problems(d: AffineDiagram) -> list[str]:
-    if not isinstance(d.n, int) or d.n < 3:
-        return [f"need n >= 3, got {d.n!r}"]
-    if len(d.top) != d.n or len(d.bottom) != d.n:
-        return ["partner arrays must have n entries"]
-    problems = []
-    if not isinstance(d.loops, int) or d.loops < 0:
-        problems.append(f"bad loop count {d.loops!r}")
-    for row in (d.top, d.bottom):
-        for entry in row:
-            if not (
-                isinstance(entry, tuple)
-                and len(entry) == 2
-                and entry[0] in (TOP, BOT)
-                and isinstance(entry[1], int)
-            ):
-                problems.append(f"malformed node reference {entry!r}")
-    return problems
+def _first_crossing(d: AffineDiagram, top_arcs, bottom_arcs, verticals):
+    """Two crossing edge lifts of an involution, or None when it is planar.
 
-
-def _shifts_open(lo: int, hi: int, n: int) -> tuple[int, int]:
-    """Inclusive range of the integers m with lo < m*n < hi."""
-    return lo // n + 1, -(-hi // n) - 1
-
-
-def _crossing_shifts(e1, e2, n: int) -> list[tuple[int, int]]:
-    """Inclusive ranges of the m for which e1 crosses e2 shifted by m*n.
-
-    Edges are ("T"|"B", p, q) arcs with p < q, or ("V", top_pos,
-    bottom_pos); e1 is a vertical only if e2 is one too (validate lists
-    arcs first).  Each condition is an interval of m, so the test costs
-    O(1) whatever the coordinates.
+    Edges are (side, p, q) arcs with p < q, or ("V", top_pos, bottom_pos).
+    Each of the three steps is linear in n whatever the coordinates:
+    1. an arc spanning n or more positions crosses its own translate;
+    2. two shorter arcs that cross, or such an arc and a vertical end
+       inside it, span less than 2n, so a translate of them lies in
+       positions 1..3n: one matching-parentheses scan of those positions
+       per row finds an arc closing inside another, or a vertical end
+       inside an open arc;
+    3. verticals cross exactly when their bottom ends leave the order of
+       their top ends, the first one's translate closing the period.
     """
-    k1, a1, b1 = e1
-    k2, a2, b2 = e2
-    if k2 == "V":
-        if k1 == "V":
-            # verticals cross or touch when their endpoint orders disagree
-            lo, hi = sorted((a1 - a2, b1 - b2))
-            return [(-(-lo // n), hi // n)]
-        # the arc against the vertical's endpoint on the arc's row
-        end = a2 if k1 == TOP else b2
-        return [_shifts_open(a1 - end, b1 - end, n)]
-    if k1 != k2:
-        return []
-    # interleaving arcs on one row, in either order
-    return [
-        _shifts_open(max(a1 - a2, b1 - b2), b1 - a2, n),
-        _shifts_open(a1 - b2, min(a1 - a2, b1 - b2), n),
-    ]
+    n = d.n
+    for side, arcs in ((TOP, top_arcs), (BOT, bottom_arcs)):
+        for p, q in arcs:
+            if q - p >= n:
+                return (side, p, q), (side, p + n, q + n)
+    for side, row in ((TOP, d.top), (BOT, d.bottom)):
+        bit = side == BOT
+        opened = []  # arc lifts (p, q) in 1..3n whose right end is ahead
+        for x in range(1, 3 * n + 1):
+            c = (x - 1) % n
+            entry = row[c] + 2 * (x - 1 - c)
+            y = entry >> 1
+            if entry & 1 != bit:
+                if opened:
+                    vertical = ("V", x, y) if side == TOP else ("V", y, x)
+                    return (side, *opened[-1]), vertical
+            elif y > x:
+                if y <= 3 * n:
+                    opened.append((x, y))
+            elif y >= 1:
+                if opened[-1][0] != y:
+                    return (side, y, x), (side, *opened[-1])
+                opened.pop()
+    wrap = [(a + n, b + n) for a, b in verticals[:1]]
+    for (a1, b1), (a2, b2) in zip(verticals, verticals[1:] + wrap):
+        if b2 <= b1:
+            return ("V", a1, b1), ("V", a2, b2)
+    return None
 
 
 def validate(d: AffineDiagram) -> list[str]:
     """All invariant violations (empty list means the diagram is valid).
 
-    One crossing problem is reported per crossing pair of edge orbits,
-    naming the translate nearest to the window.
+    Planarity is decided by one linear sweep that stops at the first
+    crossing, so at most one crossing pair is reported.
     """
-    problems = _shape_problems(d)
-    if problems:
-        return problems
+    if not isinstance(d.n, int) or d.n < 3:
+        return [f"need n >= 3, got {d.n!r}"]
+    if len(d.top) != d.n or len(d.bottom) != d.n:
+        return ["partner arrays must have n entries"]
+    if not isinstance(d.loops, int) or d.loops < 0:
+        return [f"bad loop count {d.loops!r}"]
     problems = _involution_problems(d)
     if problems:
         return problems
@@ -263,27 +262,9 @@ def validate(d: AffineDiagram) -> list[str]:
         problems.append("loops with vertical edges")
     if len(top_arcs) != len(bottom_arcs):
         problems.append("unbalanced short-arc counts")
-    edges = (
-        [(TOP, p, q) for p, q in top_arcs]
-        + [(BOT, p, q) for p, q in bottom_arcs]
-        + [("V", p, q) for p, q in verticals]
-    )
-    n = d.n
-    for i, e1 in enumerate(edges):
-        for e2 in edges[i:]:
-            shifts = [
-                min(max(0, lo), hi)
-                for lo, hi in _crossing_shifts(e1, e2, n)
-                if lo <= hi
-            ]
-            if e1 is e2:
-                # a vertical never crosses its own translates; arcs never
-                # cross themselves unshifted
-                shifts = [m for m in shifts if m]
-            if shifts:
-                m = min(shifts, key=abs)
-                shifted = (e2[0], e2[1] + m * n, e2[2] + m * n)
-                problems.append(f"crossing pair {e1} / {shifted}")
+    crossing = _first_crossing(d, top_arcs, bottom_arcs, verticals)
+    if crossing:
+        problems.append(f"crossing pair {crossing[0]} / {crossing[1]}")
     return problems
 
 
@@ -326,7 +307,7 @@ def is_admissible(d: AffineDiagram) -> bool:
     nu = _nu_vector(d)
     if not any(nu):
         return True
-    if not (d.loops or any(side == TOP for side, _ in d.top)):
+    if not d.loops and all(e & 1 for e in d.top):
         return False
     return all(v % 2 == 0 for v in nu)
 
@@ -342,7 +323,7 @@ def descent_arcs(d: AffineDiagram, side: str) -> frozenset[int]:
     """Classes i whose nodes i, i+1 on the given row are joined by a
     minimal arc; for a stacked word diagram this is the descent set."""
     row = d.top if side == TOP else d.bottom
-    return frozenset(i for i in range(1, d.n + 1) if row[i - 1] == (side, i + 1))
+    return frozenset(i for i, e in enumerate(row, 1) if e == node(side, i + 1))
 
 
 def multiply(a: AffineDiagram, b: AffineDiagram) -> ProductResult:
@@ -357,29 +338,31 @@ def multiply(a: AffineDiagram, b: AffineDiagram) -> ProductResult:
     # touched[c] and done[c] mark middle-row class c + 1.
     touched = [False] * n
 
-    def cross(pos: int, row1, exit1: str, row2, exit2: str) -> NodeRef:
+    def cross(pos: int, row1, exit1: int, row2, exit2: int) -> int:
         # a strand at middle-row position pos runs alternately through row1
-        # and row2 until it leaves the stack on side exit1 or exit2
+        # and row2 until it leaves on the row with bit exit1 or exit2
         for _ in range(n + 2):
             c = (pos - 1) % n
             touched[c] = True
-            side, p = row1[c]
-            pos += p - 1 - c
-            if side == exit1:
-                return (side, pos)
+            e = row1[c]
+            pos += (e >> 1) - 1 - c
+            if e & 1 == exit1:
+                return 2 * pos + exit1
             c = (pos - 1) % n
             touched[c] = True
-            side, p = row2[c]
-            pos += p - 1 - c
-            if side == exit2:
-                return (side, pos)
+            e = row2[c]
+            pos += (e >> 1) - 1 - c
+            if e & 1 == exit2:
+                return 2 * pos + exit2
         raise InvariantError("runaway connectivity trace")
 
+    # a strand leaving a's top row downward exits b's bottom row (bit 1)
+    # or a's top row (bit 0); one leaving b's bottom row upward the reverse
     top_row = tuple(
-        e if e[0] == TOP else cross(e[1], b_top, BOT, a_bottom, TOP) for e in a_top
+        cross(e >> 1, b_top, 1, a_bottom, 0) if e & 1 else e for e in a_top
     )
     bottom_row = tuple(
-        e if e[0] == BOT else cross(e[1], a_bottom, TOP, b_top, BOT) for e in b_bottom
+        e if e & 1 else cross(e >> 1, a_bottom, 0, b_top, 1) for e in b_bottom
     )
 
     contractible = 0
@@ -393,16 +376,16 @@ def multiply(a: AffineDiagram, b: AffineDiagram) -> ProductResult:
             # pos's partner in a, then that node's partner in b: both on
             # the middle row unless the cycle escapes
             k = (pos - 1) % n
-            s2, p2 = a_bottom[k]
-            if s2 != BOT:
+            e = a_bottom[k]
+            if not e & 1:
                 raise InvariantError("middle cycle escaped through the top diagram")
-            pos = p2 + pos - 1 - k
+            pos += (e >> 1) - 1 - k
             k = (pos - 1) % n
             done[k] = True
-            s3, p3 = b_top[k]
-            if s3 != TOP:
+            e = b_top[k]
+            if e & 1:
                 raise InvariantError("middle cycle escaped through the bottom diagram")
-            pos = p3 + pos - 1 - k
+            pos += (e >> 1) - 1 - k
             k = (pos - 1) % n
             done[k] = True
             if k == c:
@@ -417,7 +400,7 @@ def multiply(a: AffineDiagram, b: AffineDiagram) -> ProductResult:
         else:
             raise InvariantError("middle cycle winds more than once")
 
-    if winding and any(s == BOT for s, _ in top_row):
+    if winding and any(e & 1 for e in top_row):
         raise InvariantError("winding middle cycle alongside a through strand")
     diagram = AffineDiagram(n, top_row, bottom_row, a.loops + b.loops + winding)
     return ProductResult(diagram, contractible)
@@ -442,57 +425,67 @@ def _generator_action(d: AffineDiagram, s: int, side: str) -> ProductResult:
     # window entry t shifted by s - t.  Only the rows the edit writes are
     # copied; the entry of a node at cover position p is window entry
     # (p - 1) % n, stored shifted by the node's offset from the window.
+    # `node`'s encoding, 2 * pos + bit, is inlined on this hot path.
     n = d.n
     if not 1 <= s <= n:
         raise ValueError(f"generator index {s} out of range 1..{n}")
-    row, other = (d.top, d.bottom) if side == TOP else (d.bottom, d.top)
-    x_side, x = row[s - 1]
-    if x_side == side and x == s + 1:
+    bit = side == BOT
+    row, other = (d.bottom, d.top) if bit else (d.top, d.bottom)
+    x = row[s - 1]
+    if x == 2 * s + 2 + bit:
         # the minimal arc (s, s+1) and E_s's arc close a contractible loop
         return ProductResult(d, 1)
     t = s % n
     edited = list(row)
     loops = d.loops
-    if x_side == side and x == s + 1 - n:
+    if x == 2 * (s + 1 - n) + bit:
         # the arc (s+1-n, s) and E_s's arcs close a loop around the cylinder
-        if any(p[0] == BOT for p in d.top):
+        if any(e & 1 for e in d.top):
             raise InvariantError("winding loop alongside a through strand")
         loops += 1
     else:
-        y_side, y = row[t]
-        y += s - t
-        if (x_side == side and (x - s) % n < 2) or (y_side == side and (y - s) % n < 2):
+        y = row[t] + 2 * (s - t)
+        x_near, y_near = x & 1 == bit, y & 1 == bit
+        px, py = x >> 1, y >> 1
+        if (x_near and (px - s) % n < 2) or (y_near and (py - s) % n < 2):
             raise InvariantError(f"generator action met a broken matching at {side}{s}")
         # x and y become partners of each other; the far row is copied only
         # when one of them lies on it
-        far = edited if x_side == y_side == side else list(other)
-        cx, cy = (x - 1) % n, (y - 1) % n
-        (edited if x_side == side else far)[cx] = (y_side, y + cx + 1 - x)
-        (edited if y_side == side else far)[cy] = (x_side, x + cy + 1 - y)
+        far = edited if x_near and y_near else list(other)
+        cx, cy = (px - 1) % n, (py - 1) % n
+        (edited if x_near else far)[cx] = y + 2 * (cx + 1 - px)
+        (edited if y_near else far)[cy] = x + 2 * (cy + 1 - py)
         if far is not edited:
             other = tuple(far)
-    edited[s - 1] = (side, s + 1)
-    edited[t] = (side, t)
-    if side == TOP:
-        return ProductResult(AffineDiagram(n, tuple(edited), other, loops), 0)
-    return ProductResult(AffineDiagram(n, other, tuple(edited), loops), 0)
+    edited[s - 1] = 2 * s + 2 + bit
+    edited[t] = 2 * t + bit
+    if bit:
+        return ProductResult(AffineDiagram(n, other, tuple(edited), loops), 0)
+    return ProductResult(AffineDiagram(n, tuple(edited), other, loops), 0)
 
 
 def canonical_key(d: AffineDiagram) -> bytes:
     """Injective deterministic serialization usable as an equality key."""
     parts = [str(d.n), str(d.loops)]
     for row in (d.top, d.bottom):
-        parts.extend(f"{s}{p}" for s, p in row)
+        parts.extend(f"{_SIDES[e & 1]}{e >> 1}" for e in row)
     return "|".join(parts).encode("ascii")
 
 
 def to_json_dict(d: AffineDiagram) -> dict:
     return {
         "n": d.n,
-        "top": [{"side": s, "pos": p} for s, p in d.top],
-        "bottom": [{"side": s, "pos": p} for s, p in d.bottom],
+        "top": [{"side": s, "pos": p} for s, p in map(node_ref, d.top)],
+        "bottom": [{"side": s, "pos": p} for s, p in map(node_ref, d.bottom)],
         "loops": d.loops,
     }
+
+
+def _json_node(obj) -> int:
+    side, pos = obj["side"], json_int(obj["pos"], "pos")
+    if side not in _SIDES:
+        raise ValueError(f"invalid diagram: malformed node reference {(side, pos)!r}")
+    return node(side, pos)
 
 
 def from_json_dict(obj: dict) -> AffineDiagram:
@@ -500,8 +493,7 @@ def from_json_dict(obj: dict) -> AffineDiagram:
     try:
         n = json_int(obj["n"], "n")
         top, bottom = (
-            tuple((e["side"], json_int(e["pos"], "pos")) for e in json_list(obj[key], key))
-            for key in ("top", "bottom")
+            tuple(map(_json_node, json_list(obj[key], key))) for key in ("top", "bottom")
         )
         loops = json_int(obj.get("loops", 0), "loops")
     except (KeyError, TypeError) as exc:
@@ -516,15 +508,11 @@ def from_json_dict(obj: dict) -> AffineDiagram:
 def mirror(d: AffineDiagram) -> AffineDiagram:
     """Swap the two rows: the anti-automorphism reversing words, so the
     mirror of the diagram of w is the diagram of w^-1."""
-    flip = {TOP: BOT, BOT: TOP}
     return AffineDiagram(
-        d.n,
-        tuple((flip[s], p) for s, p in d.bottom),
-        tuple((flip[s], p) for s, p in d.top),
-        d.loops,
+        d.n, tuple(e ^ 1 for e in d.bottom), tuple(e ^ 1 for e in d.top), d.loops
     )
 
 
 def is_mirror_symmetric(d: AffineDiagram) -> bool:
     """mirror(d) == d, read entrywise without building the mirror."""
-    return all(ts != bs and tp == bp for (ts, tp), (bs, bp) in zip(d.top, d.bottom))
+    return all(t ^ 1 == b for t, b in zip(d.top, d.bottom))

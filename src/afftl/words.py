@@ -42,7 +42,7 @@ Word = tuple[int, ...]
 
 def check_word(cfg: GroupConfig, word) -> Word:
     word = tuple(word)
-    if not cfg.letters.issuperset(word):
+    if word and not (1 <= min(word) and max(word) <= cfg.n):
         for s in word:
             cfg.check_generator(s)
     return word

@@ -2,8 +2,10 @@
 
 The diagram-validation oracles scan translates one period at a time over a
 window wide enough for the coordinates involved, so their cost grows with
-the coordinate magnitudes; the library computes the same answers in closed
-form.  The word oracles test adjacency through the validating
+the coordinate magnitudes; the library decides planarity in one linear
+sweep, naming one crossing pair, and finds covering arcs in closed form.
+`window` builds a diagram from window rows written as (side, pos) pairs,
+so no test depends on how `afftl.diagrams` encodes an entry.  The word oracles test adjacency through the validating
 `GroupConfig.adjacent` where the library uses arithmetic on the cycle;
 `multiply_by_partner` traces strands through `partner`/`class_of` where
 the library indexes the windows; `straight_diagram_checked` builds the diagram and then checks it
@@ -47,7 +49,6 @@ from afftl.diagrams import (
     InvariantError,
     ProductResult,
     _involution_problems,
-    _set_entry,
     class_of,
     descent_arcs,
     edge_list,
@@ -57,6 +58,7 @@ from afftl.diagrams import (
     length,
     mirror,
     multiply,
+    node,
     partner,
     straight_diagram,
     times_generator,
@@ -71,6 +73,14 @@ from afftl.words import (
     greedy_back,
     greedy_front,
 )
+
+
+def window(n, top, bottom, loops=0):
+    """The diagram whose window rows list each partner as a (side, pos)
+    pair, as a test writes it by hand."""
+    return AffineDiagram(
+        n, tuple(node(*e) for e in top), tuple(node(*e) for e in bottom), loops
+    )
 
 
 def crosses(e1, e2) -> bool:
@@ -210,11 +220,12 @@ def straight_diagram_checked(n, commuting):
     top = [(BOT, j) for j in range(1, n + 1)]
     bottom = [(TOP, j) for j in range(1, n + 1)]
     for i in sorted(commuting):
-        _set_entry(n, top, i, (TOP, i + 1))
-        _set_entry(n, top, i + 1, (TOP, i))
-        _set_entry(n, bottom, i, (BOT, i + 1))
-        _set_entry(n, bottom, i + 1, (BOT, i))
-    d = AffineDiagram(n, tuple(top), tuple(bottom), 0)
+        for side, row in ((TOP, top), (BOT, bottom)):
+            for a, b in ((i, i + 1), (i + 1, i)):
+                # the window representative of the partner of the node at a
+                c = class_of(n, a)
+                row[c - 1] = (side, b + c - a)
+    d = window(n, top, bottom)
     return None if _involution_problems(d) else d
 
 
@@ -263,7 +274,7 @@ def multiply_by_partner(a, b):
         else:
             assert abs(offset) == 1
             winding += 1
-    diagram = AffineDiagram(n, top_row, bottom_row, a.loops + b.loops + winding)
+    diagram = window(n, top_row, bottom_row, a.loops + b.loops + winding)
     return ProductResult(diagram, contractible)
 
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from conftest import random_fc_word
+from oracles import window
 
 from afftl.config import GroupConfig
 from afftl.diagrams import (
@@ -20,6 +21,8 @@ from afftl.diagrams import (
     length,
     mirror,
     multiply,
+    node,
+    node_ref,
     partner,
     to_json_dict,
     validate,
@@ -29,23 +32,23 @@ from afftl.straightening import stack
 
 def rotation_diagram(n):
     """Top i joined to bottom i+1 for every class (no horizontal edges)."""
-    top = tuple((BOT, i + 1) for i in range(1, n + 1))
-    bottom = tuple((TOP, i - 1) for i in range(1, n + 1))
-    return AffineDiagram(n, top, bottom, 0)
+    top = [(BOT, i + 1) for i in range(1, n + 1)]
+    bottom = [(TOP, i - 1) for i in range(1, n + 1)]
+    return window(n, top, bottom)
 
 
 class TestConstructors:
     def test_identity(self):
         d = identity(4)
-        assert d.top == tuple((BOT, i) for i in range(1, 5))
+        assert tuple(map(node_ref, d.top)) == tuple((BOT, i) for i in range(1, 5))
         assert d.loops == 0
         assert validate(d) == []
         assert length(d) == 0
 
     def test_generator_shape(self):
         g = generator(4, 1)
-        assert g.top[0] == (TOP, 2) and g.top[1] == (TOP, 1)
-        assert g.top[2] == (BOT, 3) and g.top[3] == (BOT, 4)
+        assert node_ref(g.top[0]) == (TOP, 2) and node_ref(g.top[1]) == (TOP, 1)
+        assert node_ref(g.top[2]) == (BOT, 3) and node_ref(g.top[3]) == (BOT, 4)
         assert length(g) == 1
 
     def test_generator_wraparound(self):
@@ -76,14 +79,14 @@ class TestConstructors:
 class TestValidate:
     def test_fixed_point(self):
         d = identity(4)
-        bad = AffineDiagram(4, ((TOP, 1),) + d.top[1:], d.bottom, 0)
+        bad = AffineDiagram(4, (node(TOP, 1),) + d.top[1:], d.bottom, 0)
         assert any("fixed point" in p or "involution" in p for p in validate(bad))
 
     def test_crossing_verticals(self):
         # top1-bottom2 and top2-bottom1 interleave
         top = ((BOT, 2), (BOT, 1), (BOT, 3), (BOT, 4))
         bottom = ((TOP, 2), (TOP, 1), (TOP, 3), (TOP, 4))
-        bad = AffineDiagram(4, top, bottom, 0)
+        bad = window(4, top, bottom)
         assert any("crossing" in p for p in validate(bad))
 
     def test_loops_require_no_verticals(self):
@@ -95,7 +98,7 @@ class TestValidate:
         # an arc spanning more than one period crosses its own translates
         top = ((TOP, 7), (TOP, -4), (BOT, 3), (BOT, 4), (BOT, 5))
         bottom = ((BOT, 2), (BOT, 1), (TOP, 3), (TOP, 4), (TOP, 5))
-        bad = AffineDiagram(5, top, bottom, 0)
+        bad = window(5, top, bottom)
         problems = validate(bad)
         assert problems and all("crossing" in p for p in problems)
 
@@ -193,7 +196,7 @@ class TestMultiply:
         b = stack(cfg, (2, 4)).diagram
         r = multiply(a, b)
         assert r.contractible == 0
-        expected = AffineDiagram(
+        expected = window(
             4,
             ((TOP, 2), (TOP, 1), (TOP, 4), (TOP, 3)),
             ((BOT, 0), (BOT, 3), (BOT, 2), (BOT, 5)),

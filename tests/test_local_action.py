@@ -14,6 +14,7 @@ from afftl.diagrams import (
     generator_times,
     identity,
     multiply,
+    node,
     partner,
     times_generator,
 )
@@ -74,7 +75,7 @@ def _edited(d, side, entries):
     """d with some window entries of one row replaced (not a valid diagram)."""
     row = list(d.top if side == TOP else d.bottom)
     for i, entry in entries.items():
-        row[i] = entry
+        row[i] = node(*entry)
     return d._replace(**{"top" if side == TOP else "bottom": tuple(row)})
 
 

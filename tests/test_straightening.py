@@ -12,6 +12,7 @@ from afftl.diagrams import (
     length,
     mirror,
     multiply,
+    node_ref,
     short_arc_count,
     validate,
 )
@@ -34,8 +35,8 @@ class TestStack:
         cfg = GroupConfig(4)
         r = stack(cfg, (2, 1, 3, 2))
         assert r.contractible == 0
-        assert r.diagram.top[1] == ("T", 3)  # minimal top arc at 2
-        assert r.diagram.bottom[1] == ("B", 3)  # minimal bottom arc at 2
+        assert node_ref(r.diagram.top[1]) == ("T", 3)  # minimal top arc at 2
+        assert node_ref(r.diagram.bottom[1]) == ("B", 3)  # minimal bottom arc at 2
         r = stack(cfg, (1, 1))
         assert r.contractible == 1 and r.diagram == generator(4, 1)
         r = stack(cfg, ())

@@ -24,6 +24,7 @@ from oracles import (
     is_straight_by_construction,
     multiply_by_partner,
     straight_diagram_checked,
+    window,
 )
 
 from afftl.algebra import rewrite_eval, rewrite_mul
@@ -32,12 +33,12 @@ from afftl.config import GroupConfig
 from afftl.diagrams import (
     BOT,
     TOP,
-    AffineDiagram,
     ProductResult,
     descent_arcs,
     identity,
     length,
     multiply,
+    node_ref,
     straight_diagram,
     times_generator,
 )
@@ -172,10 +173,10 @@ class TestIsStraight:
             n = rng.randint(3, 7)
             cfg = GroupConfig(n)
             d = straight_diagram(n, rng.choice(cfg.commuting_sets()))
-            rows = [list(d.top), list(d.bottom)]
+            rows = [list(map(node_ref, d.top)), list(map(node_ref, d.bottom))]
             for _ in range(rng.randint(1, 2)):
                 rows[rng.randint(0, 1)][rng.randrange(n)] = rng.choice(entries)
-            d = AffineDiagram(n, tuple(rows[0]), tuple(rows[1]), rng.choice((0, 0, 1)))
+            d = window(n, rows[0], rows[1], rng.choice((0, 0, 1)))
             assert is_straight(d) == is_straight_by_construction(d), d
 
 

@@ -1,5 +1,6 @@
-"""Input validation at the boundary: closed-form checks against the
-test-only brute-force oracles, shape checks, and bounded cost."""
+"""Input validation at the boundary: the linear planarity sweep and the
+closed-form cover search against the test-only brute-force oracles, shape
+checks, and bounded cost."""
 
 import ast
 import json
@@ -7,9 +8,11 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_fc_word
-from oracles import innermost_cover_bruteforce, validate_bruteforce
+from oracles import crosses, innermost_cover_bruteforce, validate_bruteforce, window
 
 from afftl.cli import main
 from afftl.config import GroupConfig
@@ -20,6 +23,8 @@ from afftl.diagrams import (
     from_json_dict,
     generator,
     identity,
+    node,
+    node_ref,
     to_json_dict,
     validate,
 )
@@ -28,36 +33,39 @@ from afftl.straightening import _innermost_cover, stack
 SHIFT = 3 * 10**7
 
 
+def matching_diagram(n, nodes, offsets, loops):
+    """The involution pairing consecutive (side, class) nodes of `nodes`,
+    the k-th pair with a lift offset of offsets[k] periods."""
+    rows = {TOP: [None] * n, BOT: [None] * n}
+    for (s1, p1), (s2, p2), k in zip(nodes[::2], nodes[1::2], offsets):
+        rows[s1][p1 - 1] = (s2, p2 + k * n)
+        rows[s2][p2 - 1] = (s1, p1 - k * n)
+    return window(n, rows[TOP], rows[BOT], loops)
+
+
 def random_matching_diagram(rng, n):
     """Pair the 2n node classes at random, each pair with a random lift
     offset: always an involution, often crossing, sometimes valid."""
     nodes = [(TOP, i) for i in range(1, n + 1)] + [(BOT, i) for i in range(1, n + 1)]
     rng.shuffle(nodes)
-    rows = {TOP: [None] * n, BOT: [None] * n}
-    for (s1, p1), (s2, p2) in zip(nodes[::2], nodes[1::2]):
-        m = rng.randint(-2, 2) * n
-        rows[s1][p1 - 1] = (s2, p2 + m)
-        rows[s2][p2 - 1] = (s1, p1 - m)
-    return AffineDiagram(n, tuple(rows[TOP]), tuple(rows[BOT]), rng.choice((0, 0, 1)))
+    offsets = [rng.randint(-2, 2) for _ in range(n)]
+    return matching_diagram(n, nodes, offsets, rng.choice((0, 0, 1)))
 
 
 def twisted(d, t):
     """Every vertical's bottom end moved t positions right."""
-    top = tuple((s, p + t) if s == BOT else (s, p) for s, p in d.top)
-    bottom = tuple((s, p - t) if s == TOP else (s, p) for s, p in d.bottom)
-    return AffineDiagram(d.n, top, bottom, d.loops)
+    top = [(s, p + t) if s == BOT else (s, p) for s, p in map(node_ref, d.top)]
+    bottom = [(s, p - t) if s == TOP else (s, p) for s, p in map(node_ref, d.bottom)]
+    return window(d.n, top, bottom, d.loops)
 
 
-def crossing_orbit_pairs(problems, n):
-    """{(edge, orbit representative of the crossing translate)}."""
-    out = set()
-    for p in problems:
-        if not p.startswith("crossing pair "):
-            continue
-        e1, shifted = (ast.literal_eval(x) for x in p[len("crossing pair "):].split(" / "))
-        m = (shifted[1] - 1) // n
-        out.add((e1, (shifted[0], shifted[1] - m * n, shifted[2] - m * n)))
-    return out
+def reported_crossings(problems):
+    """The (edge, edge) pairs named by the crossing problems."""
+    return [
+        tuple(ast.literal_eval(x) for x in p[len("crossing pair "):].split(" / "))
+        for p in problems
+        if p.startswith("crossing pair ")
+    ]
 
 
 def diagram_pool(rng):
@@ -82,7 +90,10 @@ class TestValidateAgainstOracle:
             assert [p for p in fast if not p.startswith("crossing")] == [
                 p for p in slow if not p.startswith("crossing")
             ]
-            assert crossing_orbit_pairs(fast, d.n) == crossing_orbit_pairs(slow, d.n), d
+            # validate names at most one crossing pair, and a real one
+            named = reported_crossings(fast)
+            assert len(named) == (1 if reported_crossings(slow) else 0), d
+            assert all(crosses(e1, e2) for e1, e2 in named), d
             valid += not fast
             invalid += bool(fast)
         # both outcomes are well represented
@@ -90,8 +101,44 @@ class TestValidateAgainstOracle:
 
     def test_involution_breach_reported(self):
         d = identity(4)
-        bad = AffineDiagram(4, ((TOP, 1),) + d.top[1:], d.bottom, 0)
+        bad = AffineDiagram(4, (node(TOP, 1),) + d.top[1:], d.bottom, 0)
         assert validate(bad) == validate_bruteforce(bad) != []
+
+
+PROPERTY = settings(max_examples=200, deadline=None, database=None)
+
+
+@st.composite
+def twisted_diagrams(draw):
+    """(d, t): a random pairing of the 2n node classes (n = 3..12) with
+    lift offsets of up to three periods, or the diagram of a random FC
+    word; and a twist t for every vertical, small or up to 3 * 10**7."""
+    n = draw(st.integers(3, 12))
+    if draw(st.booleans()):
+        classes = [(TOP, i) for i in range(1, n + 1)] + [(BOT, i) for i in range(1, n + 1)]
+        nodes = draw(st.permutations(classes))
+        offsets = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        d = matching_diagram(n, nodes, offsets, draw(st.sampled_from((0, 0, 1))))
+    else:
+        cfg = GroupConfig(n)
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        d = stack(cfg, random_fc_word(cfg, rng, 8)).diagram
+    periods = st.integers(-SHIFT // n, SHIFT // n).map(lambda k: k * n)
+    twist = draw(st.integers(-3 * n, 3 * n) | periods | periods.map(lambda t: t + 1))
+    return d, twist
+
+
+@PROPERTY
+@given(twisted_diagrams())
+def test_sweep_verdict_matches_oracle(case):
+    d, t = case
+    fast = validate(twisted(d, t))
+    # Twisting every vertical by whole periods changes no crossing, and the
+    # oracle's scans grow with the coordinates: it checks a large twist
+    # reduced modulo n.
+    slow = validate_bruteforce(twisted(d, t if abs(t) <= 3 * d.n else t % d.n))
+    assert bool(fast) == bool(slow)
+    assert all(crosses(e1, e2) for e1, e2 in reported_crossings(fast))
 
 
 class TestInnermostCoverAgainstOracle:
@@ -136,8 +183,8 @@ class TestBoundary:
         g = generator(4, 1)
         top = list(g.top)
         bottom = list(g.bottom)
-        top[2] = (BOT, 3 + SHIFT)
-        bottom[2] = (TOP, 3 - SHIFT)
+        top[2] = node(BOT, 3 + SHIFT)
+        bottom[2] = node(TOP, 3 - SHIFT)
         t0 = time.monotonic()
         problems = validate(AffineDiagram(4, tuple(top), tuple(bottom), 0))
         assert time.monotonic() - t0 < 1.0

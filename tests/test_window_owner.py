@@ -1,7 +1,7 @@
 """One module owns the diagram: `afftl.diagrams` alone reads and writes
 the window arrays.  Parses every other afftl module, so a new `.top` or
 `.bottom` read, a `top=`/`bottom=` rewrite, or an import of the entry
-writer `_set_entry` outside `diagrams` shows up here.
+translators `node`/`node_ref` outside `diagrams` shows up here.
 """
 
 import ast
@@ -11,6 +11,7 @@ import afftl
 
 SRC = Path(afftl.__file__).parent
 WINDOWS = {"top", "bottom"}
+TRANSLATORS = {"node", "node_ref"}
 
 
 def _breaches(path):
@@ -20,8 +21,10 @@ def _breaches(path):
             yield f"{where} reads .{node.attr}"
         elif isinstance(node, ast.keyword) and node.arg in WINDOWS:
             yield f"{where} passes {node.arg}="
-        elif isinstance(node, ast.ImportFrom) and any(a.name == "_set_entry" for a in node.names):
-            yield f"{where} imports _set_entry"
+        elif isinstance(node, ast.ImportFrom):
+            for a in node.names:
+                if a.name in TRANSLATORS:
+                    yield f"{where} imports {a.name}"
 
 
 def test_only_diagrams_touches_windows():
@@ -33,13 +36,13 @@ def test_only_diagrams_touches_windows():
 def test_guard_sees_each_breach(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(
-        "from afftl.diagrams import _set_entry\n"
+        "from afftl.diagrams import node\n"
         "x = d.top\n"
         "y = d._replace(bottom=())\n",
         encoding="utf-8",
     )
     assert list(_breaches(probe)) == [
-        "probe.py:1 imports _set_entry",
+        "probe.py:1 imports node",
         "probe.py:2 reads .top",
         "probe.py:3 passes bottom=",
     ]
