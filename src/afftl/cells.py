@@ -29,6 +29,13 @@ every letter is a left descent: its heap is an antichain.  A commuting
 block that some reduced word holds as a contiguous factor is an antichain
 of the heap, so a(w) is the heap's
 width (`words.heap_width`); `a_bruteforce` is the definition by exhaustion.
+
+One cancellation step labels an element of an enumeration in length
+order.  Descents and absorbers are read off the heap, so the deterministic
+reduction (left side first, smallest descent) walks one chain of elements
+from every reduced word, and `classify_core` reads only the core's left
+decomposition.  So w has the label of the shorter u one step down (E_t E_w
+= E_u or E_w E_t = E_u), labelled already: `step_labels` looks it up.
 """
 
 from __future__ import annotations
@@ -38,7 +45,9 @@ from typing import NamedTuple
 
 from .algebra import is_reduced_word
 from .config import GroupConfig
-from .diagrams import InvariantError, edge_list, generator_times, short_arc_count, times_generator
+from .diagrams import (
+    AffineDiagram, InvariantError, edge_list, generator_times, short_arc_count, times_generator
+)
 from .laurent import json_int
 from .straightening import stack, straighten
 from .words import (
@@ -226,6 +235,17 @@ def _cancel_options(
     ]
 
 
+def _first_step(
+    cfg: GroupConfig, word: Word, sides: tuple[str, ...] = ("left", "right")
+) -> CancelStep | None:
+    # options[0], scanning a later side only when the earlier has no step
+    for side in sides:
+        for s, t in absorbers(cfg, word, side == "left").items():
+            if t:
+                return CancelStep(side, s, t)
+    return None
+
+
 def _reduce(
     cfg: GroupConfig,
     w: Word,
@@ -234,8 +254,10 @@ def _reduce(
 ) -> ReduceResult:
     # reduce_to_core on a word already checked to be reduced FC
     trace: list[CancelStep] = []
-    while options := _cancel_options(cfg, w, sides):
-        step = options[0] if rng is None else rng.choice(options)
+    while step := (
+        _first_step(cfg, w, sides) if rng is None
+        else (options := _cancel_options(cfg, w, sides)) and rng.choice(options)
+    ):
         w = drop_letter(w, step.s, step.side == "left")
         trace.append(step)
     return ReduceResult(w, tuple(trace))
@@ -249,8 +271,7 @@ def reduce_to_core(cfg: GroupConfig, word, rng: random.Random | None = None) -> 
 
 def is_core(cfg: GroupConfig, word) -> bool:
     """No descent on either side is cancellable."""
-    w = _require_reduced_fc(cfg, word)
-    return not _cancel_options(cfg, w)
+    return _first_step(cfg, _require_reduced_fc(cfg, word)) is None
 
 
 def alternating_word(cfg: GroupConfig, start: str, factors: int) -> Word:
@@ -271,24 +292,15 @@ def classify_core(cfg: GroupConfig, word) -> TwoSidedLabel:
     groups = left_decomposition(cfg, word).groups
     if not groups:
         return TwoSidedLabel.small(0)
-    if len(groups) == 1:
-        t = groups[0]
-        if 2 * len(t) < cfg.n:
-            return TwoSidedLabel.small(len(t))
-        odd, even = cfg.alternating_sets()
-        if t == odd:
-            return TwoSidedLabel.alternating("odd", 1)
-        if t == even:
-            return TwoSidedLabel.alternating("even", 1)
-        raise ValueError("not a core element")
+    if len(groups) == 1 and 2 * len(groups[0]) < cfg.n:
+        return TwoSidedLabel.small(len(groups[0]))
     if cfg.n % 2:
         raise ValueError("not a core element")
     odd, even = cfg.alternating_sets()
-    for g1, g2 in zip(groups, groups[1:]):
-        if {g1, g2} != {odd, even}:
-            raise ValueError("not a core element")
-    start = "odd" if groups[0] == odd else "even"
-    return TwoSidedLabel.alternating(start, len(groups))
+    pairs = zip(groups, groups[1:])
+    if groups[0] not in (odd, even) or any({g1, g2} != {odd, even} for g1, g2 in pairs):
+        raise ValueError("not a core element")
+    return TwoSidedLabel.alternating("odd" if groups[0] == odd else "even", len(groups))
 
 
 def core_neighbours(cfg: GroupConfig, word) -> frozenset[tuple[int, Word]]:
@@ -323,15 +335,28 @@ def labels(cfg: GroupConfig, word) -> CellLabels:
     two-sided label and the bottom arc pattern agree, a right cell iff the
     label and the top pattern agree, a two-sided cell iff the label agrees."""
     w = _require_reduced_fc(cfg, word)
-    d = stack(cfg, w).diagram
-    core = _reduce(cfg, w).word
+    return _cell_labels(stack(cfg, w).diagram, classify_core(cfg, _reduce(cfg, w).word))
+
+
+def step_labels(
+    cfg: GroupConfig, word, d: AffineDiagram, known: dict[AffineDiagram, TwoSidedLabel]
+) -> CellLabels:
+    """`labels` of the element with reduced word `word` and diagram `d`, given
+    the two-sided label of every shorter element by diagram; adds its own."""
+    w = _require_reduced_fc(cfg, word)
+    if (step := _first_step(cfg, w)) is None:
+        known[d] = classify_core(cfg, w)
+    else:
+        r = generator_times(step.t, d) if step.side == "left" else times_generator(d, step.t)
+        if r.contractible or r.diagram not in known:
+            raise InvariantError("cancellation step leaves the labelled elements")
+        known[d] = known[r.diagram]
+    return _cell_labels(d, known[d])
+
+
+def _cell_labels(d: AffineDiagram, two_sided: TwoSidedLabel) -> CellLabels:
     top_arcs, bottom_arcs, _ = edge_list(d)
-    return CellLabels(
-        two_sided=classify_core(cfg, core),
-        left_pattern=frozenset(bottom_arcs),
-        right_pattern=frozenset(top_arcs),
-        loops=d.loops,
-    )
+    return CellLabels(two_sided, frozenset(bottom_arcs), frozenset(top_arcs), d.loops)
 
 
 def involution_decompose(

@@ -63,7 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="element JSON (or @file)")
     p.add_argument("--b", required=True, help="element JSON (or @file)")
 
-    p = sub.add_parser("straighten", help="canonical word of a diagram JSON")
+    note = ("canonical word of a diagram JSON; time grows with the length of that "
+            "word, which a large 'loops' count or vertical twist makes long")
+    p = sub.add_parser("straighten", help=note, description=note)
     p.add_argument("--diagram", required=True, help="diagram JSON (or @file)")
 
     p = sub.add_parser("diagram", help="diagram of a word")

@@ -34,7 +34,7 @@ Constructing an AffineDiagram checks nothing: internal constructions are
 trusted.  Diagrams from outside are checked once, at the input boundary,
 by `from_json_dict`, which rejects bad sides while parsing and runs
 `validate` (shape, involution, balance, and planarity decided by one
-linear sweep over three periods of each row, whose cost does not depend
+linear sweep over two periods of each row, whose cost does not depend
 on coordinate magnitudes).  Broken internal self-checks raise
 `InvariantError`, which survives `python -O`.
 """
@@ -204,11 +204,12 @@ def _first_crossing(d: AffineDiagram, top_arcs, bottom_arcs, verticals):
     Edges are (side, p, q) arcs with p < q, or ("V", top_pos, bottom_pos).
     Each of the three steps is linear in n whatever the coordinates:
     1. an arc spanning n or more positions crosses its own translate;
-    2. two shorter arcs that cross, or such an arc and a vertical end
-       inside it, span less than 2n, so a translate of them lies in
-       positions 1..3n: one matching-parentheses scan of those positions
-       per row finds an arc closing inside another, or a vertical end
-       inside an open arc;
+    2. two shorter crossing arcs, or such an arc and a vertical end inside
+       it, have a translate in positions 1..2n (shift a1 < a2 < b1 < b2 to
+       a1 in 1..n, so b1 < a1 + n <= 2n; if b2 > 2n, then a2 > b2 - n > n
+       and a2 - n < a1 < b2 - n < b1, as a2 < b1 < a1 + n): one matching-
+       parentheses scan of those positions per row finds an arc closing
+       inside another, or a vertical end inside an open arc;
     3. verticals cross exactly when their bottom ends leave the order of
        their top ends, the first one's translate closing the period.
     """
@@ -219,8 +220,8 @@ def _first_crossing(d: AffineDiagram, top_arcs, bottom_arcs, verticals):
                 return (side, p, q), (side, p + n, q + n)
     for side, row in ((TOP, d.top), (BOT, d.bottom)):
         bit = side == BOT
-        opened = []  # arc lifts (p, q) in 1..3n whose right end is ahead
-        for x in range(1, 3 * n + 1):
+        opened = []  # arc lifts (p, q) in 1..2n whose right end is ahead
+        for x in range(1, 2 * n + 1):
             c = (x - 1) % n
             entry = row[c] + 2 * (x - 1 - c)
             y = entry >> 1
@@ -229,7 +230,7 @@ def _first_crossing(d: AffineDiagram, top_arcs, bottom_arcs, verticals):
                     vertical = ("V", x, y) if side == TOP else ("V", y, x)
                     return (side, *opened[-1]), vertical
             elif y > x:
-                if y <= 3 * n:
+                if y <= 2 * n:
                     opened.append((x, y))
             elif y >= 1:
                 if opened[-1][0] != y:

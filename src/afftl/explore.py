@@ -23,7 +23,7 @@ from collections import Counter
 from typing import Iterator, NamedTuple
 
 from .config import GroupConfig
-from .cells import CellLabels, labels
+from .cells import CellLabels, TwoSidedLabel, step_labels
 from .diagrams import AffineDiagram, identity, is_mirror_symmetric, times_generator
 from .words import AffinePermutation, Word, heap_is_fc
 
@@ -81,8 +81,10 @@ def enumerate_elements(
     limit = element_cap(cap)
     order = generator_order or tuple(cfg.generators())
 
+    known: dict[AffineDiagram, TwoSidedLabel] | None = {} if with_labels else None
+
     def record(word: Word, d: AffineDiagram, ln: int) -> EnumerationRecord:
-        lab = labels(cfg, word) if with_labels else None
+        lab = None if known is None else step_labels(cfg, word, d, known)
         return EnumerationRecord(word, d, ln, lab, is_mirror_symmetric(d))
 
     start = identity(n)

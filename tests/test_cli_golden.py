@@ -37,8 +37,27 @@ GOLDEN = [
 ]
 
 
+# Labelled enumeration and census at horizons the benchmark's n = 6 census
+# digest does not reach, odd n included.
+LABELLED = [
+    (["enumerate", "--n", "6", "--max-len", "8"],
+     "337a7e16aeefb99ee0f1bef8886810d43c17d0bbfee6d1f4269c937bd87606b4"),
+    (["cells", "census", "--n", "7", "--max-len", "9"],
+     "19e1460163d19a7d523d4cadf44e4c31cf71fb93ebf0d7f1b278f1f5241c95a2"),
+]
+
+
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a[:2]) for a, _ in GOLDEN])
 def test_stdout_digest(capsys, argv, digest):
+    check_digest(capsys, argv, digest)
+
+
+@pytest.mark.parametrize("argv,digest", LABELLED, ids=[" ".join(a) for a, _ in LABELLED])
+def test_labelled_stdout_digest(capsys, argv, digest):
+    check_digest(capsys, argv, digest)
+
+
+def check_digest(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out[:300]

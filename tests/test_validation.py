@@ -74,10 +74,18 @@ def diagram_pool(rng):
         cfg = GroupConfig(n)
         for _ in range(150):
             pool.append(random_matching_diagram(rng, n))
-        for _ in range(25):
-            d = stack(cfg, random_fc_word(cfg, rng, 8)).diagram
-            pool += [d, twisted(d, rng.randint(-2 * n, 2 * n))]
+        pool += word_diagrams(rng, cfg, 25)
     return pool
+
+
+def word_diagrams(rng, cfg, count):
+    """Diagrams of `count` random FC words, each followed by a twist of it:
+    planar, or crossing only through twisted verticals."""
+    out = []
+    for _ in range(count):
+        d = stack(cfg, random_fc_word(cfg, rng, 8)).diagram
+        out += [d, twisted(d, rng.randint(-2 * cfg.n, 2 * cfg.n))]
+    return out
 
 
 class TestValidateAgainstOracle:
@@ -98,6 +106,20 @@ class TestValidateAgainstOracle:
             invalid += bool(fast)
         # both outcomes are well represented
         assert valid > 150 and invalid > 300
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_two_period_sweep_on_word_diagrams(self, n):
+        # a twist keeps the order of the verticals and the arcs are planar,
+        # so each crossing here is a vertical end inside an arc, found by
+        # the row scan over positions 1..2n
+        planar = 0
+        for d in word_diagrams(random.Random(n), GroupConfig(n), 100):
+            fast, slow = validate(d), validate_bruteforce(d)
+            assert bool(fast) == bool(slow), d
+            for e1, e2 in reported_crossings(fast):
+                assert crosses(e1, e2) and (e1[0] == "V") != (e2[0] == "V"), d
+            planar += not fast
+        assert 100 <= planar < 200
 
     def test_involution_breach_reported(self):
         d = identity(4)
