@@ -7,13 +7,26 @@ faithfulness of the representation makes an exact key.  No length is
 computed: a loop-free product E_w E_s is a basis diagram of length at most
 l(w) + 1, because crossing numbers are subadditive under stacking (Fan and
 Green, On the affine Temperley-Lieb algebras, 1999), and every element
-shorter than that has been seen already.  Each extension is one
-constant-size generator action on the diagram.  The involution flag is
-read off the diagram too: swapping its rows gives the diagram of the
-inverse element, so w is an involution exactly when its diagram is
-mirror-symmetric.  An independent enumeration over affine permutations,
-filtered by the word-level FC test, provides per-length counts to check
-against.
+shorter than that has been seen already.
+
+Most extensions are not computed at all.  The reduced words of a fully
+commutative element form one commutation class (Stembridge 1996, On the
+fully commutative elements of Coxeter groups), and each record's word is
+the lexicographically least word of its class under the generator order.
+By Anisimov and Knuth (Inhomogeneous sorting, 1979) a word is least in its
+class exactly when it has no factor b u a with a < b, where a commutes
+with b and with every letter of u.  So W s, with W least, can be the least
+word of a new element only when every letter of W after its last
+neighbour of s ranks below s; otherwise the product closes a loop,
+collapses to a shorter diagram, or is an element first reached from an
+earlier word.  Each frontier entry carries, per letter, the highest rank
+after that letter's last neighbour, and the test costs one comparison.
+
+The involution flag is read off the diagram too: swapping its rows gives
+the diagram of the inverse element, so w is an involution exactly when its
+diagram is mirror-symmetric.  An independent enumeration over affine
+permutations, filtered by the word-level FC test, provides per-length
+counts to check against.
 """
 
 from __future__ import annotations
@@ -66,7 +79,9 @@ def enumerate_elements(
     generator_order: tuple[int, ...] | None = None,
 ) -> Iterator[EnumerationRecord]:
     """Yield every fully commutative element of length <= max_len once, in
-    length order, as (canonical-by-construction word, diagram) pairs.
+    length order and, within a length, in lexicographic order of its least
+    word under `generator_order` (a permutation of 1..n, ascending when
+    None), as (least word, diagram) pairs.
 
     Level ln extends the elements of length ln - 1.  Every element u of
     length < ln is in `seen` already, by induction: u = ws with l(u) =
@@ -74,12 +89,34 @@ def enumerate_elements(
     basis diagram of length at most l(w) + 1 = ln, because crossing numbers
     are subadditive under stacking.  So an unseen extension has length
     exactly ln, and no length is computed.
+
+    The frontier is in lexicographic order, and an element's least word is
+    the least of (least word of u s) s over its right descents s, so each
+    element is first reached by appending one letter to the least word of
+    a parent: records carry least words, by induction.  Hence W s is
+    computed only when it can be a least word (Anisimov and Knuth 1979):
+    when no letter of W after the last neighbour of s ranks at or above s.
+    If s itself is there, s is a right descent of W and E_W E_s has a
+    loop.  If a higher letter b is there, W s is greater than the word of
+    its class with s moved before b; when that word is reduced and fully
+    commutative, an earlier parent has reached its element, and otherwise
+    the product has a loop or is shorter.  `after[r]` holds the highest
+    rank after W's last neighbour of r, -1 when there is none.  The loop
+    and `seen` checks still reject what the prune lets through: braid
+    collapses to shorter diagrams.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     n = cfg.n
     limit = element_cap(cap)
-    order = generator_order or tuple(cfg.generators())
+    order = tuple(cfg.generators() if generator_order is None else generator_order)
+    if sorted(order) != list(cfg.generators()):
+        raise ValueError(
+            f"generator_order must be a permutation of 1..{n}, got {generator_order!r}"
+        )
+    rank = [0] * (n + 1)
+    for i, s in enumerate(order):
+        rank[s] = i
 
     known: dict[AffineDiagram, TwoSidedLabel] | None = {} if with_labels else None
 
@@ -91,11 +128,17 @@ def enumerate_elements(
     seen = {start}
     count = 1
     yield record((), start, 0)
-    frontier: list[tuple[Word, AffineDiagram]] = [((), start)]
+    # entries are (word, diagram, after), `after` indexed by letter 1..n
+    frontier: list[tuple[Word, AffineDiagram, list[int]]] = [
+        ((), start, [-1] * (n + 1))
+    ]
     for ln in range(1, max_len + 1):
-        nxt: list[tuple[Word, AffineDiagram]] = []
-        for word, d in frontier:
+        nxt: list[tuple[Word, AffineDiagram, list[int]]] = []
+        for word, d, after in frontier:
             for s in order:
+                top = rank[s]
+                if after[s] >= top:
+                    continue
                 r = times_generator(d, s)
                 if r.contractible or r.diagram in seen:
                     continue
@@ -107,7 +150,11 @@ def enumerate_elements(
                     )
                 w2 = word + (s,)
                 yield record(w2, r.diagram, ln)
-                nxt.append((w2, r.diagram))
+                if ln == max_len:
+                    continue  # the last level is never extended
+                after2 = [a if a > top else top for a in after]
+                after2[s - 1 or n] = after2[s % n + 1] = -1
+                nxt.append((w2, r.diagram, after2))
         frontier = nxt
 
 

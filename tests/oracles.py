@@ -20,10 +20,13 @@ reads descents off the words; and the greedy formulations
 `left_decomposition_greedy`) move each letter to the front or back with
 `greedy_front_adjacent`/`greedy_back_adjacent`, one generator at a time,
 where the library reads the heap's minimal and maximal elements off one
-scan per side; and `enumerate_filtered` keeps an extension only after
-computing its length and builds the mirror for the involution flag, where
-the library relies on the length argument and compares the rows
-entrywise.  The differential tests play each against its library
+scan per side; and `enumerate_filtered` computes every extension and
+keeps one only after computing its length and builds the mirror for the
+involution flag, where the library skips the extensions that cannot be
+least words, relies on the length argument and compares the rows
+entrywise; `least_word_greedy` builds the least word of a commutation
+class one letter at a time, where the library's records are least words
+by construction.  The differential tests play each against its library
 counterpart.  `class_has_braid` (the definition of full commutativity)
 and `braid_witness_left` are reference statements used by the word tests,
 and `braid_witness_by_class` finds the braid witness by searching the
@@ -480,6 +483,20 @@ def left_decomposition_greedy(cfg, word):
             w = greedy_front_adjacent(cfg, w, s)[1:]
         groups.append(g)
     return tuple(groups)
+
+
+def least_word_greedy(cfg, word, order):
+    """The lexicographically least word of `word`'s commutation class, with
+    letters compared by their position in `order`: the letter moved to the
+    front each time is the lowest-ranked one that `greedy_front_adjacent`
+    can move there."""
+    rank = {s: i for i, s in enumerate(order)}
+    rest, out = tuple(word), []
+    while rest:
+        s = min((s for s in set(rest) if greedy_front_adjacent(cfg, rest, s)), key=rank.get)
+        rest = greedy_front_adjacent(cfg, rest, s)[1:]
+        out.append(s)
+    return tuple(out)
 
 
 def enumerate_filtered(cfg, max_len, generator_order=None):
