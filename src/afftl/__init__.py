@@ -48,11 +48,12 @@ from .cells import (
     core_neighbours,
     involution_decompose,
     is_core,
+    labelled_elements,
     labels,
     reduce_to_core,
     right_cell_involution,
 )
-from .explore import EnumerationRecord, enumerate_elements, oracle_counts, wc_counts
+from .explore import EnumerationRecord, enumerate_elements, oracle_counts
 from .words import (
     AffinePermutation,
     BraidWitness,

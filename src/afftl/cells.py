@@ -35,19 +35,20 @@ order.  Descents and absorbers are read off the heap, so the deterministic
 reduction (left side first, smallest descent) walks one chain of elements
 from every reduced word, and `classify_core` reads only the core's left
 decomposition.  So w has the label of the shorter u one step down (E_t E_w
-= E_u or E_w E_t = E_u), labelled already: `step_labels` looks it up.
+= E_u or E_w E_t = E_u), labelled already: `labelled_elements` looks it up.
 """
 
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .algebra import is_reduced_word
 from .config import GroupConfig
 from .diagrams import (
     AffineDiagram, InvariantError, edge_list, generator_times, short_arc_count, times_generator
 )
+from .explore import EnumerationRecord, enumerate_elements
 from .laurent import json_int
 from .straightening import stack, straighten
 from .words import (
@@ -223,27 +224,15 @@ def cancellable(cfg: GroupConfig, word, s: int, side: str) -> int | None:
     return t or None
 
 
-def _cancel_options(
+def _cancel_steps(
     cfg: GroupConfig, word: Word, sides: tuple[str, ...] = ("left", "right")
-) -> list[CancelStep]:
-    # by side in the given order, then by descent: seeded choices rely on it
-    return [
-        CancelStep(side, s, t)
-        for side in sides
-        for s, t in absorbers(cfg, word, side == "left").items()
-        if t
-    ]
-
-
-def _first_step(
-    cfg: GroupConfig, word: Word, sides: tuple[str, ...] = ("left", "right")
-) -> CancelStep | None:
-    # options[0], scanning a later side only when the earlier has no step
+) -> Iterator[CancelStep]:
+    # by side in the given order, then ascending descent: seeded choices rely
+    # on it; a later side is scanned only when the earlier ones are used up
     for side in sides:
         for s, t in absorbers(cfg, word, side == "left").items():
             if t:
-                return CancelStep(side, s, t)
-    return None
+                yield CancelStep(side, s, t)
 
 
 def _reduce(
@@ -255,8 +244,8 @@ def _reduce(
     # reduce_to_core on a word already checked to be reduced FC
     trace: list[CancelStep] = []
     while step := (
-        _first_step(cfg, w, sides) if rng is None
-        else (options := _cancel_options(cfg, w, sides)) and rng.choice(options)
+        next(_cancel_steps(cfg, w, sides), None) if rng is None
+        else (options := [*_cancel_steps(cfg, w, sides)]) and rng.choice(options)
     ):
         w = drop_letter(w, step.s, step.side == "left")
         trace.append(step)
@@ -271,7 +260,7 @@ def reduce_to_core(cfg: GroupConfig, word, rng: random.Random | None = None) -> 
 
 def is_core(cfg: GroupConfig, word) -> bool:
     """No descent on either side is cancellable."""
-    return _first_step(cfg, _require_reduced_fc(cfg, word)) is None
+    return next(_cancel_steps(cfg, _require_reduced_fc(cfg, word)), None) is None
 
 
 def alternating_word(cfg: GroupConfig, start: str, factors: int) -> Word:
@@ -307,7 +296,7 @@ def core_neighbours(cfg: GroupConfig, word) -> frozenset[tuple[int, Word]]:
     """All pairs (s, q') of core elements q' with E_q = E_s E_q' E_s,
     found by exhaustive engine search over candidate cores."""
     w = _require_reduced_fc(cfg, word)
-    if not is_core(cfg, w):
+    if next(_cancel_steps(cfg, w), None) is not None:
         raise ValueError("not a core element")
     n = cfg.n
     target = stack(cfg, w).diagram
@@ -338,20 +327,23 @@ def labels(cfg: GroupConfig, word) -> CellLabels:
     return _cell_labels(stack(cfg, w).diagram, classify_core(cfg, _reduce(cfg, w).word))
 
 
-def step_labels(
-    cfg: GroupConfig, word, d: AffineDiagram, known: dict[AffineDiagram, TwoSidedLabel]
-) -> CellLabels:
-    """`labels` of the element with reduced word `word` and diagram `d`, given
-    the two-sided label of every shorter element by diagram; adds its own."""
-    w = _require_reduced_fc(cfg, word)
-    if (step := _first_step(cfg, w)) is None:
-        known[d] = classify_core(cfg, w)
-    else:
-        r = generator_times(step.t, d) if step.side == "left" else times_generator(d, step.t)
-        if r.contractible or r.diagram not in known:
-            raise InvariantError("cancellation step leaves the labelled elements")
-        known[d] = known[r.diagram]
-    return _cell_labels(d, known[d])
+def labelled_elements(cfg: GroupConfig, max_len: int) -> Iterator[EnumerationRecord]:
+    """`explore.enumerate_elements` with each record's `labels`.  Records
+    come in length order, so the element one cancellation step below each,
+    one generator action away, is labelled already: `known` holds the
+    two-sided label of every diagram so far, and only cores are classified.
+    The enumeration makes only reduced FC words, so none is checked again."""
+    known: dict[AffineDiagram, TwoSidedLabel] = {}
+    for rec in enumerate_elements(cfg, max_len):
+        d = rec.diagram
+        if (step := next(_cancel_steps(cfg, rec.word), None)) is None:
+            known[d] = classify_core(cfg, rec.word)
+        else:
+            r = generator_times(step.t, d) if step.side == "left" else times_generator(d, step.t)
+            if r.contractible or r.diagram not in known:
+                raise InvariantError("cancellation step leaves the labelled elements")
+            known[d] = known[r.diagram]
+        yield rec._replace(labels=_cell_labels(d, known[d]))
 
 
 def _cell_labels(d: AffineDiagram, two_sided: TwoSidedLabel) -> CellLabels:
@@ -414,13 +406,11 @@ def right_cell_involution(cfg: GroupConfig, word) -> Word | str:
     return straighten(stack(cfg, d).diagram).letters
 
 
-def census(cfg: GroupConfig, max_len: int, cap: int | None = None) -> list[CensusRow]:
+def census(cfg: GroupConfig, max_len: int) -> list[CensusRow]:
     """Enumerate all elements up to the length horizon and count, per
     two-sided label, the distinct left and right cell labels observed."""
-    from .explore import enumerate_elements  # explore imports this module
-
     agg: dict[TwoSidedLabel, list] = {}
-    for rec in enumerate_elements(cfg, max_len, with_labels=True, cap=cap):
+    for rec in labelled_elements(cfg, max_len):
         lab = rec.labels
         entry = agg.setdefault(lab.two_sided, [set(), set(), 0])
         entry[0].add(lab.left_pattern)

@@ -182,7 +182,8 @@ def _cmd_involution(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     cfg = GroupConfig(args.n)
-    for rec in explore.enumerate_elements(cfg, args.max_len, with_labels=not args.no_labels):
+    records = explore.enumerate_elements if args.no_labels else cells.labelled_elements
+    for rec in records(cfg, args.max_len):
         _emit(rec.to_json())
     return 0
 

@@ -12,31 +12,31 @@ shorter than that has been seen already.
 Most extensions are not computed at all.  The reduced words of a fully
 commutative element form one commutation class (Stembridge 1996, On the
 fully commutative elements of Coxeter groups), and each record's word is
-the lexicographically least word of its class under the generator order.
-By Anisimov and Knuth (Inhomogeneous sorting, 1979) a word is least in its
-class exactly when it has no factor b u a with a < b, where a commutes
-with b and with every letter of u.  So W s, with W least, can be the least
-word of a new element only when every letter of W after its last
-neighbour of s ranks below s; otherwise the product closes a loop,
+the lexicographically least word of its class, letters compared as
+integers.  By Anisimov and Knuth (Inhomogeneous sorting, 1979) a word is
+least in its class exactly when it has no factor b u a with a < b, where a
+commutes with b and with every letter of u.  So W s, with W least, can be
+the least word of a new element only when every letter of W after its
+last neighbour of s is below s; otherwise the product closes a loop,
 collapses to a shorter diagram, or is an element first reached from an
-earlier word.  Each frontier entry carries, per letter, the highest rank
+earlier word.  Each frontier entry carries, per letter, the highest letter
 after that letter's last neighbour, and the test costs one comparison.
 
 The involution flag is read off the diagram too: swapping its rows gives
 the diagram of the inverse element, so w is an involution exactly when its
-diagram is mirror-symmetric.  An independent enumeration over affine
-permutations, filtered by the word-level FC test, provides per-length
-counts to check against.
+diagram is mirror-symmetric.  Records carry no cell labels;
+`cells.labelled_elements` adds them.  An independent enumeration over
+affine permutations, filtered by the word-level FC test, provides
+per-length counts to check against.  Both enumerations stop with
+RuntimeError past `element_cap()` elements.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
 from typing import Iterator, NamedTuple
 
 from .config import GroupConfig
-from .cells import CellLabels, TwoSidedLabel, step_labels
 from .diagrams import AffineDiagram, identity, is_mirror_symmetric, times_generator
 from .words import AffinePermutation, Word, heap_is_fc
 
@@ -44,9 +44,7 @@ DEFAULT_CAP = 10**7
 CAP_ENV_VAR = "AFFTL_MAX_ELEMENTS"
 
 
-def element_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
+def element_cap() -> int:
     env = os.environ.get(CAP_ENV_VAR)
     if not env:
         return DEFAULT_CAP
@@ -59,7 +57,7 @@ class EnumerationRecord(NamedTuple):
     word: Word
     diagram: AffineDiagram
     length: int
-    labels: CellLabels | None
+    labels: object  # a cells.CellLabels, or None before cells labels it
     is_involution: bool
 
     def to_json(self) -> dict:
@@ -71,17 +69,10 @@ class EnumerationRecord(NamedTuple):
         }
 
 
-def enumerate_elements(
-    cfg: GroupConfig,
-    max_len: int,
-    with_labels: bool = True,
-    cap: int | None = None,
-    generator_order: tuple[int, ...] | None = None,
-) -> Iterator[EnumerationRecord]:
+def enumerate_elements(cfg: GroupConfig, max_len: int) -> Iterator[EnumerationRecord]:
     """Yield every fully commutative element of length <= max_len once, in
     length order and, within a length, in lexicographic order of its least
-    word under `generator_order` (a permutation of 1..n, ascending when
-    None), as (least word, diagram) pairs.
+    word, as unlabelled records.
 
     Level ln extends the elements of length ln - 1.  Every element u of
     length < ln is in `seen` already, by induction: u = ws with l(u) =
@@ -95,49 +86,32 @@ def enumerate_elements(
     element is first reached by appending one letter to the least word of
     a parent: records carry least words, by induction.  Hence W s is
     computed only when it can be a least word (Anisimov and Knuth 1979):
-    when no letter of W after the last neighbour of s ranks at or above s.
+    when no letter of W after the last neighbour of s is at or above s.
     If s itself is there, s is a right descent of W and E_W E_s has a
     loop.  If a higher letter b is there, W s is greater than the word of
     its class with s moved before b; when that word is reduced and fully
     commutative, an earlier parent has reached its element, and otherwise
     the product has a loop or is shorter.  `after[r]` holds the highest
-    rank after W's last neighbour of r, -1 when there is none.  The loop
+    letter after W's last neighbour of r, 0 when there is none.  The loop
     and `seen` checks still reject what the prune lets through: braid
     collapses to shorter diagrams.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     n = cfg.n
-    limit = element_cap(cap)
-    order = tuple(cfg.generators() if generator_order is None else generator_order)
-    if sorted(order) != list(cfg.generators()):
-        raise ValueError(
-            f"generator_order must be a permutation of 1..{n}, got {generator_order!r}"
-        )
-    rank = [0] * (n + 1)
-    for i, s in enumerate(order):
-        rank[s] = i
-
-    known: dict[AffineDiagram, TwoSidedLabel] | None = {} if with_labels else None
-
-    def record(word: Word, d: AffineDiagram, ln: int) -> EnumerationRecord:
-        lab = None if known is None else step_labels(cfg, word, d, known)
-        return EnumerationRecord(word, d, ln, lab, is_mirror_symmetric(d))
-
+    letters = cfg.generators()
+    limit = element_cap()
     start = identity(n)
     seen = {start}
     count = 1
-    yield record((), start, 0)
+    yield EnumerationRecord((), start, 0, None, is_mirror_symmetric(start))
     # entries are (word, diagram, after), `after` indexed by letter 1..n
-    frontier: list[tuple[Word, AffineDiagram, list[int]]] = [
-        ((), start, [-1] * (n + 1))
-    ]
+    frontier: list[tuple[Word, AffineDiagram, list[int]]] = [((), start, [0] * (n + 1))]
     for ln in range(1, max_len + 1):
         nxt: list[tuple[Word, AffineDiagram, list[int]]] = []
         for word, d, after in frontier:
-            for s in order:
-                top = rank[s]
-                if after[s] >= top:
+            for s in letters:
+                if after[s] >= s:
                     continue
                 r = times_generator(d, s)
                 if r.contractible or r.diagram in seen:
@@ -149,26 +123,20 @@ def enumerate_elements(
                         f"enumeration exceeded the cap of {limit} elements"
                     )
                 w2 = word + (s,)
-                yield record(w2, r.diagram, ln)
+                yield EnumerationRecord(w2, r.diagram, ln, None, is_mirror_symmetric(r.diagram))
                 if ln == max_len:
                     continue  # the last level is never extended
-                after2 = [a if a > top else top for a in after]
-                after2[s - 1 or n] = after2[s % n + 1] = -1
+                after2 = [a if a > s else s for a in after]
+                after2[s - 1 or n] = after2[s % n + 1] = 0
                 nxt.append((w2, r.diagram, after2))
         frontier = nxt
 
 
-def wc_counts(cfg: GroupConfig, max_len: int, cap: int | None = None) -> dict[int, int]:
-    """Per-length element counts from the diagram-keyed enumeration."""
-    recs = enumerate_elements(cfg, max_len, with_labels=False, cap=cap)
-    return dict(Counter(rec.length for rec in recs))
-
-
-def oracle_counts(cfg: GroupConfig, max_len: int, cap: int | None = None) -> dict[int, int]:
+def oracle_counts(cfg: GroupConfig, max_len: int) -> dict[int, int]:
     """Per-length counts via affine permutations filtered by the word-level
     FC test; fully independent of the diagram engine."""
     n = cfg.n
-    limit = element_cap(cap)
+    limit = element_cap()
     counts = {0: 1}
     seen = {AffinePermutation.identity(n).window}
     rejected: set[tuple[int, ...]] = set()

@@ -178,7 +178,7 @@ def check_neighbour_symmetry(cfg: GroupConfig) -> Check:
 def run_all(n: int, max_len: int, seed: int) -> list[Check]:
     cfg = GroupConfig(n)
     rng = random.Random(seed)
-    recs = list(explore.enumerate_elements(cfg, max_len, with_labels=False))
+    recs = list(explore.enumerate_elements(cfg, max_len))
     checks = [
         check_defining_relations(cfg),
         check_unit_laws(cfg, recs),

@@ -40,8 +40,12 @@ descent, and `involution_decompose_by_rescan` conjugates away a letter
 only after dropping it from the front and rescanning the rest, while some
 pair of the word's letters is adjacent, both with the greedy descent
 scans; the library reads every descent's absorber, and the letters to
-conjugate away, off one scan per side.
+conjugate away, off one scan per side.  `wc_counts` tallies the
+diagram-keyed enumeration by length, for the tests that play it against
+the permutation oracle's counts.
 """
+
+from collections import Counter
 
 from afftl.algebra import AlgebraElement
 from afftl.cells import CancelStep, InvolutionDecomposition, ReduceResult
@@ -66,6 +70,7 @@ from afftl.diagrams import (
     straight_diagram,
     times_generator,
 )
+from afftl.explore import enumerate_elements
 from afftl.laurent import ZERO, delta_power
 from afftl.straightening import _innermost_cover, stack
 from afftl.words import (
@@ -523,6 +528,11 @@ def enumerate_filtered(cfg, max_len, generator_order=None):
                 yield w2, r.diagram, ln, mirror(r.diagram) == r.diagram
                 nxt.append((w2, r.diagram))
         frontier = nxt
+
+
+def wc_counts(cfg, max_len):
+    """Per-length element counts from the diagram-keyed enumeration."""
+    return dict(Counter(rec.length for rec in enumerate_elements(cfg, max_len)))
 
 
 def congruence_candidates(d: AffineDiagram) -> dict[str, dict[int, tuple | None]]:

@@ -26,6 +26,7 @@ from afftl.cells import (
     core_neighbours,
     involution_decompose,
     is_core,
+    labelled_elements,
     labels,
     reduce_to_core,
     right_cell_involution,
@@ -57,9 +58,8 @@ _ENUM_CACHE = {}
 def enum(n, max_len, with_labels=False):
     key = (n, max_len, with_labels)
     if key not in _ENUM_CACHE:
-        _ENUM_CACHE[key] = list(
-            enumerate_elements(GroupConfig(n), max_len, with_labels=with_labels)
-        )
+        records = labelled_elements if with_labels else enumerate_elements
+        _ENUM_CACHE[key] = list(records(GroupConfig(n), max_len))
     return _ENUM_CACHE[key]
 
 

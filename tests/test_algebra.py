@@ -115,7 +115,7 @@ class TestRewriteEngine:
         from afftl.explore import enumerate_elements
 
         cfg = GroupConfig(4)
-        recs = list(enumerate_elements(cfg, 3, with_labels=False))
+        recs = list(enumerate_elements(cfg, 3))
         for ra in recs:
             for rb in recs:
                 exp, word = rewrite_eval(cfg, rb.word, start=ra.word)

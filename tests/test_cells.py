@@ -17,6 +17,7 @@ from afftl.cells import (
     core_neighbours,
     involution_decompose,
     is_core,
+    labelled_elements,
     labels,
     reduce_to_core,
     right_cell_involution,
@@ -101,7 +102,7 @@ class TestCancellable:
         rng = random.Random(n)
         descents = {"left": left_descents, "right": right_descents}
         checked = absorbed = 0
-        for rec in enumerate_elements(cfg, max_len, with_labels=False):
+        for rec in enumerate_elements(cfg, max_len):
             for w in (rec.word, shuffled(cfg, rec.word, rng)):
                 for side, find in descents.items():
                     for s in find(cfg, w):
@@ -160,7 +161,7 @@ class TestCoreMembership:
                         expected.add(perm_of(cfg, alternating_word(cfg, start, f)).window)
             seen = {
                 perm_of(cfg, rec.word).window
-                for rec in enumerate_elements(cfg, 8, with_labels=False)
+                for rec in enumerate_elements(cfg, 8)
                 if is_core(cfg, rec.word)
             }
             assert seen == expected
@@ -180,6 +181,25 @@ class TestNeighbours:
         assert core_neighbours(cfg4, (1, 3)) == frozenset()
         assert core_neighbours(cfg4, (1, 3, 2, 4)) == frozenset()
         assert core_neighbours(cfg4, ()) == frozenset()
+        with pytest.raises(ValueError, match="not a core element"):
+            core_neighbours(cfg4, (1, 2))
+
+    def test_word_checked_once(self, monkeypatch):
+        from afftl import algebra, cells
+
+        calls = []
+        real = algebra.is_reduced_word
+
+        def counted(cfg, word):
+            calls.append(word)
+            return real(cfg, word)
+
+        for module in (algebra, cells):
+            monkeypatch.setattr(module, "is_reduced_word", counted)
+        for n, q in [(4, ()), (4, (1, 3)), (5, (1, 3)), (6, (1, 3, 5, 2, 4, 6))]:
+            calls.clear()
+            core_neighbours(GroupConfig(n), q)
+            assert calls == [q]
 
     def test_symmetry_and_classes(self):
         # neighbour moves are symmetric and connect exactly the same-size
@@ -259,7 +279,7 @@ class TestInvolutions:
         from afftl.explore import enumerate_elements
 
         seen = 0
-        for rec in enumerate_elements(cfg, 8, with_labels=False):
+        for rec in enumerate_elements(cfg, 8):
             if not perm_of(cfg, rec.word).is_involution():
                 continue
             dec = involution_decompose(cfg, rec.word)
@@ -284,7 +304,7 @@ class TestInvolutions:
         for n in (3, 5):
             cfg = GroupConfig(n)
             full = frozenset(cfg.generators())
-            for rec in enumerate_elements(cfg, 9, with_labels=False):
+            for rec in enumerate_elements(cfg, 9):
                 if perm_of(cfg, rec.word).is_involution():
                     assert support(rec.word) != full
 
@@ -326,8 +346,8 @@ class TestCellConnectivityWitnesses:
         from afftl.explore import enumerate_elements
 
         cfg = GroupConfig(4)
-        recs = list(enumerate_elements(cfg, 6, with_labels=True))
-        monomials = [r.diagram for r in enumerate_elements(cfg, 4, with_labels=False)]
+        recs = list(labelled_elements(cfg, 6))
+        monomials = [r.diagram for r in enumerate_elements(cfg, 4)]
         by_left = {}
         for rec in recs:
             key = (rec.labels.two_sided, rec.labels.left_pattern)

@@ -1,15 +1,14 @@
 """Census labels each element from the shorter element one cancellation
 step below it: the labelled enumeration against `cells.labels` word by
-word, census rows that never need the full reduction, and no label table
-shared between enumerations."""
+word, census rows that never need the full reduction nor check a word the
+enumeration made, and no label table shared between enumerations."""
 
 import pytest
 from test_crossing_pass import HORIZONS
 
-from afftl import cells
-from afftl.cells import census, labels
+from afftl import algebra, cells
+from afftl.cells import census, labelled_elements, labels
 from afftl.config import GroupConfig
-from afftl.explore import enumerate_elements
 
 # (two-sided label, left cells, right cells, elements seen) at max_len 8
 PINNED_ROWS = {
@@ -36,7 +35,7 @@ def rows(n, max_len=8):
 @pytest.mark.parametrize("n,max_len", sorted(HORIZONS.items()))
 def test_enumeration_labels_match_labels(n, max_len):
     cfg = GroupConfig(n)
-    for rec in enumerate_elements(cfg, max_len, with_labels=True):
+    for rec in labelled_elements(cfg, max_len):
         assert rec.labels == labels(cfg, rec.word), rec.word
 
 
@@ -47,6 +46,23 @@ def test_census_never_runs_the_full_reduction(monkeypatch, n):
 
     monkeypatch.setattr(cells, "_reduce", refuse)
     assert rows(n) == PINNED_ROWS[n]
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_ROWS))
+def test_census_trusts_its_own_records(monkeypatch, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("census re-checked an enumerated word")
+
+    cfg = GroupConfig(n)
+    with monkeypatch.context() as m:
+        for module in (algebra, cells):
+            m.setattr(module, "is_reduced_word", refuse)
+        m.setattr(cells, "_require_reduced_fc", refuse)
+        got = rows(n)
+        recs = list(labelled_elements(cfg, 8))
+    assert got == PINNED_ROWS[n]
+    for rec in recs:
+        assert rec.labels == labels(cfg, rec.word), rec.word
 
 
 def test_interleaved_censuses_match_fresh_runs():

@@ -308,7 +308,7 @@ class TestVerify:
         from afftl.explore import enumerate_elements
 
         cfg = GroupConfig(5)
-        recs = [rec for rec in enumerate_elements(cfg, 3, with_labels=False) if rec.length == 3]
+        recs = [rec for rec in enumerate_elements(cfg, 3) if rec.length == 3]
         word = recs[0].word
         arcs = cells.a_value(cfg, word)
         real = words.heap_width
@@ -321,14 +321,14 @@ class TestVerify:
         from afftl import explore
 
         cfg = GroupConfig(7)
-        recs = list(explore.enumerate_elements(cfg, 8, with_labels=False))
+        recs = list(explore.enumerate_elements(cfg, 8))
         assert verify.check_involutions(cfg, recs) == ("involutions", True, "57 involutions")
         # the diagram side misses one involution: s_2, which s_1 precedes
         target = recs[2]
         assert target.word == (2,) and target.is_involution
         real = explore.is_mirror_symmetric
         monkeypatch.setattr(explore, "is_mirror_symmetric", lambda d: d != target.diagram and real(d))
-        recs = list(explore.enumerate_elements(cfg, 8, with_labels=False))
+        recs = list(explore.enumerate_elements(cfg, 8))
         assert verify.check_involutions(cfg, recs) == (
             "involutions", False, "mirror flag disagrees with the permutation at (2,)"
         )
@@ -355,8 +355,8 @@ class TestVerify:
         from afftl.explore import enumerate_elements
 
         cfg = GroupConfig(n)
-        recs = list(enumerate_elements(cfg, max_len, with_labels=False))
-        short = list(enumerate_elements(cfg, 3, with_labels=False))
+        recs = list(enumerate_elements(cfg, max_len))
+        short = list(enumerate_elements(cfg, 3))
         real, seen = algebra.rewrite_eval, []
 
         def spy(cfg, letters, start):

@@ -21,7 +21,7 @@ HORIZONS = {3: 12, 4: 12, 5: 10, 6: 9, 7: 8, 8: 8}
 
 @pytest.mark.parametrize("n,max_len", sorted(HORIZONS.items()))
 def test_enumerated_diagrams(n, max_len):
-    for rec in enumerate_elements(GroupConfig(n), max_len, with_labels=False):
+    for rec in enumerate_elements(GroupConfig(n), max_len):
         assert _nu_vector(rec.diagram) == nu_vector_per_class(rec.diagram), rec.word
 
 

@@ -24,7 +24,7 @@ from oracles import (
     right_descents_greedy,
 )
 
-from afftl.cells import _cancel_options, cancellable, reduce_to_core
+from afftl.cells import _cancel_steps, cancellable, reduce_to_core
 from afftl.config import GroupConfig
 from afftl.explore import enumerate_elements
 from afftl.words import (
@@ -47,8 +47,8 @@ def assert_same_descent_answers(cfg, w):
     for side, found in (("left", left), ("right", right)):
         for s in found:
             assert cancellable(cfg, w, s, side) == cancellable_greedy(cfg, w, s, side), (w, s)
-    assert _cancel_options(cfg, w) == cancel_options_greedy(cfg, w), w
-    assert _cancel_options(cfg, w, ("right",)) == cancel_options_greedy(cfg, w, ("right",)), w
+    assert list(_cancel_steps(cfg, w)) == cancel_options_greedy(cfg, w), w
+    assert list(_cancel_steps(cfg, w, ("right",))) == cancel_options_greedy(cfg, w, ("right",)), w
     assert left_decomposition(cfg, w).groups == left_decomposition_greedy(cfg, w), w
 
 
@@ -58,10 +58,10 @@ class TestEnumeratedElements:
         cfg = GroupConfig(n)
         rng = random.Random(n)
         cancelled = 0
-        for rec in enumerate_elements(cfg, max_len, with_labels=False):
+        for rec in enumerate_elements(cfg, max_len):
             for w in (rec.word, shuffled(cfg, rec.word, rng)):
                 assert_same_descent_answers(cfg, w)
-                cancelled += bool(_cancel_options(cfg, w))
+                cancelled += next(_cancel_steps(cfg, w), None) is not None
         assert cancelled > 0
 
 
@@ -96,7 +96,7 @@ class TestReduceToCoreTraces:
     def test_traces_match_greedy_reduction(self, n, max_len):
         cfg = GroupConfig(n)
         steps = 0
-        for seed, rec in enumerate(enumerate_elements(cfg, max_len, with_labels=False)):
+        for seed, rec in enumerate(enumerate_elements(cfg, max_len)):
             det = reduce_to_core(cfg, rec.word)
             assert det == reduce_to_core_greedy(cfg, rec.word), rec.word
             rnd = reduce_to_core(cfg, rec.word, rng=random.Random(seed))

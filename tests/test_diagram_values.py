@@ -33,7 +33,7 @@ HORIZONS = ((3, 8), (4, 8), (5, 7), (6, 6))
 
 
 def _records(n, max_len):
-    return list(enumerate_elements(GroupConfig(n), max_len, with_labels=False))
+    return list(enumerate_elements(GroupConfig(n), max_len))
 
 
 def _routes(cfg, rec):

@@ -1,15 +1,15 @@
 """The enumeration keeps every unseen loop-free extension without computing
 its length, and computes only the extensions that can be least words.
 Played here against the filtered enumeration of
-`oracles.enumerate_filtered`, record by record and in order, for fixed
-and random generator orders; every record's word against the greedy
-least word of its commutation class; every computed generator action
-against the records already made; and every record's length and
-involution flag against their definitions."""
+`oracles.enumerate_filtered`, record by record and in order; every
+record's word against the greedy least word of its commutation class;
+every computed generator action against the records already made; and
+every record's length and involution flag against their definitions.
+
+The enumeration compares letters as integers, the default generator
+order; the cases carry that order in their ids."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from oracles import enumerate_filtered, least_word_greedy
 
 from afftl import explore
@@ -19,24 +19,18 @@ from afftl.explore import enumerate_elements
 
 HORIZONS = [(3, 12), (4, 12), (5, 10), (6, 9), (7, 8), (8, 10)]
 
-ORDERS = {
-    "default": lambda n: tuple(range(1, n + 1)),
-    "reversed": lambda n: tuple(range(n, 0, -1)),
-    "rotated": lambda n: tuple(range(2, n + 1)) + (1,),
-}
+IN_DEFAULT_ORDER = [pytest.param(n, max_len, id=f"{n}-{max_len}-default") for n, max_len in HORIZONS]
 
 
-def records(cfg, max_len, order=None):
-    return list(enumerate_elements(cfg, max_len, with_labels=False, generator_order=order))
+def records(cfg, max_len):
+    return list(enumerate_elements(cfg, max_len))
 
 
-@pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
-@pytest.mark.parametrize("n,max_len", HORIZONS)
-def test_same_records_as_filtered(n, max_len, reverse):
+@pytest.mark.parametrize("n,max_len", IN_DEFAULT_ORDER)
+def test_same_records_as_filtered(n, max_len):
     cfg = GroupConfig(n)
-    order = tuple(reversed(cfg.generators())) if reverse else None
-    got = [(r.word, r.diagram, r.length, r.is_involution) for r in records(cfg, max_len, order)]
-    assert got == list(enumerate_filtered(cfg, max_len, order))
+    got = [(r.word, r.diagram, r.length, r.is_involution) for r in records(cfg, max_len)]
+    assert got == list(enumerate_filtered(cfg, max_len))
 
 
 @pytest.mark.parametrize("n,max_len", HORIZONS)
@@ -56,26 +50,14 @@ def test_flag_on_winding_loops():
         assert rec.is_involution == (mirror(rec.diagram) == rec.diagram)
 
 
-@pytest.mark.parametrize("order_name", ORDERS)
-@pytest.mark.parametrize("n,max_len", HORIZONS)
-def test_records_carry_least_words(n, max_len, order_name):
+@pytest.mark.parametrize("n,max_len", IN_DEFAULT_ORDER)
+def test_records_carry_least_words(n, max_len):
     cfg = GroupConfig(n)
-    order = ORDERS[order_name](n)
-    for rec in records(cfg, max_len, order):
-        assert least_word_greedy(cfg, rec.word, order) == rec.word
+    for rec in records(cfg, max_len):
+        assert least_word_greedy(cfg, rec.word, cfg.generators()) == rec.word
 
 
-@settings(max_examples=40, deadline=None, database=None)
-@given(st.integers(3, 7).flatmap(lambda n: st.permutations(range(1, n + 1))))
-def test_same_records_as_filtered_any_order(order):
-    cfg = GroupConfig(len(order))
-    order = tuple(order)
-    max_len = 10 - len(order) // 2
-    got = [(r.word, r.diagram, r.length, r.is_involution) for r in records(cfg, max_len, order)]
-    assert got == list(enumerate_filtered(cfg, max_len, order))
-
-
-def computed_actions(monkeypatch, cfg, max_len, order=None):
+def computed_actions(monkeypatch, cfg, max_len):
     """Run the enumeration with `explore.times_generator` wrapped; return
     the number of actions it computed.  Each action is checked against the
     records made so far: it closes no loop and, when its diagram is
@@ -94,33 +76,17 @@ def computed_actions(monkeypatch, cfg, max_len, order=None):
         return r
 
     monkeypatch.setattr(explore, "times_generator", checked)
-    for rec in records(cfg, max_len, order):
+    for rec in records(cfg, max_len):
         lengths[rec.diagram] = rec.length
     return calls
 
 
-@pytest.mark.parametrize("order_name", ORDERS)
-@pytest.mark.parametrize("n,max_len", HORIZONS)
-def test_no_wasted_action(monkeypatch, n, max_len, order_name):
-    computed_actions(monkeypatch, GroupConfig(n), max_len, ORDERS[order_name](n))
+@pytest.mark.parametrize("n,max_len", IN_DEFAULT_ORDER)
+def test_no_wasted_action(monkeypatch, n, max_len):
+    computed_actions(monkeypatch, GroupConfig(n), max_len)
 
 
 def test_action_count_pinned(monkeypatch):
     # 68,488 when every frontier element is extended by every letter
     assert computed_actions(monkeypatch, GroupConfig(8), 12) == 23_213
 
-
-@pytest.mark.parametrize(
-    "order",
-    [(1, 2), (1, 1, 2, 3, 4), (0, 1, 2, 3), (1, 2, 3, 4, 5), (), [2, 1, 4]],
-    ids=["prefix", "repeat", "zero", "too-long", "empty", "list"],
-)
-def test_order_must_be_a_permutation(order):
-    with pytest.raises(ValueError, match="permutation of 1..4"):
-        records(GroupConfig(4), 6, order)
-
-
-def test_default_order_is_ascending():
-    cfg = GroupConfig(4)
-    assert records(cfg, 6) == records(cfg, 6, (1, 2, 3, 4))
-    assert records(cfg, 6, [4, 3, 2, 1]) == records(cfg, 6, (4, 3, 2, 1))

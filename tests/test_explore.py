@@ -1,15 +1,12 @@
 import json
 
 import pytest
+from oracles import enumerate_filtered, wc_counts
 
+from afftl.cells import census, labelled_elements
 from afftl.config import GroupConfig
 from afftl.diagrams import canonical_key
-from afftl.explore import (
-    element_cap,
-    enumerate_elements,
-    oracle_counts,
-    wc_counts,
-)
+from afftl.explore import element_cap, enumerate_elements, oracle_counts
 
 
 class TestCounts:
@@ -42,37 +39,37 @@ class TestCounts:
 
     def test_each_element_once(self):
         cfg = GroupConfig(4)
-        keys = [canonical_key(r.diagram) for r in enumerate_elements(cfg, 6, with_labels=False)]
+        keys = [canonical_key(r.diagram) for r in enumerate_elements(cfg, 6)]
         assert len(keys) == len(set(keys))
 
 
 class TestEnumerate:
     def test_records(self):
         cfg = GroupConfig(4)
-        recs = list(enumerate_elements(cfg, 3))
+        recs = list(labelled_elements(cfg, 3))
         assert recs[0].word == () and recs[0].length == 0 and recs[0].is_involution
         for rec in recs:
             assert rec.length == len(rec.word)
             assert rec.labels is not None
 
     def test_order_independent_key_set(self):
+        # the filtered enumeration in the reversed generator order reaches
+        # the same elements
         cfg = GroupConfig(4)
-        k1 = {
-            canonical_key(r.diagram)
-            for r in enumerate_elements(cfg, 6, with_labels=False)
-        }
-        k2 = {
-            canonical_key(r.diagram)
-            for r in enumerate_elements(
-                cfg, 6, with_labels=False, generator_order=(4, 3, 2, 1)
-            )
-        }
+        k1 = {canonical_key(r.diagram) for r in enumerate_elements(cfg, 6)}
+        k2 = {canonical_key(d) for _, d, _, _ in enumerate_filtered(cfg, 6, (4, 3, 2, 1))}
         assert k1 == k2
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         cfg = GroupConfig(4)
-        with pytest.raises(RuntimeError):
-            list(enumerate_elements(cfg, 6, with_labels=False, cap=5))
+        monkeypatch.setenv("AFFTL_MAX_ELEMENTS", "5")
+        for run in (lambda: list(enumerate_elements(cfg, 6)), lambda: census(cfg, 6),
+                    lambda: oracle_counts(cfg, 6)):
+            with pytest.raises(RuntimeError, match="cap of 5 elements"):
+                run()
+        # 5 elements fit: the identity and the four generators
+        assert len(list(enumerate_elements(cfg, 1))) == 5
+        assert oracle_counts(cfg, 1) == {0: 1, 1: 4}
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("AFFTL_MAX_ELEMENTS", "123")
@@ -82,19 +79,17 @@ class TestEnumerate:
         monkeypatch.setenv("AFFTL_MAX_ELEMENTS", "0")
         assert element_cap() == 0
         with pytest.raises(RuntimeError):
-            list(enumerate_elements(GroupConfig(4), 1, with_labels=False))
+            list(enumerate_elements(GroupConfig(4), 1))
 
     @pytest.mark.parametrize("value", ["abc", "-1", "-0x1", "2.5", "1e3", "²"])
     def test_cap_env_rejects(self, monkeypatch, value):
         monkeypatch.setenv("AFFTL_MAX_ELEMENTS", value)
         with pytest.raises(ValueError, match="AFFTL_MAX_ELEMENTS must be a nonnegative integer"):
             element_cap()
-        # an explicit cap does not read the variable
-        assert element_cap(5) == 5
 
     def test_record_json_roundtrip(self):
         cfg = GroupConfig(4)
-        for rec in enumerate_elements(cfg, 4):
+        for rec in labelled_elements(cfg, 4):
             obj = json.loads(json.dumps(rec.to_json()))
             assert tuple(obj["word"]) == rec.word
             assert obj["length"] == rec.length

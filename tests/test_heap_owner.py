@@ -72,7 +72,7 @@ def test_absorbers_match_rescan(case):
 def test_involution_options_match_rescan(n, max_len):
     cfg = GroupConfig(n)
     steps = 0
-    for rec in enumerate_elements(cfg, max_len, with_labels=False):
+    for rec in enumerate_elements(cfg, max_len):
         if not rec.is_involution:
             continue
         dec = involution_decompose(cfg, rec.word)
@@ -158,7 +158,7 @@ def test_engines_do_not_read_the_heap_order(monkeypatch):
     _rewrite_mul_cached.cache_clear()
     cfg = GroupConfig(5)
     assert oracle_counts(cfg, 9) == {0: 1, 1: 5, 2: 15, 3: 30, 4: 45, **dict.fromkeys(range(5, 10), 50)}
-    recs = list(enumerate_elements(cfg, 3, with_labels=False))
+    recs = list(enumerate_elements(cfg, 3))
     got = [rewrite_eval(cfg, b.word, start=a.word) for a in recs for b in recs]
     assert hashlib.sha256(repr(got).encode()).hexdigest() == REWRITE_PAIRS_N5_L3
     for (exponent, word), (a, b) in zip(got, product(recs, recs)):

@@ -26,7 +26,7 @@ HORIZONS = {3: 10, 4: 10, 5: 9, 6: 8, 7: 8}
 def test_equals_bruteforce_on_enumerated_elements(n):
     cfg = GroupConfig(n)
     rng = random.Random(n)
-    for rec in enumerate_elements(cfg, HORIZONS[n], with_labels=False):
+    for rec in enumerate_elements(cfg, HORIZONS[n]):
         a = a_bruteforce(cfg, rec.word, bound=HORIZONS[n])
         assert heap_width(cfg, rec.word) == a, rec.word
         assert heap_width(cfg, shuffled(cfg, rec.word, rng)) == a, rec.word
@@ -50,7 +50,7 @@ def test_equals_bruteforce_on_any_word(case):
 
 def test_equals_arc_count_past_bruteforce():
     cfg = GroupConfig(8)
-    recs = list(enumerate_elements(cfg, 12, with_labels=False))
+    recs = list(enumerate_elements(cfg, 12))
     assert len(recs) == 10_163
     for rec in recs:
         assert heap_width(cfg, rec.word) == a_value(cfg, rec.word), rec.word

@@ -1,0 +1,80 @@
+"""afftl modules import each other at module level only, and the
+enumeration stays below the layers that use it.
+
+Parses every module under `afftl`.  An afftl import inside a function or
+class hides a cycle instead of removing it, so each must sit in the
+module's top-level body.  `explore` enumerates for `cells`, `verify` and
+the CLI, so it imports none of `cells`, `algebra`, `straightening` or
+`laurent`.
+"""
+
+import ast
+from pathlib import Path
+
+import afftl
+
+SRC = Path(afftl.__file__).parent
+EXPLORE_MUST_NOT_IMPORT = {"cells", "algebra", "straightening", "laurent"}
+
+
+def _afftl_modules(node):
+    """The afftl modules an import statement names, "afftl" for the package
+    itself; empty for any other statement."""
+    if isinstance(node, ast.Import):
+        dotted = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        module = "afftl" + (f".{node.module}" if node.module else "") if node.level else node.module
+        if module == "afftl":
+            dotted = [f"afftl.{alias.name}" for alias in node.names]
+        else:
+            dotted = [module]
+    else:
+        return set()
+    return {d.split(".")[1] if "." in d else d for d in dotted if d.split(".")[0] == "afftl"}
+
+
+def _problems(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    top = set(map(id, tree.body))
+    imported = set()
+    for node in ast.walk(tree):
+        names = _afftl_modules(node)
+        imported |= names
+        if names and id(node) not in top:
+            yield f"{path.name}:{node.lineno} imports afftl below module level"
+    if path.stem == "explore":
+        for name in sorted(imported & EXPLORE_MUST_NOT_IMPORT):
+            yield f"{path.name} imports {name}"
+
+
+def test_afftl_imports_at_module_level_and_explore_below_cells():
+    paths = sorted(SRC.glob("*.py"))
+    assert {"cells.py", "explore.py", "verify.py"} <= {p.name for p in paths}
+    assert [u for p in paths for u in _problems(p)] == []
+
+
+def test_guard_sees_each_violation(tmp_path):
+    probe = tmp_path / "explore.py"
+    probe.write_text(
+        "import json\n"
+        "from . import config\n"
+        "from .cells import labels\n"
+        "import afftl.algebra\n"
+        "\n"
+        "def f():\n"
+        "    from .straightening import stack\n"
+        "    import os\n"
+        "    return stack, os, json, config, labels\n"
+        "\n"
+        "class C:\n"
+        "    from afftl import laurent\n",
+        encoding="utf-8",
+    )
+    assert list(_problems(probe)) == [
+        "explore.py:7 imports afftl below module level",
+        "explore.py:12 imports afftl below module level",
+        "explore.py imports algebra",
+        "explore.py imports cells",
+        "explore.py imports laurent",
+        "explore.py imports straightening",
+    ]

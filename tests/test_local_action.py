@@ -23,7 +23,7 @@ from afftl.words import perm_of
 
 
 def diagrams_of(n, max_len):
-    return [r.diagram for r in enumerate_elements(GroupConfig(n), max_len, with_labels=False)]
+    return [r.diagram for r in enumerate_elements(GroupConfig(n), max_len)]
 
 
 def assert_matches_multiply(pool, n):
@@ -65,7 +65,7 @@ class TestCarriedPermutation:
     def test_involution_flag_matches_word_oracle(self):
         for n, max_len in ((3, 12), (4, 12), (5, 10), (6, 9), (7, 8)):
             cfg = GroupConfig(n)
-            recs = list(enumerate_elements(cfg, max_len, with_labels=False))
+            recs = list(enumerate_elements(cfg, max_len))
             assert sum(r.is_involution for r in recs) > 1
             for r in recs:
                 assert r.is_involution == perm_of(cfg, r.word).is_involution(), r.word

@@ -66,7 +66,7 @@ def test_every_small_diagram_renders_as_pinned():
     8, 9, 7, 6, 5, hashed in enumeration order: the output byte for byte."""
     digest = hashlib.sha256()
     for n, max_len in ((3, 8), (4, 9), (5, 7), (6, 6), (8, 5)):
-        for rec in enumerate_elements(GroupConfig(n), max_len, with_labels=False):
+        for rec in enumerate_elements(GroupConfig(n), max_len):
             digest.update(render_ascii(rec.diagram).encode())
             digest.update(render_svg(rec.diagram).encode())
     assert digest.hexdigest() == (

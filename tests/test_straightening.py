@@ -97,7 +97,7 @@ class TestFindDistinguished:
         # positions and covering arcs included
         swap = {"T1": "B1", "B1": "T1", "T2": "B2", "B2": "T2"}
         checked = 0
-        for rec in enumerate_elements(GroupConfig(n), max_len, with_labels=False):
+        for rec in enumerate_elements(GroupConfig(n), max_len):
             cands = congruence_candidates(rec.diagram)
             assert congruence_candidates(mirror(rec.diagram)) == {
                 swap[kind]: found for kind, found in cands.items()
@@ -118,7 +118,7 @@ class TestFirstMatchFinding:
         # must be the finding, covering arc and loop sub-case included
         peels = 0
         for n, max_len in HORIZONS:
-            for rec in enumerate_elements(GroupConfig(n), max_len, with_labels=False):
+            for rec in enumerate_elements(GroupConfig(n), max_len):
                 d = rec.diagram
                 while is_straight(d) is None:
                     cands = congruence_candidates(d)
@@ -210,7 +210,7 @@ class TestStraightenCache:
         # a rest's cached word finishes every diagram peeled down to it, so
         # warming the cache from the long end must give the same words
         for n, max_len in HORIZONS[:-1]:
-            recs = list(enumerate_elements(GroupConfig(n), max_len, with_labels=False))
+            recs = list(enumerate_elements(GroupConfig(n), max_len))
             straighten.cache_clear()
             up = [straighten(rec.diagram).letters for rec in recs]
             straighten.cache_clear()

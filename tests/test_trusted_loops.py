@@ -89,7 +89,7 @@ class TestAdjacencyMasks:
     def test_a_bruteforce_equals_adjacent_scan(self):
         for n in range(3, 8):
             cfg = GroupConfig(n)
-            for rec in enumerate_elements(cfg, 8, with_labels=False):
+            for rec in enumerate_elements(cfg, 8):
                 assert a_bruteforce(cfg, rec.word) == a_bruteforce_adjacent(cfg, rec.word), rec.word
 
 
@@ -159,7 +159,7 @@ class TestIsStraight:
     def test_matches_construction_on_elements_and_straight_diagrams(self):
         for n in range(3, 7):
             cfg = GroupConfig(n)
-            pool = [r.diagram for r in enumerate_elements(cfg, 6, with_labels=False)]
+            pool = [r.diagram for r in enumerate_elements(cfg, 6)]
             pool += [straight_diagram(n, t) for t in cfg.commuting_sets()]
             for d in pool:
                 assert is_straight(d) == is_straight_by_construction(d), d
@@ -183,13 +183,13 @@ class TestIsStraight:
 class TestMultiplyReadsWindows:
     def test_equals_partner_trace(self):
         for n in (3, 4, 5, 6):
-            pool = [r.diagram for r in enumerate_elements(GroupConfig(n), 4, with_labels=False)]
+            pool = [r.diagram for r in enumerate_elements(GroupConfig(n), 4)]
             for a in pool:
                 for b in pool:
                     assert multiply(a, b) == multiply_by_partner(a, b), (a, b)
 
     def test_winding_products_equal_partner_trace(self):
-        pool = [r.diagram for r in enumerate_elements(GroupConfig(4), 10, with_labels=False)]
+        pool = [r.diagram for r in enumerate_elements(GroupConfig(4), 10)]
         looped = [d for d in pool if d.loops]
         assert looped
         for a in looped[:20]:

@@ -144,7 +144,7 @@ class TestFcChecks:
         # every reduced one-letter extension of every enumerated element
         cfg = GroupConfig(n)
         broken = 0
-        for rec in enumerate_elements(cfg, max_len, with_labels=False):
+        for rec in enumerate_elements(cfg, max_len):
             for t in cfg.generators():
                 w = rec.word + (t,)
                 if reduced_perm(cfg, w) is None:
@@ -236,7 +236,7 @@ class TestBraidWitness:
         for n in (3, 4, 5):
             cfg = GroupConfig(n)
             checked = 0
-            for rec in enumerate_elements(cfg, 10, with_labels=False):
+            for rec in enumerate_elements(cfg, 10):
                 w = rec.word
                 for t in cfg.generators():
                     if greedy_back(cfg, w, t) is not None or is_fc_reduced(cfg, w + (t,)):
@@ -252,7 +252,7 @@ class TestBraidWitness:
         # descent, on the enumerated word and on a commutation-shuffled copy
         cfg = GroupConfig(n)
         rng = random.Random(n)
-        for rec in enumerate_elements(cfg, max_len, with_labels=False):
+        for rec in enumerate_elements(cfg, max_len):
             for t in cfg.generators():
                 if t in right_descents(cfg, rec.word):
                     continue
@@ -333,7 +333,7 @@ class TestAffinePermutation:
         # times_generator, compose and inverse skip the constructor's checks
         cfg = GroupConfig(n)
         prev = AffinePermutation.identity(n)
-        for rec in enumerate_elements(cfg, 6, with_labels=False):
+        for rec in enumerate_elements(cfg, 6):
             p = to_affine_permutation(cfg, rec.word)
             built = [p, p.inverse(), p.compose(p), p.compose(prev), prev.compose(p.inverse())]
             built += [p.times_generator(s) for s in cfg.generators()]
