@@ -6,10 +6,9 @@ cross-check engine, and cell-structure analysis (arc-count invariant,
 two-sided/left/right cell labels, involutions, censuses).
 """
 
-from .config import GroupConfig
+from .config import GroupConfig, InvariantError
 from .diagrams import (
     AffineDiagram,
-    InvariantError,
     ProductResult,
     canonical_key,
     crossing_number,

@@ -18,11 +18,9 @@ from collections import defaultdict
 from functools import lru_cache
 from typing import NamedTuple
 
-from .config import GroupConfig
-from .diagrams import AffineDiagram, InvariantError, canonical_key, identity, length, multiply
-from .laurent import (
-    ONE, ZERO, LaurentPoly, delta_power, json_int, json_list, norm1, pack, product_bits, unpack
-)
+from .config import GroupConfig, InvariantError, json_int, json_list
+from .diagrams import AffineDiagram, canonical_key, identity, length, multiply
+from .laurent import ONE, ZERO, LaurentPoly, delta_power, norm1, pack, product_bits, unpack
 from .straightening import stack, straighten
 from .words import _braid_split, absorbers, check_word
 
@@ -103,6 +101,8 @@ class AlgebraElement:
         return AlgebraElement(self.n, out)
 
     def __sub__(self, other: AlgebraElement) -> AlgebraElement:
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         return self + other.scale(-1)
 
     def scale(self, coeff: LaurentPoly | int) -> AlgebraElement:

@@ -44,12 +44,9 @@ import random
 from typing import Iterator, NamedTuple
 
 from .algebra import is_reduced_word
-from .config import GroupConfig
-from .diagrams import (
-    AffineDiagram, InvariantError, edge_list, generator_times, short_arc_count, times_generator
-)
+from .config import GroupConfig, InvariantError, json_int
+from .diagrams import AffineDiagram, edge_list, generator_times, short_arc_count, times_generator
 from .explore import EnumerationRecord, enumerate_elements
-from .laurent import json_int
 from .straightening import stack, straighten
 from .words import (
     Word,
@@ -77,16 +74,10 @@ class TwoSidedLabel(NamedTuple):
 
     @classmethod
     def small(cls, k: int) -> TwoSidedLabel:
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
         return cls("small", size=k)
 
     @classmethod
     def alternating(cls, start: str, factors: int) -> TwoSidedLabel:
-        if start not in ("odd", "even"):
-            raise ValueError(f"start must be 'odd' or 'even', not {start!r}")
-        if factors < 1:
-            raise ValueError(f"factors must be >= 1, got {factors}")
         return cls("alternating", start=start, factors=factors)
 
     def sort_key(self):
@@ -109,9 +100,17 @@ class TwoSidedLabel(NamedTuple):
         try:
             kind = obj["kind"]
             if kind == "small":
-                return cls.small(json_int(obj["k"], "k"))
+                k = json_int(obj["k"], "k")
+                if k < 0:
+                    raise ValueError(f"k must be >= 0, got {k}")
+                return cls.small(k)
             if kind == "alternating":
-                return cls.alternating(obj["start"], json_int(obj["factors"], "factors"))
+                start, factors = obj["start"], json_int(obj["factors"], "factors")
+                if start not in ("odd", "even"):
+                    raise ValueError(f"start must be 'odd' or 'even', not {start!r}")
+                if factors < 1:
+                    raise ValueError(f"factors must be >= 1, got {factors}")
+                return cls.alternating(start, factors)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed label JSON: {exc}") from exc
         raise ValueError(f"kind must be 'small' or 'alternating', not {kind!r}")

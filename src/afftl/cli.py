@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import algebra, cells, diagrams, explore, render, straightening, verify
-from .config import GroupConfig
+from .config import GroupConfig, InvariantError
 
 
 def parse_word(text: str) -> tuple[int, ...]:
@@ -219,7 +219,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _DISPATCH[args.command](args)
-    except diagrams.InvariantError as exc:
+    except InvariantError as exc:
         _emit_error(exc)
         return 3
     except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:

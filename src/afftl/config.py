@@ -1,4 +1,5 @@
-"""Configuration for the cyclic generator graph on n nodes.
+"""Configuration for the cyclic generator graph on n nodes, and the
+helpers every engine shares: `InvariantError` and the strict JSON readers.
 
 Generators are indexed 1..n and sit on a cycle: s_i and s_j satisfy the
 braid relation exactly when i and j are consecutive modulo n, and commute
@@ -15,6 +16,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+
+
+class InvariantError(Exception):
+    """An internal self-check failed: a bug, never a property of the input."""
+
+
+def json_int(value, field: str) -> int:
+    """A JSON integer, read strictly at the input boundary: floats, strings
+    and booleans raise ValueError naming the field instead of coercing."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def json_list(value, field: str) -> list:
+    """A JSON list, read strictly: a string or an object is not iterated."""
+    if type(value) is not list:
+        raise ValueError(f"{field} must be a list, not {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -46,15 +46,11 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
-from .laurent import json_int, json_list
+from .config import InvariantError, json_int, json_list
 
 TOP = "T"
 BOT = "B"
 _SIDES = (TOP, BOT)
-
-
-class InvariantError(Exception):
-    """An internal self-check failed: a bug, never a property of the input."""
 
 
 class AffineDiagram(NamedTuple):

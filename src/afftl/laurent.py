@@ -4,6 +4,12 @@ Stored as a sorted tuple of (exponent, coefficient) pairs with no zero
 coefficients, so values are hashable and equality is exact.  The loop
 scalar is delta = v + 1/v.
 
+`LaurentPoly` is a NamedTuple whose constructor checks nothing: every
+operation here builds the normal form, and input enters through
+`from_json`, which, like `from_dict`, sorts, merges and drops zeros.  Its
+equality, hash, length and iteration are the tuple's, so never compare a
+polynomial with a bare tuple, and read `terms`.
+
 `LaurentPoly` is the public coefficient type.  For bulk products of
 operands with dense coefficients, `algebra.mul` works on packed integers
 internally (Kronecker substitution): `pack(p, lo, bits)` is the integer sum of
@@ -24,19 +30,13 @@ widens the bound by their largest 1-norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .config import json_int, json_list
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(NamedTuple):
     terms: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        exps = [e for e, _ in self.terms]
-        if exps != sorted(exps) or len(set(exps)) != len(exps):
-            raise ValueError("terms must be sorted by exponent without repeats")
-        if any(c == 0 for _, c in self.terms):
-            raise ValueError("zero coefficients must not be stored")
 
     @classmethod
     def from_dict(cls, coeffs: dict[int, int]) -> LaurentPoly:
@@ -72,7 +72,10 @@ class LaurentPoly:
         return self + (-other)
 
     def __rsub__(self, other) -> LaurentPoly:
-        return _coerce(other) - self
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other) -> LaurentPoly:
         other = _coerce(other)
@@ -128,21 +131,6 @@ class LaurentPoly:
             e = json_int(entry["exp"], "exp")
             out[e] = out.get(e, 0) + json_int(entry["c"], "c")
         return cls.from_dict(out)
-
-
-def json_int(value, field: str) -> int:
-    """A JSON integer, read strictly at the input boundary: floats, strings
-    and booleans raise ValueError naming the field instead of coercing."""
-    if type(value) is not int:
-        raise ValueError(f"{field} must be an integer, not {type(value).__name__}")
-    return value
-
-
-def json_list(value, field: str) -> list:
-    """A JSON list, read strictly: a string or an object is not iterated."""
-    if type(value) is not list:
-        raise ValueError(f"{field} must be a list, not {type(value).__name__}")
-    return value
 
 
 def _coerce(x) -> LaurentPoly:

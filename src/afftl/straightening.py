@@ -23,12 +23,11 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .config import GroupConfig
+from .config import GroupConfig, InvariantError
 from .diagrams import (
     TOP,
     BOT,
     AffineDiagram,
-    InvariantError,
     ProductResult,
     class_of,
     descent_arcs,

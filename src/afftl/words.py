@@ -21,7 +21,8 @@ which also locates the obstruction that appending a letter can produce
 The module also hosts an affine-permutation model of the group (window
 notation), used throughout as an independent oracle for lengths, element
 identity and involution tests; a word is reduced when each letter ascends
-(`reduced_perm`).
+(`reduced_perm`).  Its windows are built only here, from the identity, so
+`AffinePermutation` is a NamedTuple whose constructor checks nothing.
 
 Public functions check their words and generators.  The loops inside, and
 no other module's, test adjacency by arithmetic: the neighbours of x are
@@ -30,12 +31,10 @@ x - 1 or n and x % n + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .config import GroupConfig
-from .diagrams import InvariantError
+from .config import GroupConfig, InvariantError
 
 Word = tuple[int, ...]
 
@@ -289,32 +288,15 @@ def _braid_split(cfg: GroupConfig, word: Word, t: int) -> BraidWitness | None:
     return BraidWitness(tuple(w1), up[0], tuple(up[1:]))
 
 
-@dataclass(frozen=True)
-class AffinePermutation:
+class AffinePermutation(NamedTuple):
     """Window notation for a bijection of the integers with
     sigma(i + n) = sigma(i) + n and zero net displacement on 1..n.
 
-    The public constructor validates the window; the group operations
-    below build their results through `_trusted`, which does not, since
-    they map valid windows to valid windows."""
+    The group operations below map valid windows to valid windows, and no
+    command reads a window from outside.  Equality and hashing are the
+    tuple's: never compare a permutation with a bare (n, window) tuple."""
     n: int
     window: tuple[int, ...]
-
-    def __post_init__(self):
-        n = self.n
-        if len(self.window) != n:
-            raise ValueError("window must have n entries")
-        if sum(self.window) != n * (n + 1) // 2:
-            raise ValueError("window displacements must sum to zero")
-        if len({v % n for v in self.window}) != n:
-            raise ValueError("window entries must be distinct modulo n")
-
-    @classmethod
-    def _trusted(cls, n: int, window: tuple[int, ...]) -> AffinePermutation:
-        p = object.__new__(cls)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "window", window)
-        return p
 
     @classmethod
     def identity(cls, n: int) -> AffinePermutation:
@@ -337,7 +319,7 @@ class AffinePermutation:
             w[i - 1], w[i] = w[i], w[i - 1]
         else:
             w[0], w[n - 1] = w[n - 1] - n, w[0] + n
-        return AffinePermutation._trusted(n, tuple(w))
+        return AffinePermutation(n, tuple(w))
 
     def compose(self, other: AffinePermutation) -> AffinePermutation:
         """self after other, i.e. the group product self * other."""
@@ -348,7 +330,7 @@ class AffinePermutation:
             q = other.window[i - 1]
             c = (q - 1) % self.n + 1
             win.append(self.window[c - 1] + (q - c))
-        return AffinePermutation._trusted(self.n, tuple(win))
+        return AffinePermutation(self.n, tuple(win))
 
     def inverse(self) -> AffinePermutation:
         out = [0] * self.n
@@ -356,7 +338,7 @@ class AffinePermutation:
             v = self.window[i - 1]
             c = (v - 1) % self.n + 1
             out[c - 1] = i - (v - c)
-        return AffinePermutation._trusted(self.n, tuple(out))
+        return AffinePermutation(self.n, tuple(out))
 
     def ascends(self, i: int) -> bool:
         """Whether l(self * s_i) = l(self) + 1 (Bjorner-Brenti 8.3)."""

@@ -65,6 +65,14 @@ class TestElementArithmetic:
         assert mul(AlgebraElement.one(5), a) == a
         assert mul(a, AlgebraElement.one(5)) == a
 
+    def test_foreign_operands_raise_type_error(self):
+        one = AlgebraElement.one(4)
+        for other in (3, DELTA, "x", None):
+            with pytest.raises(TypeError):
+                one - other
+            with pytest.raises(TypeError):
+                one + other
+
     def test_from_word_folds_loops(self):
         cfg = GroupConfig(4)
         assert AlgebraElement.from_word(cfg, (1, 1)) == AlgebraElement.from_word(cfg, (1,)).scale(DELTA)

@@ -416,13 +416,3 @@ class TestTwoSidedLabel:
     def test_from_json_strict(self, obj, field):
         with pytest.raises(ValueError, match=field):
             TwoSidedLabel.from_json(obj)
-
-    def test_small_rejects_negative_size(self):
-        with pytest.raises(ValueError, match="k"):
-            TwoSidedLabel.small(-4)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="start"):
-            TwoSidedLabel.alternating("up", 1)
-        with pytest.raises(ValueError, match="factors"):
-            TwoSidedLabel.alternating("odd", 0)

@@ -1,11 +1,14 @@
-"""afftl modules import each other at module level only, and the
-enumeration stays below the layers that use it.
+"""afftl modules import each other at module level only, the engines do
+not import each other, and the enumeration stays below the layers that
+use it.
 
 Parses every module under `afftl`.  An afftl import inside a function or
 class hides a cycle instead of removing it, so each must sit in the
-module's top-level body.  `explore` enumerates for `cells`, `verify` and
-the CLI, so it imports none of `cells`, `algebra`, `straightening` or
-`laurent`.
+module's top-level body.  The word engine (`words`) and the diagram engine
+(`diagrams`) check each other, so they share nothing but `config`, which
+holds `InvariantError` and the strict JSON readers.  `explore` enumerates
+for `cells`, `verify` and the CLI, so it imports none of `cells`,
+`algebra`, `straightening` or `laurent`.
 """
 
 import ast
@@ -15,6 +18,8 @@ import afftl
 
 SRC = Path(afftl.__file__).parent
 EXPLORE_MUST_NOT_IMPORT = {"cells", "algebra", "straightening", "laurent"}
+ENGINES = {"words", "diagrams"}
+ENGINES_MAY_IMPORT = {"config"}
 
 
 def _afftl_modules(node):
@@ -45,11 +50,14 @@ def _problems(path):
     if path.stem == "explore":
         for name in sorted(imported & EXPLORE_MUST_NOT_IMPORT):
             yield f"{path.name} imports {name}"
+    if path.stem in ENGINES:
+        for name in sorted(imported - ENGINES_MAY_IMPORT):
+            yield f"{path.name} imports {name}"
 
 
 def test_afftl_imports_at_module_level_and_explore_below_cells():
     paths = sorted(SRC.glob("*.py"))
-    assert {"cells.py", "explore.py", "verify.py"} <= {p.name for p in paths}
+    assert {"cells.py", "diagrams.py", "explore.py", "verify.py", "words.py"} <= {p.name for p in paths}
     assert [u for p in paths for u in _problems(p)] == []
 
 
@@ -78,3 +86,11 @@ def test_guard_sees_each_violation(tmp_path):
         "explore.py imports laurent",
         "explore.py imports straightening",
     ]
+    probe = tmp_path / "words.py"
+    probe.write_text(
+        "from .config import GroupConfig\n"
+        "from .diagrams import InvariantError\n"
+        "from afftl import laurent\n",
+        encoding="utf-8",
+    )
+    assert list(_problems(probe)) == ["words.py imports diagrams", "words.py imports laurent"]

@@ -1,7 +1,8 @@
 """One record idiom: a record whose constructor checks nothing is a
 `typing.NamedTuple`; `@dataclass` is kept only where the constructor
-validates its input.  Walks every afftl module so a new dataclass, or a
-record moved back to one, shows up here.
+validates its input, and only `GroupConfig` (which checks `--n`) does:
+every other value is checked where it enters.  Walks every afftl module
+so a new dataclass, or a record moved back to one, shows up here.
 """
 
 import dataclasses
@@ -10,7 +11,7 @@ import pkgutil
 
 import afftl
 
-VALIDATING = {"config.GroupConfig", "laurent.LaurentPoly", "words.AffinePermutation"}
+VALIDATING = {"config.GroupConfig"}
 
 # Field names in order, and the defaults, as the records had them as
 # frozen dataclasses.
@@ -23,9 +24,11 @@ RECORDS = {
     "cells.InvolutionDecomposition": (("x", "core"), {}),
     "cells.CensusRow": (("two_sided", "left_cells", "right_cells", "elements_seen"), {}),
     "explore.EnumerationRecord": (("word", "diagram", "length", "labels", "is_involution"), {}),
+    "laurent.LaurentPoly": (("terms",), {"terms": ()}),
     "straightening.CongruenceFinding": (("cls", "kind", "cover", "uses_loop"), {"uses_loop": False}),
     "straightening.PeelStep": (("letter", "end", "rest"), {}),
     "straightening.StraightWord": (("letters", "core"), {}),
+    "words.AffinePermutation": (("n", "window"), {}),
     "words.BraidWitness": (("w1", "s", "w2"), {}),
     "words.LeftDecomposition": (("groups",), {}),
 }
@@ -55,5 +58,9 @@ def test_records_are_named_tuples():
 
 def test_repr_names_the_fields():
     from afftl.cells import TwoSidedLabel
+    from afftl.laurent import DELTA
+    from afftl.words import AffinePermutation
 
     assert repr(TwoSidedLabel.small(2)) == "TwoSidedLabel(kind='small', size=2, start='', factors=0)"
+    assert repr(DELTA) == "LaurentPoly(terms=((-1, 1), (1, 1)))"
+    assert repr(AffinePermutation.identity(3)) == "AffinePermutation(n=3, window=(1, 2, 3))"

@@ -330,7 +330,7 @@ class TestAffinePermutation:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_internally_built_windows_are_valid(self, n):
-        # times_generator, compose and inverse skip the constructor's checks
+        # the constructor checks nothing, so the operations must keep windows valid
         cfg = GroupConfig(n)
         prev = AffinePermutation.identity(n)
         for rec in enumerate_elements(cfg, 6):
@@ -342,14 +342,7 @@ class TestAffinePermutation:
                 assert q.n == n and len(w) == n
                 assert sum(w) == n * (n + 1) // 2
                 assert len({v % n for v in w}) == n
-                assert AffinePermutation(n, w) == q
             prev = p
-
-    def test_constructor_still_validates(self):
-        AffinePermutation(3, (0, 2, 4))
-        for window in [(1, 2), (1, 2, 4), (1, 4, 1)]:
-            with pytest.raises(ValueError):
-                AffinePermutation(3, window)
 
 
 class TestLeftDecomposition:
