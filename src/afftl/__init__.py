@@ -26,8 +26,6 @@ from .laurent import DELTA, ONE, V, LaurentPoly, delta_power
 from .straightening import StraightWord, find_distinguished, is_straight, peel, stack, straighten
 from .algebra import (
     AlgebraElement,
-    FcEval,
-    fc_evaluate,
     is_reduced_word,
     mul,
     rewrite_eval,

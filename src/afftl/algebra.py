@@ -16,28 +16,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from typing import NamedTuple
 
 from .config import GroupConfig, InvariantError, json_int, json_list
 from .diagrams import AffineDiagram, canonical_key, identity, length, multiply
 from .laurent import ONE, ZERO, LaurentPoly, delta_power, norm1, pack, product_bits, unpack
 from .straightening import stack, straighten
-from .words import _braid_split, absorbers, check_word
-
-Word = tuple[int, ...]
-
-
-class FcEval(NamedTuple):
-    """Normal form of a word: stack(word) = delta**exponent on the basis
-    diagram, whose canonical straightened word is also reported."""
-    exponent: int
-    diagram: AffineDiagram
-    word: Word
-
-
-def fc_evaluate(cfg: GroupConfig, word) -> FcEval:
-    r = stack(cfg, word)
-    return FcEval(r.contractible, r.diagram, straighten(r.diagram).letters)
+from .words import Word, _braid_split, absorbers, check_word
 
 
 def is_reduced_word(cfg: GroupConfig, word) -> bool:

@@ -142,11 +142,6 @@ class CancelStep(NamedTuple):
     t: int
 
 
-class ReduceResult(NamedTuple):
-    word: Word
-    trace: tuple[CancelStep, ...]
-
-
 class InvolutionDecomposition(NamedTuple):
     x: Word
     core: frozenset[int]
@@ -239,21 +234,20 @@ def _reduce(
     w: Word,
     rng: random.Random | None = None,
     sides: tuple[str, ...] = ("left", "right"),
-) -> ReduceResult:
+) -> Word:
     # reduce_to_core on a word already checked to be reduced FC
-    trace: list[CancelStep] = []
     while step := (
         next(_cancel_steps(cfg, w, sides), None) if rng is None
         else (options := [*_cancel_steps(cfg, w, sides)]) and rng.choice(options)
     ):
         w = drop_letter(w, step.s, step.side == "left")
-        trace.append(step)
-    return ReduceResult(w, tuple(trace))
+    return w
 
 
-def reduce_to_core(cfg: GroupConfig, word, rng: random.Random | None = None) -> ReduceResult:
-    """Cancel descents until none is cancellable.  Deterministic order
-    (left side first, smallest descent) unless an RNG is supplied."""
+def reduce_to_core(cfg: GroupConfig, word, rng: random.Random | None = None) -> Word:
+    """The core word left when descents are cancelled until none is
+    cancellable, each step dropping one letter.  Deterministic order (left
+    side first, smallest descent) unless an RNG is supplied."""
     return _reduce(cfg, _require_reduced_fc(cfg, word), rng)
 
 
@@ -277,7 +271,7 @@ def classify_core(cfg: GroupConfig, word) -> TwoSidedLabel:
     """Two-sided label of a core element: the block structure of its left
     decomposition is a single commuting set, or an alternation of the two
     maximal ones."""
-    groups = left_decomposition(cfg, word).groups
+    groups = left_decomposition(cfg, word)
     if not groups:
         return TwoSidedLabel.small(0)
     if len(groups) == 1 and 2 * len(groups[0]) < cfg.n:
@@ -309,11 +303,8 @@ def core_neighbours(cfg: GroupConfig, word) -> frozenset[tuple[int, Word]]:
     out = set()
     for s in cfg.generators():
         for cw in cands:
-            r1 = generator_times(s, stack(cfg, cw).diagram)
-            if r1.contractible:
-                continue
-            r2 = times_generator(r1.diagram, s)
-            if r2.contractible == 0 and r2.diagram == target:
+            d = generator_times(s, stack(cfg, cw).diagram)
+            if d is not None and times_generator(d, s) == target:
                 out.add((s, cw))
     return frozenset(out)
 
@@ -323,7 +314,7 @@ def labels(cfg: GroupConfig, word) -> CellLabels:
     two-sided label and the bottom arc pattern agree, a right cell iff the
     label and the top pattern agree, a two-sided cell iff the label agrees."""
     w = _require_reduced_fc(cfg, word)
-    return _cell_labels(stack(cfg, w).diagram, classify_core(cfg, _reduce(cfg, w).word))
+    return _cell_labels(stack(cfg, w).diagram, classify_core(cfg, _reduce(cfg, w)))
 
 
 def labelled_elements(cfg: GroupConfig, max_len: int) -> Iterator[EnumerationRecord]:
@@ -338,10 +329,10 @@ def labelled_elements(cfg: GroupConfig, max_len: int) -> Iterator[EnumerationRec
         if (step := next(_cancel_steps(cfg, rec.word), None)) is None:
             known[d] = classify_core(cfg, rec.word)
         else:
-            r = generator_times(step.t, d) if step.side == "left" else times_generator(d, step.t)
-            if r.contractible or r.diagram not in known:
+            u = generator_times(step.t, d) if step.side == "left" else times_generator(d, step.t)
+            if u is None or u not in known:
                 raise InvariantError("cancellation step leaves the labelled elements")
-            known[d] = known[r.diagram]
+            known[d] = known[u]
         yield rec._replace(labels=_cell_labels(d, known[d]))
 
 
@@ -382,7 +373,7 @@ def involution_decompose(
 def right_cell_involution(cfg: GroupConfig, word) -> Word | str:
     """The canonical involution sharing the element's right cell, or the
     M_NONSQUARE marker for the alternating cells without involutions."""
-    w = _reduce(cfg, _require_reduced_fc(cfg, word), sides=("right",)).word
+    w = _reduce(cfg, _require_reduced_fc(cfg, word), sides=("right",))
     groups = right_groups(cfg, w)
     half = cfg.n // 2
     if groups and cfg.n % 2 == 0 and len(groups[-1]) == half:

@@ -96,7 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--no-labels", action="store_true", help="skip cell labels (faster)")
 
-    p = sub.add_parser("verify", help="run the invariant suites")
+    note = ("run the invariant suites; neighbour-symmetry stacks about L_n^2 * n diagrams "
+            "(L_n the Lucas number) whatever --max-len: seconds at n = 12, tens of seconds "
+            "at n = 14, and n >= 21 exits 1 (independent-set enumeration capped at n <= 20)")
+    p = sub.add_parser("verify", help=note, description=note)
     add_n(p)
     p.add_argument("--max-len", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
@@ -106,14 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_eval(args) -> int:
     cfg = GroupConfig(args.n)
-    fc = algebra.fc_evaluate(cfg, parse_word(args.word))
-    _emit(
-        {
-            "exponent": fc.exponent,
-            "word": list(fc.word),
-            "diagram": diagrams.to_json_dict(fc.diagram),
-        }
-    )
+    r = straightening.stack(cfg, parse_word(args.word))
+    word = straightening.straighten(r.diagram).letters
+    _emit({"exponent": r.contractible, "word": list(word),
+           "diagram": diagrams.to_json_dict(r.diagram)})
     return 0
 
 

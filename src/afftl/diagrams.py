@@ -8,25 +8,26 @@ edges).  The window arrays store, for positions 1..n of each row, the
 partner node in the universal cover as one int, 2 * pos + (side is the
 bottom row), so `>> 1` reads the position, `& 1` the row, and adding 2k
 shifts the node k positions; every other partner follows by periodicity.
-A diagram is the NamedTuple (n, top, bottom, loops) and a product the
-NamedTuple (diagram, contractible): equality and hashing are the tuple's,
-so a diagram also equals a bare tuple of its four fields; never compare it
-with one.  This module alone stores and reads the windows, and only
-`node` and `node_ref` translate between entries and (side, pos) pairs:
-other modules go through its functions.  Crossing numbers take one linear
-pass over the edges.
+A diagram is the NamedTuple (n, top, bottom, loops): equality and hashing
+are the tuple's, so a diagram also equals a bare tuple of its four fields;
+never compare it with one.  This module alone stores and reads the
+windows, and only `node` and `node_ref` translate between entries and
+(side, pos) pairs: other modules go through its functions.  Crossing
+numbers take one linear pass over the edges.
 
 Multiplication stacks one diagram on top of another, identifies the middle
 rows, and traces connectivity.  Middle cycles closing with zero offset
 contract and are reported as an exponent of the loop scalar; cycles
 closing with offset +-n wind the cylinder once and become long horizontal
-edges of the product.
+edges of the product.  A product is the NamedTuple (diagram, contractible).
 
 Stacking with a single generator E_s is a constant-size local action
 (`times_generator`, `generator_times`): E_s joins nodes s and s+1 of the
 touching row, and their former partners become partners of each other.
 If those two nodes were already joined by a minimal arc the edit closes a
-contractible loop; if they were joined by an arc around the rest of the
+contractible loop: then E E_s = delta E (E_s E = delta E), and the action
+returns None in place of its input.  Otherwise it returns the product
+diagram; if the two nodes were joined by an arc around the rest of the
 period, it closes a winding loop.  The general `multiply` stays for
 products of arbitrary diagrams and as the cross-check of the local action.
 
@@ -403,19 +404,21 @@ def multiply(a: AffineDiagram, b: AffineDiagram) -> ProductResult:
     return ProductResult(diagram, contractible)
 
 
-def times_generator(d: AffineDiagram, s: int) -> ProductResult:
-    """d stacked on top of E_s; equal to multiply(d, generator(d.n, s)),
-    by a constant-size edit of d's bottom row."""
+def times_generator(d: AffineDiagram, s: int) -> AffineDiagram | None:
+    """d stacked on top of E_s, by a constant-size edit of d's bottom row:
+    the diagram of multiply(d, generator(d.n, s)), or None when that
+    product closes a contractible loop and is delta times d."""
     return _generator_action(d, s, BOT)
 
 
-def generator_times(s: int, d: AffineDiagram) -> ProductResult:
-    """E_s stacked on top of d; equal to multiply(generator(d.n, s), d),
-    by a constant-size edit of d's top row."""
+def generator_times(s: int, d: AffineDiagram) -> AffineDiagram | None:
+    """E_s stacked on top of d, by a constant-size edit of d's top row:
+    the diagram of multiply(generator(d.n, s), d), or None when that
+    product closes a contractible loop and is delta times d."""
     return _generator_action(d, s, TOP)
 
 
-def _generator_action(d: AffineDiagram, s: int, side: str) -> ProductResult:
+def _generator_action(d: AffineDiagram, s: int, side: str) -> AffineDiagram | None:
     # `side` is d's row that touches E_s.  E_s joins that row's nodes s and
     # s+1, whose partners in d are x and y, and gives the product a fresh
     # arc (s, s+1) on that row.  Node s is window entry s - 1; node s+1 is
@@ -431,7 +434,7 @@ def _generator_action(d: AffineDiagram, s: int, side: str) -> ProductResult:
     x = row[s - 1]
     if x == 2 * s + 2 + bit:
         # the minimal arc (s, s+1) and E_s's arc close a contractible loop
-        return ProductResult(d, 1)
+        return None
     t = s % n
     edited = list(row)
     loops = d.loops
@@ -457,8 +460,8 @@ def _generator_action(d: AffineDiagram, s: int, side: str) -> ProductResult:
     edited[s - 1] = 2 * s + 2 + bit
     edited[t] = 2 * t + bit
     if bit:
-        return ProductResult(AffineDiagram(n, other, tuple(edited), loops), 0)
-    return ProductResult(AffineDiagram(n, tuple(edited), other, loops), 0)
+        return AffineDiagram(n, other, tuple(edited), loops)
+    return AffineDiagram(n, tuple(edited), other, loops)
 
 
 def canonical_key(d: AffineDiagram) -> bytes:

@@ -22,12 +22,13 @@ collapses to a shorter diagram, or is an element first reached from an
 earlier word.  Each frontier entry carries, per letter, the highest letter
 after that letter's last neighbour, and the test costs one comparison.
 
-The involution flag is read off the diagram too: swapping its rows gives
-the diagram of the inverse element, so w is an involution exactly when its
-diagram is mirror-symmetric.  Records carry no cell labels;
-`cells.labelled_elements` adds them.  An independent enumeration over
-affine permutations, filtered by the word-level FC test, provides
-per-length counts to check against.  Both enumerations stop with
+A record holds the least word, the diagram and, once
+`cells.labelled_elements` adds them, the cell labels.  Its length is the
+word's, and its involution flag is read off the diagram when asked:
+swapping the rows gives the diagram of the inverse element, so w is an
+involution exactly when its diagram is mirror-symmetric.  An independent
+enumeration over affine permutations, filtered by the word-level FC test,
+provides per-length counts to check against.  Both enumerations stop with
 RuntimeError past `element_cap()` elements.
 """
 
@@ -56,9 +57,15 @@ def element_cap() -> int:
 class EnumerationRecord(NamedTuple):
     word: Word
     diagram: AffineDiagram
-    length: int
-    labels: object  # a cells.CellLabels, or None before cells labels it
-    is_involution: bool
+    labels: object = None  # a cells.CellLabels, or None before cells labels it
+
+    @property
+    def length(self) -> int:
+        return len(self.word)
+
+    @property
+    def is_involution(self) -> bool:
+        return is_mirror_symmetric(self.diagram)
 
     def to_json(self) -> dict:
         return {
@@ -104,7 +111,7 @@ def enumerate_elements(cfg: GroupConfig, max_len: int) -> Iterator[EnumerationRe
     start = identity(n)
     seen = {start}
     count = 1
-    yield EnumerationRecord((), start, 0, None, is_mirror_symmetric(start))
+    yield EnumerationRecord((), start)
     # entries are (word, diagram, after), `after` indexed by letter 1..n
     frontier: list[tuple[Word, AffineDiagram, list[int]]] = [((), start, [0] * (n + 1))]
     for ln in range(1, max_len + 1):
@@ -113,22 +120,22 @@ def enumerate_elements(cfg: GroupConfig, max_len: int) -> Iterator[EnumerationRe
             for s in letters:
                 if after[s] >= s:
                     continue
-                r = times_generator(d, s)
-                if r.contractible or r.diagram in seen:
+                d2 = times_generator(d, s)
+                if d2 is None or d2 in seen:
                     continue
-                seen.add(r.diagram)
+                seen.add(d2)
                 count += 1
                 if count > limit:
                     raise RuntimeError(
                         f"enumeration exceeded the cap of {limit} elements"
                     )
                 w2 = word + (s,)
-                yield EnumerationRecord(w2, r.diagram, ln, None, is_mirror_symmetric(r.diagram))
+                yield EnumerationRecord(w2, d2)
                 if ln == max_len:
                     continue  # the last level is never extended
                 after2 = [a if a > s else s for a in after]
                 after2[s - 1 or n] = after2[s % n + 1] = 0
-                nxt.append((w2, r.diagram, after2))
+                nxt.append((w2, d2, after2))
         frontier = nxt
 
 

@@ -60,7 +60,11 @@ class LaurentPoly(NamedTuple):
             out[e] = out.get(e, 0) + c
         return LaurentPoly.from_dict(out)
 
-    __radd__ = __add__
+    def __radd__(self, other) -> LaurentPoly:
+        # NotImplemented here would let a tuple on the left concatenate
+        if _coerce(other) is NotImplemented:
+            raise TypeError(f"cannot add {type(other).__name__!r} and 'LaurentPoly'")
+        return self + other
 
     def __neg__(self) -> LaurentPoly:
         return LaurentPoly(tuple((e, -c) for e, c in self.terms))

@@ -47,14 +47,12 @@ from .words import check_word
 
 class CongruenceFinding(NamedTuple):
     cls: int
-    kind: str  # "T1" | "B1" | "T2" | "B2"
-    cover: tuple[int, int] | None  # innermost covering arc lift (T1/B1 case a)
-    uses_loop: bool = False  # T1/B1 case b
+    kind: str  # "T1" | "B1" | "T2" | "B2": the row (T: the word's left end) and case
+    cover: tuple[int, int] | None  # innermost covering arc lift; None for a slide or a loop peel
 
 
 class PeelStep(NamedTuple):
     letter: int
-    end: str  # "left" | "right"
     rest: AffineDiagram
 
 
@@ -83,11 +81,13 @@ def _stack_cached(n: int, word: tuple[int, ...]) -> ProductResult:
     if not word:
         return ProductResult(identity(n), 0)
     cut = len(word) - 1 if len(word) <= _PREFIX_REUSE else _PREFIX_REUSE
-    prev = _stack_cached(n, word[:cut])
-    d, contractible = prev.diagram, prev.contractible
+    d, contractible = _stack_cached(n, word[:cut])
     for s in word[cut:]:
         r = times_generator(d, s)
-        d, contractible = r.diagram, contractible + r.contractible
+        if r is None:
+            contractible += 1
+        else:
+            d = r
     return ProductResult(d, contractible)
 
 
@@ -120,7 +120,7 @@ def _distinguished(d: AffineDiagram) -> CongruenceFinding:
         for k in sorted(descent_arcs(d, side)):
             cover = _innermost_cover(d.n, arcs, k)
             if cover is not None or d.loops:
-                return CongruenceFinding(k, side + "1", cover, uses_loop=cover is None)
+                return CongruenceFinding(k, side + "1", cover)
     for side, other in ((TOP, BOT), (BOT, TOP)):
         # A strand entering at the node left of a minimal arc and exiting
         # past the arc's far end marks the arc as slideable (T2 / B2).
@@ -134,9 +134,10 @@ def _distinguished(d: AffineDiagram) -> CongruenceFinding:
 def peel(d: AffineDiagram, f: CongruenceFinding) -> PeelStep:
     """Split one generator off d at the distinguished class.
 
-    The removed letter stacks back (on the reported end) to reproduce d
-    exactly, the length drops by one, and the number of short horizontal
-    edges is preserved; all three facts are checked.
+    The removed letter stacks back (on the word's end on f's row: the
+    left end for the top row) to reproduce d exactly, the length drops by
+    one, and the number of short horizontal edges is preserved; all three
+    facts are checked.
     """
     if f.kind not in ("T1", "B1", "T2", "B2"):
         raise ValueError(f"unknown peel kind {f.kind!r}")
@@ -150,19 +151,17 @@ def peel(d: AffineDiagram, f: CongruenceFinding) -> PeelStep:
         else:
             rest = join_arcs(d, side, [(k + 1, k + d.n)])._replace(loops=d.loops - 1)
     else:
-        r = _generator_action(d, f.cls, side)
-        if r.contractible:
+        rest = _generator_action(d, f.cls, side)
+        if rest is None:
             raise InvariantError("slide peel created a contractible loop")
-        rest = r.diagram
         letter = class_of(d.n, f.cls + 1)
-    back = _generator_action(rest, letter, side)
-    if back.contractible or back.diagram != d:
+    if _generator_action(rest, letter, side) != d:  # None on a contractible loop
         raise InvariantError(f"peel reconstruction failed at class {f.cls} kind {f.kind}")
     if length(rest) != length(d) - 1:
         raise InvariantError("peel did not drop length by one")
     if short_arc_count(rest) != short_arc_count(d):
         raise InvariantError("peel changed the short-edge count")
-    return PeelStep(letter, "left" if side == TOP else "right", rest)
+    return PeelStep(letter, rest)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -174,8 +173,9 @@ def straighten(d: AffineDiagram) -> StraightWord:
     left, right, cur = [], [], d
     # cur stays admissible: each peel checks its rest's length, defined only then
     while (core := is_straight(cur)) is None:
-        step = peel(cur, _distinguished(cur))
-        (left if step.end == "left" else right).append(step.letter)
+        f = _distinguished(cur)
+        step = peel(cur, f)
+        (left if f.kind[0] == TOP else right).append(step.letter)
         cur = step.rest
         if length(cur) <= _PREFIX_REUSE:
             rest = straighten(cur)

@@ -143,8 +143,8 @@ def check_core_order_independence(
         return ("core-order-independence", True, "no elements at this horizon")
     for _ in range(samples):
         w = rng.choice(pool)
-        det = cells.classify_core(cfg, cells.reduce_to_core(cfg, w).word)
-        rnd = cells.classify_core(cfg, cells.reduce_to_core(cfg, w, rng=rng).word)
+        det = cells.classify_core(cfg, cells.reduce_to_core(cfg, w))
+        rnd = cells.classify_core(cfg, cells.reduce_to_core(cfg, w, rng=rng))
         if det != rnd:
             return ("core-order-independence", False, f"fails at {w}")
     return ("core-order-independence", True, f"{samples} randomized runs")
@@ -153,10 +153,11 @@ def check_core_order_independence(
 def check_involutions(cfg: GroupConfig, recs) -> Check:
     count = 0
     for rec in recs:
-        # the diagram's mirror flag against the permutation oracle
-        if rec.is_involution != words.perm_of(cfg, rec.word).is_involution():
+        # the diagram's mirror flag, read once, against the permutation oracle
+        flag = rec.is_involution
+        if flag != words.perm_of(cfg, rec.word).is_involution():
             return ("involutions", False, f"mirror flag disagrees with the permutation at {rec.word}")
-        if not rec.is_involution:
+        if not flag:
             continue
         dec = cells.involution_decompose(cfg, rec.word)
         if cells.a_value(cfg, rec.word) != len(dec.core):

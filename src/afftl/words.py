@@ -24,9 +24,9 @@ identity and involution tests; a word is reduced when each letter ascends
 (`reduced_perm`).  Its windows are built only here, from the identity, so
 `AffinePermutation` is a NamedTuple whose constructor checks nothing.
 
-Public functions check their words and generators.  The loops inside, and
-no other module's, test adjacency by arithmetic: the neighbours of x are
-x - 1 or n and x % n + 1.
+Public functions check their words and generators.  The loops inside test
+adjacency by arithmetic, as `config` and the prune in `explore` do: the
+neighbours of x are x - 1 or n and x % n + 1.
 """
 
 from __future__ import annotations
@@ -384,26 +384,14 @@ def perm_of(cfg: GroupConfig, word) -> AffinePermutation:
     return _perm_of(cfg, tuple(word))
 
 
-class LeftDecomposition(NamedTuple):
-    """Factorization into blocks of pairwise commuting letters: the layers
-    of the heap, peeled from the bottom.
+def left_decomposition(cfg: GroupConfig, word) -> tuple[frozenset[int], ...]:
+    """Left decomposition of an FC element given by a reduced word: its
+    factorization into blocks of pairwise commuting letters, the layers of
+    the heap peeled from the bottom.  Block k is the left descent set of
+    the element left after the first k blocks are peeled, and the blocks'
+    letters, each block in any order, make a reduced word.
 
-    groups[k] is the left descent set of the element remaining after the
-    first k blocks are peeled; concatenating the blocks reproduces a
-    reduced word.
-    """
-    groups: tuple[frozenset[int], ...]
-
-    def word(self) -> Word:
-        out: list[int] = []
-        for g in self.groups:
-            out.extend(sorted(g))
-        return tuple(out)
-
-
-def left_decomposition(cfg: GroupConfig, word) -> LeftDecomposition:
-    """Left decomposition of an FC element given by a reduced word: each
-    letter goes one layer above the highest layer holding an equal or
+    Each letter goes one layer above the highest layer holding an equal or
     adjacent letter (so letters in one layer commute).  The layer of a
     letter's last occurrence is its highest, so one scan keeping those
     layers builds every layer."""
@@ -416,11 +404,10 @@ def left_decomposition(cfg: GroupConfig, word) -> LeftDecomposition:
             layers.append(set())
         layers[k].add(x)
         level[x] = k
-    return LeftDecomposition(tuple(map(frozenset, layers)))
+    return tuple(map(frozenset, layers))
 
 
 def right_groups(cfg: GroupConfig, word) -> tuple[frozenset[int], ...]:
     """Blocks of the right decomposition, in left-to-right word order (the
     last block is the right descent set of the element)."""
-    ld = left_decomposition(cfg, tuple(reversed(tuple(word))))
-    return tuple(reversed(ld.groups))
+    return left_decomposition(cfg, tuple(word)[::-1])[::-1]

@@ -48,7 +48,7 @@ the permutation oracle's counts.
 from collections import Counter
 
 from afftl.algebra import AlgebraElement
-from afftl.cells import CancelStep, InvolutionDecomposition, ReduceResult
+from afftl.cells import CancelStep, InvolutionDecomposition
 from afftl.diagrams import (
     BOT,
     TOP,
@@ -348,8 +348,7 @@ def cancellable_by_stacking(cfg, word, s, side):
             raise ValueError(f"{s} is not a left descent")
         target = stack(cfg, moved[1:]).diagram
         for t in cfg.neighbours_of(s):
-            r = generator_times(t, full)
-            if r.contractible == 0 and r.diagram == target:
+            if generator_times(t, full) == target:
                 return t
         return None
     if side == "right":
@@ -358,8 +357,7 @@ def cancellable_by_stacking(cfg, word, s, side):
             raise ValueError(f"{s} is not a right descent")
         target = stack(cfg, moved[:-1]).diagram
         for t in cfg.neighbours_of(s):
-            r = times_generator(full, t)
-            if r.contractible == 0 and r.diagram == target:
+            if times_generator(full, t) == target:
                 return t
         return None
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -463,18 +461,16 @@ def cancel_options_greedy(cfg, word, sides=("left", "right")):
 
 
 def reduce_to_core_greedy(cfg, word, rng=None):
-    """Cancel descents until none is cancellable, removing each cancelled
-    descent with a greedy scan."""
+    """The core word left when descents are cancelled until none is
+    cancellable, removing each cancelled descent with a greedy scan."""
     w = check_word(cfg, word)
-    trace = []
     while options := cancel_options_greedy(cfg, w):
         step = options[0] if rng is None else rng.choice(options)
         if step.side == "left":
             w = greedy_front_adjacent(cfg, w, step.s)[1:]
         else:
             w = greedy_back_adjacent(cfg, w, step.s)[:-1]
-        trace.append(step)
-    return ReduceResult(w, tuple(trace))
+    return w
 
 
 def left_decomposition_greedy(cfg, word):

@@ -151,12 +151,13 @@ def test_04_straightening_roundtrip():
             cur = d
             left, right = [], []
             while (core := is_straight(cur)) is None:
-                step = peel(cur, find_distinguished(cur))
+                f = find_distinguished(cur)
+                step = peel(cur, f)
                 if length(step.rest) != length(cur) - 1:
                     ok = False
                 if short_arc_count(step.rest) != short_arc_count(cur):
                     ok = False
-                (left if step.end == "left" else right).append(step.letter)
+                (left if f.kind[0] == TOP else right).append(step.letter)
                 cur = step.rest
                 peels += 1
             word = tuple(left) + tuple(sorted(core)) + tuple(reversed(right))
@@ -276,8 +277,8 @@ def test_07_core_and_cells():
         n = rng.choice((3, 4, 5))
         cfg = GroupConfig(n)
         rec = rng.choice(pools[n])
-        det = classify_core(cfg, reduce_to_core(cfg, rec.word).word)
-        rnd = classify_core(cfg, reduce_to_core(cfg, rec.word, rng=rng).word)
+        det = classify_core(cfg, reduce_to_core(cfg, rec.word))
+        rnd = classify_core(cfg, reduce_to_core(cfg, rec.word, rng=rng))
         if det != rnd:
             ok = False
     # the arc-count invariant is constant on two-sided labels

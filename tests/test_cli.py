@@ -12,7 +12,6 @@ import pytest
 from afftl import algebra, straightening, verify
 from afftl.cli import main, parse_word
 from afftl.config import GroupConfig
-from afftl.diagrams import ProductResult
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -295,6 +294,16 @@ class TestVerify:
         assert code == 0
         assert all(line.startswith("PASS") for line in out.strip().splitlines())
 
+    def test_exits_1_past_the_commuting_set_cap(self, capsys):
+        # neighbour-symmetry lists the commuting sets, which stop at n = 20,
+        # whatever the length horizon
+        code, out, err = run_cli(capsys, "verify", "--n", "21", "--max-len", "0")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "independent-set enumeration capped at n <= 20",
+        }
+
     def test_a_agreement_covers_every_length(self, capsys):
         # above length 8, where the check used to stop
         code, out, _ = run_cli(capsys, "verify", "--n", "4", "--max-len", "10", "--seed", "0")
@@ -370,11 +379,12 @@ class TestVerify:
 
 
 def _miscounting(real):
-    """The generator action, reporting one contractible loop too many."""
+    """The generator action, reporting a contractible loop (None) where the
+    product has none."""
 
     def action(d, s, side):
-        r = real(d, s, side)
-        return ProductResult(r.diagram, r.contractible + 1)
+        real(d, s, side)  # its own self-checks still run
+        return None
 
     return action
 

@@ -70,8 +70,8 @@ def computed_actions(monkeypatch, cfg, max_len):
         nonlocal calls
         calls += 1
         r = action(d, s)
-        assert not r.contractible, (d, s)
-        prev = lengths.get(r.diagram)
+        assert r is not None, (d, s)
+        prev = lengths.get(r)
         assert prev is None or prev < lengths[d] + 1, (d, s)
         return r
 

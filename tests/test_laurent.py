@@ -52,8 +52,15 @@ class TestRingOps:
         with pytest.raises(ValueError):
             delta_power(-1)
 
-    @pytest.mark.parametrize("other", ["x", None, 1.5])
+    @pytest.mark.parametrize(
+        "other", ["x", None, 1.5, pytest.param(((0, 1),), id="tuple"), pytest.param((), id="empty")]
+    )
     def test_foreign_operands_raise_type_error(self, other):
+        # a LaurentPoly is a tuple, so a tuple on the left must not concatenate
+        with pytest.raises(TypeError):
+            other + V
+        with pytest.raises(TypeError):
+            V + other
         with pytest.raises(TypeError):
             other - V
         with pytest.raises(TypeError):

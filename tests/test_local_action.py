@@ -1,4 +1,5 @@
-"""The constant-size generator action against the general product, its
+"""The constant-size generator action against the general product (the
+product diagram, or None when E_s closes a contractible loop), its
 self-checks on broken input, and the enumeration's involution flag (mirror
 symmetry of the diagram) against the affine-permutation oracle."""
 
@@ -8,6 +9,7 @@ from afftl.config import GroupConfig
 from afftl.diagrams import (
     BOT,
     TOP,
+    AffineDiagram,
     InvariantError,
     _generator_action,
     generator,
@@ -26,12 +28,29 @@ def diagrams_of(n, max_len):
     return [r.diagram for r in enumerate_elements(GroupConfig(n), max_len)]
 
 
+def assert_action_contract(action, product, d, s):
+    """The action is None exactly when the general product closes a
+    contractible loop, and that product is then delta times d; otherwise
+    the action is the product's diagram, which has no loop."""
+    if action is None:
+        assert product.contractible == 1 and product.diagram == d, (d, s)
+    else:
+        assert type(action) is AffineDiagram, (d, s)
+        assert product.contractible == 0 and action == product.diagram, (d, s)
+
+
 def assert_matches_multiply(pool, n):
+    """Checks the contract on every diagram of the pool and every generator,
+    on both sides, and that the pool reaches both cases of it."""
+    loops = 0
     for d in pool:
         for s in range(1, n + 1):
             g = generator(n, s)
-            assert times_generator(d, s) == multiply(d, g), (d, s)
-            assert generator_times(s, d) == multiply(g, d), (d, s)
+            right, left = times_generator(d, s), generator_times(s, d)
+            assert_action_contract(right, multiply(d, g), d, s)
+            assert_action_contract(left, multiply(g, d), d, s)
+            loops += (right is None) + (left is None)
+    assert 0 < loops < 2 * n * len(pool)
 
 
 class TestLocalAction:
@@ -55,10 +74,10 @@ class TestLocalAction:
         assert_matches_multiply(pool, 4)
 
     def test_contractible_case_returns_input(self):
+        # E_5 E_5 = delta E_5: None stands for the input diagram
         g = generator(5, 5)
-        assert times_generator(g, 5).diagram is g
-        assert times_generator(g, 5).contractible == 1
-        assert generator_times(5, g).contractible == 1
+        assert times_generator(g, 5) is None
+        assert generator_times(5, g) is None
 
 
 class TestCarriedPermutation:

@@ -16,21 +16,18 @@ VALIDATING = {"config.GroupConfig"}
 # Field names in order, and the defaults, as the records had them as
 # frozen dataclasses.
 RECORDS = {
-    "algebra.FcEval": (("exponent", "diagram", "word"), {}),
     "cells.TwoSidedLabel": (("kind", "size", "start", "factors"), {"size": 0, "start": "", "factors": 0}),
     "cells.CellLabels": (("two_sided", "left_pattern", "right_pattern", "loops"), {}),
     "cells.CancelStep": (("side", "s", "t"), {}),
-    "cells.ReduceResult": (("word", "trace"), {}),
     "cells.InvolutionDecomposition": (("x", "core"), {}),
     "cells.CensusRow": (("two_sided", "left_cells", "right_cells", "elements_seen"), {}),
-    "explore.EnumerationRecord": (("word", "diagram", "length", "labels", "is_involution"), {}),
+    "explore.EnumerationRecord": (("word", "diagram", "labels"), {"labels": None}),
     "laurent.LaurentPoly": (("terms",), {"terms": ()}),
-    "straightening.CongruenceFinding": (("cls", "kind", "cover", "uses_loop"), {"uses_loop": False}),
-    "straightening.PeelStep": (("letter", "end", "rest"), {}),
+    "straightening.CongruenceFinding": (("cls", "kind", "cover"), {}),
+    "straightening.PeelStep": (("letter", "rest"), {}),
     "straightening.StraightWord": (("letters", "core"), {}),
     "words.AffinePermutation": (("n", "window"), {}),
     "words.BraidWitness": (("w1", "s", "w2"), {}),
-    "words.LeftDecomposition": (("groups",), {}),
 }
 
 

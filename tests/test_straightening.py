@@ -7,6 +7,7 @@ from oracles import congruence_candidates
 
 from afftl.config import GroupConfig
 from afftl.diagrams import (
+    TOP,
     generator,
     identity,
     length,
@@ -89,7 +90,7 @@ class TestFindDistinguished:
         cfg = GroupConfig(4)
         d = stack(cfg, (1, 3, 2, 4)).diagram
         f = find_distinguished(d)
-        assert f.kind == "T1" and f.uses_loop and f.cover is None
+        assert f.kind == "T1" and f.cover is None
 
     @pytest.mark.parametrize("n,max_len", [(3, 8), (4, 8), (5, 7), (6, 6)])
     def test_candidates_of_mirror_swap_rows(self, n, max_len):
@@ -127,7 +128,6 @@ class TestFirstMatchFinding:
                     cover = cands[kind][cls] if kind.endswith("1") else None
                     f = _distinguished(d)
                     assert (f.kind, f.cls, f.cover) == (kind, cls, cover), rec.word
-                    assert f.uses_loop == (kind.endswith("1") and cover is None)
                     d = peel(d, f).rest
                     peels += 1
         assert peels == 28050
@@ -137,15 +137,17 @@ class TestPeel:
     def test_covered_peel(self):
         cfg = GroupConfig(4)
         d = stack(cfg, (2, 1, 3, 2)).diagram
-        step = peel(d, find_distinguished(d))
-        assert step.letter == 2 and step.end == "left"
+        f = find_distinguished(d)
+        step = peel(d, f)
+        assert step.letter == 2 and f.kind[0] == TOP
         assert step.rest == stack(cfg, (1, 3, 2)).diagram
 
     def test_slide_peel(self):
         cfg = GroupConfig(4)
         d = stack(cfg, (2, 1)).diagram
-        step = peel(d, find_distinguished(d))
-        assert step.letter == 2 and step.end == "left"
+        f = find_distinguished(d)
+        step = peel(d, f)
+        assert step.letter == 2 and f.kind[0] == TOP
         assert step.rest == stack(cfg, (1,)).diagram
 
     def test_peel_invariants(self, cfg, rng):
@@ -154,12 +156,13 @@ class TestPeel:
             d = stack(cfg, w).diagram
             if is_straight(d) is not None:
                 continue
-            step = peel(d, find_distinguished(d))
+            f = find_distinguished(d)
+            step = peel(d, f)
             assert length(step.rest) == length(d) - 1
             assert short_arc_count(step.rest) == short_arc_count(d)
             assert validate(step.rest) == []
             g = generator(cfg.n, step.letter)
-            back = multiply(g, step.rest) if step.end == "left" else multiply(step.rest, g)
+            back = multiply(g, step.rest) if f.kind[0] == TOP else multiply(step.rest, g)
             assert back.contractible == 0 and back.diagram == d
 
 

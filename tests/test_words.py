@@ -349,29 +349,30 @@ class TestLeftDecomposition:
     def test_examples(self):
         cfg = GroupConfig(4)
         ld = left_decomposition(cfg, (2, 1, 3, 2))
-        assert [set(g) for g in ld.groups] == [{2}, {1, 3}, {2}]
-        assert left_decomposition(cfg, (1, 3)).groups == (frozenset({1, 3}),)
-        assert left_decomposition(cfg, ()).groups == ()
+        assert [set(g) for g in ld] == [{2}, {1, 3}, {2}]
+        assert left_decomposition(cfg, (1, 3)) == (frozenset({1, 3}),)
+        assert left_decomposition(cfg, ()) == ()
 
     def test_blocks_commute_and_word_rebuilds(self, cfg, rng):
         for _ in range(30):
             w = random_fc_word(cfg, rng, 10)
-            ld = left_decomposition(cfg, w)
-            for g in ld.groups:
+            groups = left_decomposition(cfg, w)
+            for g in groups:
                 for a in g:
                     for b in g:
                         assert a == b or not cfg.adjacent(a, b)
-            assert perm_of(cfg, ld.word()) == perm_of(cfg, w)
-            assert len(ld.word()) == len(w)
-            if ld.groups:
-                assert ld.groups[0] == left_descents(cfg, w)
+            rebuilt = tuple(s for g in groups for s in sorted(g))
+            assert perm_of(cfg, rebuilt) == perm_of(cfg, w)
+            assert len(rebuilt) == len(w)
+            if groups:
+                assert groups[0] == left_descents(cfg, w)
 
     def test_repeated_generator_needs_two_noncommuting(self, cfg, rng):
         # s in consecutive-but-one blocks forces both of its neighbours in
         # the block between them
         for _ in range(30):
             w = random_fc_word(cfg, rng, 10)
-            groups = left_decomposition(cfg, w).groups
+            groups = left_decomposition(cfg, w)
             for g1, g2, g3 in zip(groups, groups[1:], groups[2:]):
                 for s in g1 & g3:
                     blockers = {u for u in g2 if cfg.adjacent(s, u)}
