@@ -182,8 +182,9 @@ def _cmd_involution(args) -> int:
 def _cmd_enumerate(args) -> int:
     cfg = GroupConfig(args.n)
     records = explore.enumerate_elements if args.no_labels else cells.labelled_elements
+    write = sys.stdout.write
     for rec in records(cfg, args.max_len):
-        _emit(rec.to_json())
+        write(rec.json_line() + "\n")
     return 0
 
 

@@ -34,6 +34,7 @@ RuntimeError past `element_cap()` elements.
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Iterator, NamedTuple
 
@@ -67,13 +68,12 @@ class EnumerationRecord(NamedTuple):
     def is_involution(self) -> bool:
         return is_mirror_symmetric(self.diagram)
 
-    def to_json(self) -> dict:
-        return {
-            "word": list(self.word),
-            "length": self.length,
-            "labels": self.labels.to_json() if self.labels else None,
-            "is_involution": self.is_involution,
-        }
+    def json_line(self) -> str:
+        """The record's JSON object: a list of ints prints as JSON; labels use json.dumps."""
+        labels = json.dumps(self.labels.to_json()) if self.labels else "null"
+        flag = "true" if self.is_involution else "false"
+        return (f'{{"word": {list(self.word)}, "length": {len(self.word)}, '
+                f'"labels": {labels}, "is_involution": {flag}}}')
 
 
 def enumerate_elements(cfg: GroupConfig, max_len: int) -> Iterator[EnumerationRecord]:

@@ -1,14 +1,15 @@
 """Aggregated invariant checks, runnable from the command line.
 
-Each check returns (name, passed, detail).  The suite covers the defining
-relations, unit/associativity laws, crossing-count statistics, the
-straightening round trip, enumeration count agreement between the diagram
-engine and the affine-permutation oracle, agreement of the two
-multiplication engines, the arc-count invariant against the width of the
-word's heap at every enumerated length, and order-independence of descent
-cancellation.  The width is played against the brute-force definition
-(`cells.a_bruteforce`, the largest commuting factor over the commutation
-class) in the tier-1 tests.
+Each check returns (name, passed, detail); a check that raises anything but
+InvariantError fails with the exception's type and message as its detail.
+The suite covers the defining relations, unit/associativity laws,
+crossing-count statistics, the straightening round trip, enumeration count
+agreement between the diagram engine and the affine-permutation oracle,
+agreement of the two multiplication engines, the arc-count invariant against
+the width of the word's heap at every enumerated length, and
+order-independence of descent cancellation.  The width is played against the
+brute-force definition (`cells.a_bruteforce`, the largest commuting factor
+over the commutation class) in the tier-1 tests.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections import Counter
 from functools import cache
 
 from . import algebra, cells, diagrams, explore, straightening, words
-from .config import GroupConfig
+from .config import GroupConfig, InvariantError
 
 Check = tuple[str, bool, str]
 
@@ -180,17 +181,25 @@ def run_all(n: int, max_len: int, seed: int) -> list[Check]:
     cfg = GroupConfig(n)
     rng = random.Random(seed)
     recs = list(explore.enumerate_elements(cfg, max_len))
-    checks = [
-        check_defining_relations(cfg),
-        check_unit_laws(cfg, recs),
-        check_associativity(cfg, recs, rng),
-        check_crossing_counts(cfg, recs),
-        check_roundtrip(cfg, recs),
-        check_counts_vs_oracle(cfg, recs, max_len),
-        check_engine_agreement(cfg, recs, min(max_len, 3)),
-        check_a_agreement(cfg, recs),
-        check_core_order_independence(cfg, recs, rng),
-        check_involutions(cfg, recs),
-        check_neighbour_symmetry(cfg),
-    ]
-    return checks
+    checks = {
+        "defining-relations": lambda: check_defining_relations(cfg),
+        "unit-laws": lambda: check_unit_laws(cfg, recs),
+        "associativity": lambda: check_associativity(cfg, recs, rng),
+        "crossing-counts": lambda: check_crossing_counts(cfg, recs),
+        "straighten-roundtrip": lambda: check_roundtrip(cfg, recs),
+        "counts-vs-oracle": lambda: check_counts_vs_oracle(cfg, recs, max_len),
+        "engine-agreement": lambda: check_engine_agreement(cfg, recs, min(max_len, 3)),
+        "a-agreement": lambda: check_a_agreement(cfg, recs),
+        "core-order-independence": lambda: check_core_order_independence(cfg, recs, rng),
+        "involutions": lambda: check_involutions(cfg, recs),
+        "neighbour-symmetry": lambda: check_neighbour_symmetry(cfg),
+    }
+    results = []
+    for name, check in checks.items():
+        try:
+            results.append(check())
+        except InvariantError:
+            raise
+        except Exception as exc:  # one check's crash does not hide the others' results
+            results.append((name, False, f"{type(exc).__name__}: {exc}"))
+    return results

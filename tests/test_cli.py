@@ -11,7 +11,7 @@ import pytest
 
 from afftl import algebra, straightening, verify
 from afftl.cli import main, parse_word
-from afftl.config import GroupConfig
+from afftl.config import GroupConfig, InvariantError
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -296,13 +296,34 @@ class TestVerify:
 
     def test_exits_1_past_the_commuting_set_cap(self, capsys):
         # neighbour-symmetry lists the commuting sets, which stop at n = 20,
-        # whatever the length horizon
+        # whatever the length horizon; the ten checks before it still report
         code, out, err = run_cli(capsys, "verify", "--n", "21", "--max-len", "0")
-        assert (code, out) == (1, "")
-        assert json.loads(err) == {
-            "error": "ValueError",
-            "message": "independent-set enumeration capped at n <= 20",
-        }
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (1, "", 11)
+        assert all(line.startswith("PASS ") for line in lines[:10])
+        assert lines[10] == (
+            "FAIL neighbour-symmetry: ValueError: independent-set enumeration capped at n <= 20"
+        )
+
+    def test_a_crashing_check_fails_alone(self, capsys, monkeypatch):
+        def crash(cfg, recs):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(verify, "check_crossing_counts", crash)
+        code, out, err = run_cli(capsys, "verify", "--n", "4", "--max-len", "4")
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (1, "", 11)
+        assert lines[3] == "FAIL crossing-counts: KeyError: 'boom'"
+        assert all(line.startswith("PASS ") for line in lines[:3] + lines[4:])
+
+    def test_invariant_error_in_a_check_exits_3(self, capsys, monkeypatch):
+        def broken(cfg, recs):
+            raise InvariantError("self-check failed")
+
+        monkeypatch.setattr(verify, "check_unit_laws", broken)
+        code, out, err = run_cli(capsys, "verify", "--n", "4", "--max-len", "4")
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "InvariantError", "message": "self-check failed"}
 
     def test_a_agreement_covers_every_length(self, capsys):
         # above length 8, where the check used to stop

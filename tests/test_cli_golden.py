@@ -24,6 +24,9 @@ GOLDEN = [
      "e08efc8037a9eb0362913518718a615e0550d9b2856d4c67b0a91c9b79448059"),
     (["enumerate", "--n", "4", "--max-len", "6"],
      "664945030c561cf419a531e25e25d6ebd56ad3861452beb928e28c594e439684"),
+    # unlabelled records at odd n; the flag first, so the id names it
+    (["enumerate", "--no-labels", "--n", "5", "--max-len", "8"],
+     "dbf8834145dde6e639226c9fb6f4b0da3f9ea428333dcefcf57ada847972aac0"),
     (["eval", "--n", "4", "--word", "1 1"],
      "562d6be63e6c9769a348a47f0e682aaa820e7bbd446b49930886dfefd110dfad"),
     (["involution", "--n", "4", "--word", "2 1 3 2"],

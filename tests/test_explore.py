@@ -90,7 +90,7 @@ class TestEnumerate:
     def test_record_json_roundtrip(self):
         cfg = GroupConfig(4)
         for rec in labelled_elements(cfg, 4):
-            obj = json.loads(json.dumps(rec.to_json()))
+            obj = json.loads(rec.json_line())
             assert tuple(obj["word"]) == rec.word
             assert obj["length"] == rec.length
             assert obj["is_involution"] == rec.is_involution
@@ -102,3 +102,28 @@ class TestEnumerate:
     def test_negative_horizon(self):
         with pytest.raises(ValueError):
             list(enumerate_elements(GroupConfig(4), -1))
+
+
+def dict_form(rec) -> dict:
+    """A record's JSON object as a dict, the form `json_line` formats directly."""
+    return {
+        "word": list(rec.word),
+        "length": rec.length,
+        "labels": rec.labels.to_json() if rec.labels else None,
+        "is_involution": rec.is_involution,
+    }
+
+
+class TestJsonLine:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("labelled", [False, True], ids=["no-labels", "labels"])
+    @pytest.mark.parametrize("max_len", [0, 7])
+    def test_equals_json_dumps_of_the_dict(self, n, labelled, max_len):
+        records = labelled_elements if labelled else enumerate_elements
+        recs = list(records(GroupConfig(n), max_len))
+        assert recs[0].word == () and (recs[0].labels is not None) == labelled
+        assert max(rec.length for rec in recs) == max_len
+        for rec in recs:
+            line = rec.json_line()
+            assert line == json.dumps(dict_form(rec))
+            assert json.dumps(json.loads(line)) == line
