@@ -16,7 +16,8 @@ windows, and only `node` and `node_ref` translate between entries and
 numbers take one linear pass over the edges.
 
 Multiplication stacks one diagram on top of another, identifies the middle
-rows, and traces connectivity.  Middle cycles closing with zero offset
+rows, and traces connectivity: each strand once, from its first outer end,
+writing both of its ends.  Middle cycles closing with zero offset
 contract and are reported as an exponent of the loop scalar; cycles
 closing with offset +-n wind the cylinder once and become long horizontal
 edges of the product.  A product is the NamedTuple (diagram, contractible).
@@ -326,81 +327,97 @@ def descent_arcs(d: AffineDiagram, side: str) -> frozenset[int]:
 
 def multiply(a: AffineDiagram, b: AffineDiagram) -> ProductResult:
     """Stack a on top of b; returns the composite diagram and the number of
-    contractible middle loops (the exponent of the loop scalar)."""
+    contractible middle loops (the exponent of the loop scalar).
+
+    Each strand is traced once, from its first outer end: a's top row is
+    scanned first, then b's bottom row, and one walk writes both ends of a
+    strand that runs through the middle row.  Middle classes no walk
+    touched close into loops.
+    """
     if a.n != b.n:
         raise ValueError(f"mismatched sizes {a.n} and {b.n}")
     n = a.n
-    a_top, a_bottom, b_top, b_bottom = a.top, a.bottom, b.top, b.bottom
+    a_bottom, b_top = a.bottom, b.top
     # Window entries are read directly: the partner of the node at cover
     # position pos is row[c] shifted by pos - 1 - c, with c = (pos - 1) % n.
-    # touched[c] and done[c] mark middle-row class c + 1.
+    # touched[c] and done[c] mark middle-row class c + 1; None marks an
+    # outer end not yet written.
     touched = [False] * n
-
-    def cross(pos: int, row1, exit1: int, row2, exit2: int) -> int:
-        # a strand at middle-row position pos runs alternately through row1
-        # and row2 until it leaves on the row with bit exit1 or exit2
-        for _ in range(n + 2):
+    rows = ([None] * n, [None] * n)
+    # a strand leaving a's top row (bit 0) downward runs through b, then a,
+    # until it exits b's bottom row or a's top row; one leaving b's bottom
+    # row (bit 1) upward runs through a, then b
+    for bit, outer, row1, row2 in ((0, a.top, b_top, a_bottom), (1, b.bottom, a_bottom, b_top)):
+        out = rows[bit]
+        for i, e in enumerate(outer):
+            if out[i] is not None:
+                continue
+            if e & 1 == bit:
+                out[i] = e  # an arc on the outer row
+                continue
+            pos = e >> 1
+            for _ in range(n + 2):
+                c = (pos - 1) % n
+                touched[c] = True
+                e = row1[c]
+                pos += (e >> 1) - 1 - c
+                if e & 1 != bit:
+                    break
+                c = (pos - 1) % n
+                touched[c] = True
+                e = row2[c]
+                pos += (e >> 1) - 1 - c
+                if e & 1 == bit:
+                    break
+            else:
+                raise InvariantError("runaway connectivity trace")
+            # the far end sits at cover position pos of row e & 1, shift
+            # positions right of its window entry c
+            out[i] = 2 * pos + (e & 1)
             c = (pos - 1) % n
-            touched[c] = True
-            e = row1[c]
-            pos += (e >> 1) - 1 - c
-            if e & 1 == exit1:
-                return 2 * pos + exit1
-            c = (pos - 1) % n
-            touched[c] = True
-            e = row2[c]
-            pos += (e >> 1) - 1 - c
-            if e & 1 == exit2:
-                return 2 * pos + exit2
-        raise InvariantError("runaway connectivity trace")
-
-    # a strand leaving a's top row downward exits b's bottom row (bit 1)
-    # or a's top row (bit 0); one leaving b's bottom row upward the reverse
-    top_row = tuple(
-        cross(e >> 1, b_top, 1, a_bottom, 0) if e & 1 else e for e in a_top
-    )
-    bottom_row = tuple(
-        e if e & 1 else cross(e >> 1, a_bottom, 0, b_top, 1) for e in b_bottom
-    )
+            shift = pos - 1 - c
+            rows[e & 1][c] = 2 * (i + 1 - shift) + bit
+    top_row, bottom_row = rows
 
     contractible = 0
     winding = 0
-    done = [False] * n
-    for c in range(n):
-        if touched[c] or done[c]:
-            continue
-        pos = c + 1
-        for _ in range(n + 2):
-            # pos's partner in a, then that node's partner in b: both on
-            # the middle row unless the cycle escapes
-            k = (pos - 1) % n
-            e = a_bottom[k]
-            if not e & 1:
-                raise InvariantError("middle cycle escaped through the top diagram")
-            pos += (e >> 1) - 1 - k
-            k = (pos - 1) % n
-            done[k] = True
-            e = b_top[k]
-            if e & 1:
-                raise InvariantError("middle cycle escaped through the bottom diagram")
-            pos += (e >> 1) - 1 - k
-            k = (pos - 1) % n
-            done[k] = True
-            if k == c:
-                break
-        else:
-            raise InvariantError("runaway middle cycle")
-        offset = (pos - 1 - c) // n
-        if offset == 0:
-            contractible += 1
-        elif abs(offset) == 1:
-            winding += 1
-        else:
-            raise InvariantError("middle cycle winds more than once")
+    if False in touched:  # some middle classes close into loops
+        done = [False] * n
+        for c in range(n):
+            if touched[c] or done[c]:
+                continue
+            pos = c + 1
+            for _ in range(n + 2):
+                # pos's partner in a, then that node's partner in b: both on
+                # the middle row unless the cycle escapes
+                k = (pos - 1) % n
+                e = a_bottom[k]
+                if not e & 1:
+                    raise InvariantError("middle cycle escaped through the top diagram")
+                pos += (e >> 1) - 1 - k
+                k = (pos - 1) % n
+                done[k] = True
+                e = b_top[k]
+                if e & 1:
+                    raise InvariantError("middle cycle escaped through the bottom diagram")
+                pos += (e >> 1) - 1 - k
+                k = (pos - 1) % n
+                done[k] = True
+                if k == c:
+                    break
+            else:
+                raise InvariantError("runaway middle cycle")
+            offset = (pos - 1 - c) // n
+            if offset == 0:
+                contractible += 1
+            elif abs(offset) == 1:
+                winding += 1
+            else:
+                raise InvariantError("middle cycle winds more than once")
 
     if winding and any(e & 1 for e in top_row):
         raise InvariantError("winding middle cycle alongside a through strand")
-    diagram = AffineDiagram(n, top_row, bottom_row, a.loops + b.loops + winding)
+    diagram = AffineDiagram(n, tuple(top_row), tuple(bottom_row), a.loops + b.loops + winding)
     return ProductResult(diagram, contractible)
 
 
@@ -514,5 +531,6 @@ def mirror(d: AffineDiagram) -> AffineDiagram:
 
 
 def is_mirror_symmetric(d: AffineDiagram) -> bool:
-    """mirror(d) == d, read entrywise without building the mirror."""
-    return all(t ^ 1 == b for t, b in zip(d.top, d.bottom))
+    """mirror(d) == d: the bottom row is the top row with each entry's
+    row bit flipped."""
+    return d.bottom == tuple([t ^ 1 for t in d.top])

@@ -110,11 +110,29 @@ def check_counts_vs_oracle(cfg: GroupConfig, recs, max_len: int) -> Check:
 
 
 def check_engine_agreement(cfg: GroupConfig, recs, max_len: int = 3) -> Check:
+    """Diagram stacking against word rewriting on every pair of records up
+    to max_len, taken in enumeration order.
+
+    The rewrite side folds one row at a time.  Row ra's start word is
+    checked once; each rb's result is then one cached rewrite step, by
+    rb's last letter, on the row's result for rb.word[:-1].  Record words
+    are least words, and a prefix of a least word is the least word of a
+    shorter element, so that prefix is an earlier record of the list (the
+    empty word first).  Folding rb.word from ra.word letter by letter
+    takes the same steps in the same order, so each result equals
+    rewrite_eval(cfg, rb.word, start=ra.word).
+    """
     recs = [rec for rec in recs if rec.length <= max_len]
     pairs = 0
     for ra in recs:
+        row = {(): algebra.rewrite_eval(cfg, (), start=ra.word)}
         for rb in recs:
-            exp_r, word_r = algebra.rewrite_eval(cfg, rb.word, start=ra.word)
+            word = rb.word
+            if word not in row:
+                exp_r, cur = row[word[:-1]]
+                step, cur = algebra._rewrite_mul_cached(cfg, cur, word[-1])
+                row[word] = exp_r + step, cur
+            exp_r, word_r = row[word]
             prod = diagrams.multiply(ra.diagram, rb.diagram)
             same_elt = straightening.stack(cfg, word_r).diagram == prod.diagram
             if not (same_elt and exp_r == prod.contractible):

@@ -381,22 +381,62 @@ class TestVerify:
     @pytest.mark.parametrize("n,max_len,pairs", [(4, 6, 961), (7, 8, 12769)])
     def test_engine_agreement_filters_the_shared_records(self, n, max_len, pairs, monkeypatch):
         # the records up to length 3, in enumeration order, from the list
-        # run_all enumerated once
+        # run_all enumerated once; every pair is multiplied, and each row's
+        # start word is checked once
+        from afftl import diagrams
         from afftl.explore import enumerate_elements
 
         cfg = GroupConfig(n)
         recs = list(enumerate_elements(cfg, max_len))
         short = list(enumerate_elements(cfg, 3))
-        real, seen = algebra.rewrite_eval, []
+        real_eval, starts = algebra.rewrite_eval, []
+        real_mul, multiplied = diagrams.multiply, []
 
-        def spy(cfg, letters, start):
-            seen.append((start, letters))
-            return real(cfg, letters, start=start)
+        def spy_eval(cfg, letters, start):
+            starts.append((start, letters))
+            return real_eval(cfg, letters, start=start)
 
-        monkeypatch.setattr(algebra, "rewrite_eval", spy)
+        def spy_mul(a, b):
+            multiplied.append((a, b))
+            return real_mul(a, b)
+
+        monkeypatch.setattr(algebra, "rewrite_eval", spy_eval)
+        monkeypatch.setattr(diagrams, "multiply", spy_mul)
         got = verify.check_engine_agreement(cfg, recs, 3)
         assert got == ("engine-agreement", True, f"{pairs} basis pairs")
-        assert seen == [(a.word, b.word) for a in short for b in short]
+        assert multiplied == [(a.diagram, b.diagram) for a in short for b in short]
+        assert starts == [(a.word, ()) for a in short]
+
+    def test_engine_agreement_catches_either_engine(self, monkeypatch):
+        from afftl import diagrams
+        from afftl.diagrams import ProductResult
+        from afftl.explore import enumerate_elements
+
+        cfg = GroupConfig(4)
+        recs = list(enumerate_elements(cfg, 6))
+        real_mul, real_step = diagrams.multiply, algebra._rewrite_mul_cached
+
+        def drops_a_loop(a, b):
+            r = real_mul(a, b)
+            return ProductResult(r.diagram, max(r.contractible - 1, 0))
+
+        def wrong_letter(cfg, word, s):
+            # the step appends the next letter round the cycle in place of s
+            exponent, out = real_step(cfg, word, s)
+            if out == word + (s,):
+                out = word + (s % cfg.n + 1,)
+            return exponent, out
+
+        with monkeypatch.context() as m:
+            m.setattr(diagrams, "multiply", drops_a_loop)
+            assert verify.check_engine_agreement(cfg, recs, 3) == (
+                "engine-agreement", False, "pair (1,) x (1,)"
+            )
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "_rewrite_mul_cached", wrong_letter)
+            assert verify.check_engine_agreement(cfg, recs, 3) == (
+                "engine-agreement", False, "pair () x (1,)"
+            )
 
 
 def _miscounting(real):

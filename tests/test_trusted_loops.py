@@ -4,9 +4,11 @@ The word layer tests adjacency by arithmetic and keeps the heap order as
 bitmasks only for the width, `straight_diagram` checks the generator set
 instead of the built diagram, and `multiply` and `is_straight` read the
 window arrays directly.
-Each is compared with the old formulation kept in `tests/oracles.py`; the
-public entry points must still reject bad generator indices, and stacking
-must not recurse once per letter.
+Each is compared with the old formulation kept in `tests/oracles.py`, and
+`multiply` also with stacking the concatenated words; the public entry
+points must still reject bad generator indices, stacking must not recurse
+once per letter, and each of `multiply`'s self-checks fires on a
+hand-built broken pair.
 """
 
 import random
@@ -29,7 +31,7 @@ from oracles import (
 
 from afftl.algebra import rewrite_eval, rewrite_mul
 from afftl.cells import a_bruteforce
-from afftl.config import GroupConfig
+from afftl.config import GroupConfig, InvariantError
 from afftl.diagrams import (
     BOT,
     TOP,
@@ -189,13 +191,81 @@ class TestMultiplyReadsWindows:
                     assert multiply(a, b) == multiply_by_partner(a, b), (a, b)
 
     def test_winding_products_equal_partner_trace(self):
-        pool = [r.diagram for r in enumerate_elements(GroupConfig(4), 10)]
-        looped = [d for d in pool if d.loops]
-        assert looped
-        for a in looped[:20]:
-            for b in pool[::4]:
-                assert multiply(a, b) == multiply_by_partner(a, b)
-                assert multiply(b, a) == multiply_by_partner(b, a)
+        for n, max_len in ((4, 10), (6, 10), (8, 8)):
+            pool = [r.diagram for r in enumerate_elements(GroupConfig(n), max_len)]
+            looped = [d for d in pool if d.loops]
+            assert looped, n
+            for a in looped[:20]:
+                for b in pool[::4]:
+                    assert multiply(a, b) == multiply_by_partner(a, b), (a, b)
+                    assert multiply(b, a) == multiply_by_partner(b, a), (b, a)
+
+    @pytest.mark.parametrize("n,max_len", [(4, 12), (6, 10), (8, 10)])
+    def test_equals_stacked_concatenation(self, n, max_len):
+        # seeded record pairs at the full horizon, winding loops included:
+        # the product of two records' diagrams is the diagram of their
+        # concatenated words, with the same contractible loops
+        cfg = GroupConfig(n)
+        recs = list(enumerate_elements(cfg, max_len))
+        rng = random.Random(n)
+        for _ in range(1000):
+            ra, rb = rng.choice(recs), rng.choice(recs)
+            assert multiply(ra.diagram, rb.diagram) == stack(cfg, ra.word + rb.word), (
+                ra.word,
+                rb.word,
+            )
+
+
+# One hand-built pair of trusted but broken diagrams per self-check of
+# `multiply`; windows list each partner as (side, pos).
+T, B = TOP, BOT
+ARCS_T = [(T, 2), (T, 1), (T, 4), (T, 3)]  # arcs (1, 2) and (3, 4) on a top row
+ARCS_B = [(B, 2), (B, 1), (B, 4), (B, 3)]  # the same arcs on a bottom row
+VERTICALS = [(B, 1), (B, 2), (B, 3)]  # a top row of verticals at n = 3
+BROKEN_PAIRS = {
+    # a's top node 1 enters the middle at 1; b joins middle 1 to 2 and a
+    # joins 2 back to 1, so the strand never leaves
+    "runaway connectivity trace": (
+        window(3, VERTICALS, [(T, 1), (B, 1), (T, 3)]),
+        window(3, [(T, 2), (B, 2), (B, 3)], [(T, 1), (T, 2), (T, 3)]),
+    ),
+    # no walk enters the middle, yet a's bottom node 1 leads to its top row
+    "middle cycle escaped through the top diagram": (
+        window(4, ARCS_T, [(T, 1), (T, 2), (T, 3), (T, 4)]),
+        window(4, [(B, 1), (B, 2), (B, 3), (B, 4)], ARCS_B),
+    ),
+    # the middle cycle from 1 reaches 2 through a, and b's top node 2 leads
+    # to its bottom row
+    "middle cycle escaped through the bottom diagram": (
+        window(4, ARCS_T, ARCS_B),
+        window(4, [(B, 1), (B, 2), (B, 3), (B, 4)], ARCS_B),
+    ),
+    # middle 1 -> 2 -> 3 -> 2 -> 3 ...: the cycle never comes back to 1
+    "runaway middle cycle": (
+        window(4, ARCS_T, [(B, 2), (B, 3), (B, 2), (B, 4)]),
+        window(4, [(T, 1), (T, 3), (T, 2), (T, 4)], ARCS_B),
+    ),
+    # a joins middle 1 to 7 = 1 + 2n, which b joins to itself
+    "middle cycle winds more than once": (
+        window(3, [(T, 1), (T, 2), (T, 3)], [(B, 7), (B, 2), (B, 3)]),
+        window(3, [(T, 1), (T, 2), (T, 3)], VERTICALS),
+    ),
+    # top 1 runs straight through to bottom 1, while a joins middle 2 to
+    # 5 = 2 + n, which b joins to itself
+    "winding middle cycle alongside a through strand": (
+        window(3, [(B, 1), (T, 2), (T, 3)], [(T, 1), (B, 5), (B, 3)]),
+        window(3, [(B, 1), (T, 2), (T, 3)], [(T, 1), (B, 2), (B, 3)]),
+    ),
+}
+
+
+class TestMultiplySelfChecks:
+    @pytest.mark.parametrize("message", list(BROKEN_PAIRS))
+    def test_broken_pair_raises(self, message):
+        a, b = BROKEN_PAIRS[message]
+        with pytest.raises(InvariantError) as caught:
+            multiply(a, b)
+        assert str(caught.value) == message
 
 
 class TestPublicEntryPointsValidate:
