@@ -12,8 +12,11 @@ A diagram is the NamedTuple (n, top, bottom, loops): equality and hashing
 are the tuple's, so a diagram also equals a bare tuple of its four fields;
 never compare it with one.  This module alone stores and reads the
 windows, and only `node` and `node_ref` translate between entries and
-(side, pos) pairs: other modules go through its functions.  Crossing
-numbers take one linear pass over the edges.
+(side, pos) pairs: other modules go through its functions.  One linear
+pass over the edges builds a diagram's cached invariant record
+(`Invariants`: crossing numbers, length or None when inadmissible, and
+the short-arc count), and `crossing_number`, `is_admissible`, `length`
+and `short_arc_count` read it, so asking again is one cache lookup.
 
 Multiplication stacks one diagram on top of another, identifies the middle
 rows, and traces connectivity: each strand once, from its first outer end,
@@ -179,12 +182,6 @@ def edge_list(d: AffineDiagram):
     return top_arcs, bottom_arcs, verticals
 
 
-def short_arc_count(d: AffineDiagram) -> int:
-    """Number of short horizontal edges per period (top plus bottom)."""
-    top_arcs, bottom_arcs, _ = edge_list(d)
-    return len(top_arcs) + len(bottom_arcs)
-
-
 def _involution_problems(d: AffineDiagram) -> list[str]:
     problems = []
     for side, row in ((TOP, d.top), (BOT, d.bottom)):
@@ -267,8 +264,17 @@ def validate(d: AffineDiagram) -> list[str]:
     return problems
 
 
+class Invariants(NamedTuple):
+    """What a diagram's edges determine, computed once per diagram: the
+    crossing numbers, the length (None when the diagram is inadmissible)
+    and the number of short horizontal edges per period."""
+    nu: tuple[int, ...]
+    length: int | None
+    short_arcs: int
+
+
 @lru_cache(maxsize=1 << 18)
-def _nu_vector(d: AffineDiagram) -> tuple[int, ...]:
+def _nu_vector(d: AffineDiagram) -> Invariants:
     # An edge spanning lo..hi crosses the line after class k once per x in
     # lo..hi-1 with x = k mod n: (hi - lo) // n times each line, once more
     # the (hi - lo) % n lines from lo's class on.  Those runs fill a
@@ -285,7 +291,18 @@ def _nu_vector(d: AffineDiagram) -> tuple[int, ...]:
         diff[start] += 1
         diff[start + rest] -= 1
     runs = list(accumulate(diff))
-    return tuple(laps + runs[k] + runs[k + n] for k in range(n))
+    nu = tuple(laps + runs[k] + runs[k + n] for k in range(n))
+    # Admissible: the identity, or at least one horizontal edge and every
+    # crossing number even.  A valid diagram crossing no line is the
+    # identity, and one with a horizontal edge has a short top arc (top
+    # and bottom arcs balance, so not every top node is on a vertical) or
+    # a winding loop.
+    total = sum(nu)
+    if total and ((not d.loops and len(verticals) == n) or any(v & 1 for v in nu)):
+        ell = None
+    else:
+        ell = total // 2
+    return Invariants(nu, ell, len(top_arcs) + len(bottom_arcs))
 
 
 def crossing_number(d: AffineDiagram, k: int) -> int:
@@ -293,29 +310,25 @@ def crossing_number(d: AffineDiagram, k: int) -> int:
     and k+1, drawn geodesically; each winding loop contributes 1."""
     if not 1 <= k <= d.n:
         raise ValueError(f"class {k} out of range 1..{d.n}")
-    return _nu_vector(d)[k - 1]
+    return _nu_vector(d).nu[k - 1]
 
 
 def is_admissible(d: AffineDiagram) -> bool:
-    """Identity, or at least one horizontal edge and all crossing numbers even.
-
-    A valid diagram crossing no line is the identity, and one with a
-    horizontal edge has a short top arc (top and bottom arcs balance) or
-    a winding loop.
-    """
-    nu = _nu_vector(d)
-    if not any(nu):
-        return True
-    if not d.loops and all(e & 1 for e in d.top):
-        return False
-    return all(v % 2 == 0 for v in nu)
+    """Identity, or at least one horizontal edge and all crossing numbers even."""
+    return _nu_vector(d).length is not None
 
 
 def length(d: AffineDiagram) -> int:
     """Half the total crossing count; defined for admissible diagrams."""
-    if not is_admissible(d):
+    ell = _nu_vector(d).length
+    if ell is None:
         raise ValueError("length is defined for admissible diagrams only")
-    return sum(_nu_vector(d)) // 2
+    return ell
+
+
+def short_arc_count(d: AffineDiagram) -> int:
+    """Number of short horizontal edges per period (top plus bottom)."""
+    return _nu_vector(d).short_arcs
 
 
 def descent_arcs(d: AffineDiagram, side: str) -> frozenset[int]:

@@ -30,6 +30,7 @@ widens the bound by their largest 1-norm.
 
 from __future__ import annotations
 
+from math import comb
 from typing import NamedTuple
 
 from .config import json_int, json_list
@@ -153,10 +154,11 @@ DELTA = LaurentPoly(((-1, 1), (1, 1)))
 
 
 def delta_power(x: int) -> LaurentPoly:
-    """(v + 1/v) ** x."""
+    """(v + 1/v) ** x, by the binomial theorem: C(x, i) v^(2i - x) for
+    i = 0..x."""
     if x < 0:
         raise ValueError("negative loop exponent")
-    return DELTA ** x
+    return LaurentPoly(tuple((2 * i - x, comb(x, i)) for i in range(x + 1)))
 
 
 def norm1(p: LaurentPoly) -> int:

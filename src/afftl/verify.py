@@ -120,10 +120,12 @@ def check_engine_agreement(cfg: GroupConfig, recs, max_len: int = 3) -> Check:
     shorter element, so that prefix is an earlier record of the list (the
     empty word first).  Folding rb.word from ra.word letter by letter
     takes the same steps in the same order, so each result equals
-    rewrite_eval(cfg, rb.word, start=ra.word).
+    rewrite_eval(cfg, rb.word, start=ra.word).  Each distinct result is
+    stacked once.
     """
     recs = [rec for rec in recs if rec.length <= max_len]
     pairs = 0
+    stacked = {}
     for ra in recs:
         row = {(): algebra.rewrite_eval(cfg, (), start=ra.word)}
         for rb in recs:
@@ -133,8 +135,10 @@ def check_engine_agreement(cfg: GroupConfig, recs, max_len: int = 3) -> Check:
                 step, cur = algebra._rewrite_mul_cached(cfg, cur, word[-1])
                 row[word] = exp_r + step, cur
             exp_r, word_r = row[word]
+            if word_r not in stacked:
+                stacked[word_r] = straightening.stack(cfg, word_r).diagram
             prod = diagrams.multiply(ra.diagram, rb.diagram)
-            same_elt = straightening.stack(cfg, word_r).diagram == prod.diagram
+            same_elt = stacked[word_r] == prod.diagram
             if not (same_elt and exp_r == prod.contractible):
                 return (
                     "engine-agreement",
@@ -169,12 +173,25 @@ def check_core_order_independence(
     return ("core-order-independence", True, f"{samples} randomized runs")
 
 
+def _record_perms(cfg: GroupConfig, recs):
+    """Each record's affine permutation, in record order, as its prefix
+    record's permutation times one generator: record words are least
+    words, so word[:-1] is the empty word or an earlier record (the
+    argument of check_engine_agreement)."""
+    perms = {(): words.AffinePermutation.identity(cfg.n)}
+    for rec in recs:
+        word = rec.word
+        if word not in perms:
+            perms[word] = perms[word[:-1]].times_generator(word[-1])
+        yield perms[word]
+
+
 def check_involutions(cfg: GroupConfig, recs) -> Check:
     count = 0
-    for rec in recs:
+    for rec, perm in zip(recs, _record_perms(cfg, recs)):
         # the diagram's mirror flag, read once, against the permutation oracle
         flag = rec.is_involution
-        if flag != words.perm_of(cfg, rec.word).is_involution():
+        if flag != perm.is_involution():
             return ("involutions", False, f"mirror flag disagrees with the permutation at {rec.word}")
         if not flag:
             continue

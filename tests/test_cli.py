@@ -353,15 +353,32 @@ class TestVerify:
         cfg = GroupConfig(7)
         recs = list(explore.enumerate_elements(cfg, 8))
         assert verify.check_involutions(cfg, recs) == ("involutions", True, "57 involutions")
-        # the diagram side misses one involution: s_2, which s_1 precedes
-        target = recs[2]
-        assert target.word == (2,) and target.is_involution
+        # the diagram side misses one involution: s_2, which s_1 precedes;
+        # or it flags a non-involution of length 8, whose permutation is
+        # folded along a chain of prefixes
+        missed = recs[2]
+        assert missed.word == (2,) and missed.is_involution
+        flagged = next(rec for rec in recs if rec.length == 8 and not rec.is_involution)
         real = explore.is_mirror_symmetric
-        monkeypatch.setattr(explore, "is_mirror_symmetric", lambda d: d != target.diagram and real(d))
-        recs = list(explore.enumerate_elements(cfg, 8))
-        assert verify.check_involutions(cfg, recs) == (
-            "involutions", False, "mirror flag disagrees with the permutation at (2,)"
-        )
+        for target, fake in (
+            (missed, lambda d: d != missed.diagram and real(d)),
+            (flagged, lambda d: d == flagged.diagram or real(d)),
+        ):
+            monkeypatch.setattr(explore, "is_mirror_symmetric", fake)
+            recs = list(explore.enumerate_elements(cfg, 8))
+            assert verify.check_involutions(cfg, recs) == (
+                "involutions", False, f"mirror flag disagrees with the permutation at {target.word}"
+            )
+
+    @pytest.mark.parametrize("n,max_len", [(3, 12), (4, 12), (5, 10), (6, 9), (7, 8), (8, 8)])
+    def test_involutions_build_each_permutation_from_its_prefix(self, n, max_len):
+        from afftl import explore, words
+
+        cfg = GroupConfig(n)
+        recs = list(explore.enumerate_elements(cfg, max_len))
+        assert list(verify._record_perms(cfg, recs)) == [
+            words.to_affine_permutation(cfg, rec.word) for rec in recs
+        ]
 
     @pytest.mark.parametrize("n,cores", [(6, 18), (7, 29)])
     def test_neighbour_symmetry_searches_each_core_once(self, n, cores, monkeypatch):

@@ -29,6 +29,10 @@ class TestRingOps:
         assert delta_power(0) == ONE
         assert delta_power(1) == DELTA
         assert delta_power(2) == LaurentPoly.from_dict({2: 1, 0: 2, -2: 1})
+        # the binomial closed form against repeated squaring
+        for k in range(41):
+            assert_normal(delta_power(k))
+            assert delta_power(k) == DELTA**k, k
 
     def test_difference_of_squares(self):
         assert (V + V_INV) * (V - V_INV) == LaurentPoly.from_dict({2: 1, -2: -1})

@@ -2,9 +2,10 @@
 
 perfbench/tracer.py binds package names from outside (the spanned public
 functions, `AffineDiagram.__post_init__`, the caches it reads hit ratios
-from); renaming or removing one of them breaks traced runs.  The first
-test names every binding that no longer resolves; the second runs the
-harness's own self-test, a few seconds.
+from); renaming or removing one of them, or dropping a cache, breaks
+traced runs.  The first test names every binding that no longer resolves
+and every cache binding without a callable `cache_info`; the second runs
+the harness's own self-test, a few seconds.
 """
 
 import importlib
@@ -25,6 +26,17 @@ def test_tracer_bindings_resolve(monkeypatch):
         if not hasattr(importlib.import_module(f"afftl.{module}"), attr)
     ]
     assert not missing, f"perfbench/tracer.py binds names afftl no longer defines: {missing}"
+    # hit ratios come from cache_info(), and constructions are counted by
+    # patching the diagram's construction hook: a traced run needs both
+    caches = {
+        f"afftl.{module}.{attr}": getattr(importlib.import_module(f"afftl.{module}"), attr)
+        for module, attr in CACHES
+    }
+    uncached = [name for name, f in caches.items() if not callable(getattr(f, "cache_info", None))]
+    assert not uncached, f"perfbench/tracer.py reads cache_info() of uncached names: {uncached}"
+    from afftl.diagrams import AffineDiagram
+
+    assert callable(getattr(AffineDiagram, "__post_init__", None))
 
 
 def test_perfbench_selftest():

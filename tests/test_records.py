@@ -21,6 +21,7 @@ RECORDS = {
     "cells.CancelStep": (("side", "s", "t"), {}),
     "cells.InvolutionDecomposition": (("x", "core"), {}),
     "cells.CensusRow": (("two_sided", "left_cells", "right_cells", "elements_seen"), {}),
+    "diagrams.Invariants": (("nu", "length", "short_arcs"), {}),
     "explore.EnumerationRecord": (("word", "diagram", "labels"), {"labels": None}),
     "laurent.LaurentPoly": (("terms",), {"terms": ()}),
     "straightening.CongruenceFinding": (("cls", "kind", "cover"), {}),
