@@ -44,7 +44,6 @@ from .cells import (
     classify_core,
     core_neighbours,
     involution_decompose,
-    is_core,
     labelled_elements,
     labels,
     reduce_to_core,
@@ -60,7 +59,6 @@ from .words import (
     left_decomposition,
     left_descents,
     right_descents,
-    support,
     to_affine_permutation,
 )
 

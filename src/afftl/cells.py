@@ -44,7 +44,7 @@ import random
 from typing import Iterator, NamedTuple
 
 from .algebra import is_reduced_word
-from .config import GroupConfig, InvariantError, json_int
+from .config import GroupConfig, InvariantError
 from .diagrams import AffineDiagram, edge_list, generator_times, short_arc_count, times_generator
 from .explore import EnumerationRecord, enumerate_elements
 from .straightening import stack, straighten
@@ -94,26 +94,6 @@ class TwoSidedLabel(NamedTuple):
         if self.kind == "small":
             return {"kind": "small", "k": self.size}
         return {"kind": "alternating", "start": self.start, "factors": self.factors}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> TwoSidedLabel:
-        try:
-            kind = obj["kind"]
-            if kind == "small":
-                k = json_int(obj["k"], "k")
-                if k < 0:
-                    raise ValueError(f"k must be >= 0, got {k}")
-                return cls.small(k)
-            if kind == "alternating":
-                start, factors = obj["start"], json_int(obj["factors"], "factors")
-                if start not in ("odd", "even"):
-                    raise ValueError(f"start must be 'odd' or 'even', not {start!r}")
-                if factors < 1:
-                    raise ValueError(f"factors must be >= 1, got {factors}")
-                return cls.alternating(start, factors)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed label JSON: {exc}") from exc
-        raise ValueError(f"kind must be 'small' or 'alternating', not {kind!r}")
 
 
 class CellLabels(NamedTuple):
@@ -249,11 +229,6 @@ def reduce_to_core(cfg: GroupConfig, word, rng: random.Random | None = None) -> 
     cancellable, each step dropping one letter.  Deterministic order (left
     side first, smallest descent) unless an RNG is supplied."""
     return _reduce(cfg, _require_reduced_fc(cfg, word), rng)
-
-
-def is_core(cfg: GroupConfig, word) -> bool:
-    """No descent on either side is cancellable."""
-    return next(_cancel_steps(cfg, _require_reduced_fc(cfg, word)), None) is None
 
 
 def alternating_word(cfg: GroupConfig, start: str, factors: int) -> Word:

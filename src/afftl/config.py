@@ -53,10 +53,6 @@ class GroupConfig:
             raise ValueError(f"generator index {i} out of range 1..{self.n}")
         return i
 
-    def class_of(self, pos: int) -> int:
-        """Congruence class of an arbitrary integer position, in 1..n."""
-        return (pos - 1) % self.n + 1
-
     def adjacent(self, i: int, j: int) -> bool:
         """True iff s_i and s_j do not commute (consecutive mod n)."""
         self.check_generator(i)
@@ -69,7 +65,7 @@ class GroupConfig:
     def neighbours_of(self, i: int) -> tuple[int, int]:
         """The two generators not commuting with s_i, sorted."""
         self.check_generator(i)
-        a, b = self.class_of(i - 1), self.class_of(i + 1)
+        a, b = i - 1 or self.n, i % self.n + 1
         return (a, b) if a < b else (b, a)
 
     def commuting_sets(self) -> tuple[frozenset[int], ...]:

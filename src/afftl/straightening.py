@@ -105,16 +105,12 @@ def _innermost_cover(n: int, arcs, k: int) -> tuple[int, int] | None:
 
 
 def find_distinguished(d: AffineDiagram) -> CongruenceFinding:
-    """Highest-priority peelable class of an admissible non-straight diagram."""
+    """Highest-priority peelable class of an admissible non-straight
+    diagram; `straighten` peels at it."""
     if not is_admissible(d):
         raise ValueError("diagram is not admissible")
     if is_straight(d) is not None:
         raise ValueError("diagram is straight; nothing to peel")
-    return _distinguished(d)
-
-
-def _distinguished(d: AffineDiagram) -> CongruenceFinding:
-    """find_distinguished for a d already known admissible, not straight."""
     top_arcs, bottom_arcs, _ = edge_list(d)
     for side, arcs in ((TOP, top_arcs), (BOT, bottom_arcs)):
         for k in sorted(descent_arcs(d, side)):
@@ -173,7 +169,7 @@ def straighten(d: AffineDiagram) -> StraightWord:
     left, right, cur = [], [], d
     # cur stays admissible: each peel checks its rest's length, defined only then
     while (core := is_straight(cur)) is None:
-        f = _distinguished(cur)
+        f = find_distinguished(cur)
         step = peel(cur, f)
         (left if f.kind[0] == TOP else right).append(step.letter)
         cur = step.rest

@@ -47,11 +47,6 @@ def check_word(cfg: GroupConfig, word) -> Word:
     return word
 
 
-def support(word) -> frozenset[int]:
-    """Set of generators appearing in the word."""
-    return frozenset(word)
-
-
 def absorbers(cfg: GroupConfig, word: Word, left: bool) -> dict[int, int]:
     """Each left (right) descent s, ascending, mapped to the smallest
     neighbour of s that is a descent of the word without its first (last)

@@ -4,17 +4,14 @@ from afftl.config import GroupConfig
 
 
 class TestGroupConfig:
-    def test_class_of(self):
-        cfg = GroupConfig(4)
-        assert cfg.class_of(5) == 1
-        assert cfg.class_of(0) == 4
-        assert cfg.class_of(-3) == 1
-        assert [cfg.class_of(i) for i in range(1, 5)] == [1, 2, 3, 4]
-
     def test_neighbours(self):
-        cfg = GroupConfig(5)
-        assert cfg.neighbours_of(1) == (2, 5)
-        assert cfg.neighbours_of(3) == (2, 4)
+        # the neighbours wrap at 1 and at n; at n = 3 they are the other two
+        for n in range(3, 9):
+            cfg = GroupConfig(n)
+            for i in cfg.generators():
+                assert cfg.neighbours_of(i) == tuple(sorted({i - 1 or n, i % n + 1}))
+        assert GroupConfig(5).neighbours_of(1) == (2, 5)
+        assert GroupConfig(3).neighbours_of(2) == (1, 3)
 
     def test_commuting_set_counts(self):
         # independent sets of a cycle are counted by the Lucas numbers

@@ -1,0 +1,119 @@
+"""Which afftl functions no command reaches.
+
+Every subcommand and output format runs in-process at a tiny size, plus
+one domain error, under `sys.setprofile` with every cache cleared first.
+The module-level functions of the package that are never called must
+match UNREACHED exactly, each tagged with what keeps it: a name
+perfbench/tracer.py binds, a helper reached only through such a name,
+documented library API, or the console entry point.  New code that no
+command calls fails here until it gets a caller or a tag; a removal
+shrinks the table.
+"""
+
+import contextlib
+import importlib
+import inspect
+import io
+import pkgutil
+import sys
+from pathlib import Path
+
+import afftl
+from afftl.cli import _DISPATCH, main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TRACER = "bound by perfbench/tracer.py"
+API = "documented library API"
+
+UNREACHED = {
+    "algebra.rewrite_mul": TRACER,
+    "cells.a_bruteforce": TRACER,
+    "cells.cancellable": TRACER,
+    "words.braid_witness": TRACER,
+    "words.commutation_class": TRACER,
+    "words.greedy_back": TRACER,
+    "words.greedy_front": TRACER,
+    "words.is_fc_reduced": "reached only through words.braid_witness",
+    "cells.right_cell_involution": API,
+    "words.right_groups": API,
+    "words.left_descents": API,
+    "words.right_descents": API,
+    "diagrams.mirror": API,
+    "cli.run": "entry point (pyproject's console script)",
+}
+
+ELEMENT = (
+    '{"n": 4, "terms": [{"coeff": [{"exp": -1, "c": 2}, {"exp": 1, "c": 1}], "word": [1, 3]}, '
+    '{"coeff": [{"exp": 0, "c": 1}], "word": [2]}]}'
+)
+DIAGRAM = (
+    '{"n": 5, "top": [{"side": "T", "pos": 4}, {"side": "T", "pos": 3}, {"side": "T", "pos": 2}, '
+    '{"side": "T", "pos": 1}, {"side": "B", "pos": -1}], "bottom": [{"side": "B", "pos": 0}, '
+    '{"side": "B", "pos": 3}, {"side": "B", "pos": 2}, {"side": "T", "pos": 10}, '
+    '{"side": "B", "pos": 6}], "loops": 0}'
+)
+
+# (argv, exit code)
+COMMANDS = [
+    (["eval", "--n", "4", "--word", "1 3 2 4 1"], 0),
+    (["eval", "--n", "4", "--word", "1 9"], 1),
+    (["mul", "--n", "4", "--a", ELEMENT, "--b", ELEMENT], 0),
+    (["straighten", "--diagram", DIAGRAM], 0),
+    *((["diagram", "--n", "4", "--word", "1 3 2", "--format", f], 0) for f in ("json", "ascii", "svg")),
+    (["afn", "--n", "5", "--word", "1 3 2 4"], 0),
+    (["cells", "label", "--n", "4", "--word", "1 3 2 4"], 0),
+    *((["cells", "census", "--n", "4", "--max-len", "6", "--format", f], 0) for f in ("json", "md")),
+    (["involution", "--n", "4", "--word", "2 1 3 2"], 0),
+    (["enumerate", "--n", "4", "--max-len", "5"], 0),
+    (["enumerate", "--no-labels", "--n", "5", "--max-len", "5"], 0),
+    (["verify", "--n", "4", "--max-len", "4"], 0),
+]
+
+
+def _modules():
+    return [importlib.import_module(f"afftl.{m.name}") for m in pkgutil.iter_modules(afftl.__path__)]
+
+
+def _functions(modules):
+    """Code object -> "module.name" of each function a module defines."""
+    out = {}
+    for mod in modules:
+        for name, obj in vars(mod).items():
+            f = inspect.unwrap(obj) if callable(obj) else None
+            if inspect.isfunction(f) and f.__module__ == mod.__name__:
+                out[f.__code__] = f"{mod.__name__.removeprefix('afftl.')}.{name}"
+    return out
+
+
+def test_unreached_functions_match_the_table():
+    assert {argv[0] for argv, _ in COMMANDS} == set(_DISPATCH)
+    modules = _modules()
+    for mod in modules:
+        for obj in vars(mod).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()  # a cache hit would hide its function
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for argv, code in COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) == code, argv
+    finally:
+        sys.setprofile(old)
+    unreached = sorted(name for code, name in _functions(modules).items() if code not in called)
+    assert unreached == sorted(UNREACHED)
+
+
+def test_tracer_tags_name_tracer_bindings(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.tracer import SPANNED
+
+    tagged = {name for name, tag in UNREACHED.items() if tag == TRACER}
+    assert tagged <= {f"{module}.{attr}" for module, attr in SPANNED}

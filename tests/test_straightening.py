@@ -19,7 +19,6 @@ from afftl.diagrams import (
 )
 from afftl.explore import enumerate_elements
 from afftl.straightening import (
-    _distinguished,
     find_distinguished,
     is_straight,
     peel,
@@ -114,7 +113,7 @@ class TestFindDistinguished:
 
 class TestFirstMatchFinding:
     def test_agrees_with_all_kinds_oracle_on_every_peel(self):
-        # _distinguished stops at the first kind that qualifies; the oracle
+        # find_distinguished stops at the first kind that qualifies; the oracle
         # builds all four, and the smallest class of its first nonempty kind
         # must be the finding, covering arc and loop sub-case included
         peels = 0
@@ -126,7 +125,7 @@ class TestFirstMatchFinding:
                     kind = next(k for k in ("T1", "B1", "T2", "B2") if cands[k])
                     cls = min(cands[kind])
                     cover = cands[kind][cls] if kind.endswith("1") else None
-                    f = _distinguished(d)
+                    f = find_distinguished(d)
                     assert (f.kind, f.cls, f.cover) == (kind, cls, cover), rec.word
                     d = peel(d, f).rest
                     peels += 1

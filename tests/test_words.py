@@ -26,7 +26,6 @@ from afftl.words import (
     reduced_perm,
     right_descents,
     right_groups,
-    support,
     to_affine_permutation,
 )
 
@@ -46,13 +45,6 @@ def perm_length_bruteforce(p: AffinePermutation) -> int:
             if k_max >= k_min:
                 total += k_max - k_min + 1
     return total
-
-
-class TestSupport:
-    def test_examples(self):
-        assert support((1, 3, 2, 4)) == {1, 2, 3, 4}
-        assert support(()) == frozenset()
-        assert support((2, 1, 3, 2)) == {1, 2, 3}
 
 
 class TestAdjacency:
