@@ -17,19 +17,14 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import lru_cache
 
-from .config import GroupConfig, InvariantError, json_int, json_list
-from .diagrams import AffineDiagram, canonical_key, identity, length, multiply
+from .config import CACHE_SIZE, GroupConfig, InvariantError, json_int, json_list
+from .diagrams import AffineDiagram, canonical_key, identity, multiply
 from .laurent import ONE, ZERO, LaurentPoly, delta_power, norm1, pack, product_bits, unpack
+from . import straightening
 from .straightening import stack, straighten
 from .words import Word, _braid_split, absorbers, check_word
 
-
-def is_reduced_word(cfg: GroupConfig, word) -> bool:
-    """Diagram-engine test: the word is a reduced word of a fully
-    commutative element iff no loop contracts and the length matches."""
-    word = tuple(word)
-    r = stack(cfg, word)
-    return r.contractible == 0 and length(r.diagram) == len(word)
+is_reduced_word = straightening.is_reduced_word  # its old import path
 
 
 class AlgebraElement:
@@ -200,7 +195,7 @@ def rewrite_mul(cfg: GroupConfig, word, s: int) -> tuple[int, Word]:
     return rewrite_eval(cfg, (s,), start=word)
 
 
-@lru_cache(maxsize=1 << 18)
+@lru_cache(maxsize=CACHE_SIZE)
 def _rewrite_mul_cached(cfg: GroupConfig, word: Word, s: int) -> tuple[int, Word]:
     if s in absorbers(cfg, word, False):
         # s is a right descent: the square relation contributes one delta

@@ -43,11 +43,10 @@ from __future__ import annotations
 import random
 from typing import Iterator, NamedTuple
 
-from .algebra import is_reduced_word
 from .config import GroupConfig, InvariantError
 from .diagrams import AffineDiagram, edge_list, generator_times, short_arc_count, times_generator
 from .explore import EnumerationRecord, enumerate_elements
-from .straightening import stack, straighten
+from .straightening import is_reduced_word, stack, straighten
 from .words import (
     Word,
     absorbers,
@@ -275,10 +274,11 @@ def core_neighbours(cfg: GroupConfig, word) -> frozenset[tuple[int, Word]]:
         for start in ("odd", "even"):
             for f in range(2, max_factors + 1):
                 cands.append(alternating_word(cfg, start, f))
+    stacked = [(cw, stack(cfg, cw).diagram) for cw in cands]
     out = set()
     for s in cfg.generators():
-        for cw in cands:
-            d = generator_times(s, stack(cfg, cw).diagram)
+        for cw, dq in stacked:
+            d = generator_times(s, dq)
             if d is not None and times_generator(d, s) == target:
                 out.add((s, cw))
     return frozenset(out)

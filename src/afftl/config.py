@@ -1,5 +1,5 @@
-"""Configuration for the cyclic generator graph on n nodes, and the
-helpers every engine shares: `InvariantError` and the strict JSON readers.
+"""Configuration for the cyclic generator graph on n nodes, and what every
+engine shares: `InvariantError`, the JSON readers and the caching policy.
 
 Generators are indexed 1..n and sit on a cycle: s_i and s_j satisfy the
 braid relation exactly when i and j are consecutive modulo n, and commute
@@ -9,13 +9,22 @@ Public methods validate their generator indices.  The heap loops of
 `afftl.words` test adjacency by arithmetic on letters already checked at
 the entry point that received them: the neighbours of x are x - 1 or n
 and x % n + 1.
+
+Caching policy: every `lru_cache` in the package holds `CACHE_SIZE`
+entries.  A word's stack or permutation continues the cached value of its
+first min(len - 1, PREFIX_REUSE) letters, and `straighten` reuses the
+cached word of a rest no longer than `PREFIX_REUSE`, so costs stay linear
+in the word and at most `PREFIX_REUSE` calls nest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
+
+CACHE_SIZE = 1 << 18  # entries of each lru_cache
+PREFIX_REUSE = 64  # the longest cached prefix or rest a value is built on
 
 
 class InvariantError(Exception):
@@ -37,13 +46,15 @@ def json_list(value, field: str) -> list:
     return value
 
 
-@dataclass(frozen=True)
-class GroupConfig:
-    n: int
+class GroupConfig(NamedTuple("GroupConfig", [("n", int)])):
+    """The rank n, checked once here; a NamedTuple, so it equals (n,)."""
 
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"need at least 3 generators, got n={self.n}")
+    __slots__ = ()
+
+    def __new__(cls, n: int):
+        if n < 3:
+            raise ValueError(f"need at least 3 generators, got n={n}")
+        return tuple.__new__(cls, (n,))
 
     def generators(self) -> range:
         return range(1, self.n + 1)
@@ -81,7 +92,7 @@ class GroupConfig:
         return odd, even
 
 
-@lru_cache(maxsize=1 << 5)
+@lru_cache(maxsize=CACHE_SIZE)
 def _independent_sets(n: int) -> tuple[frozenset[int], ...]:
     if n > 20:
         raise ValueError("independent-set enumeration capped at n <= 20")

@@ -51,7 +51,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
-from .config import InvariantError, json_int, json_list
+from .config import CACHE_SIZE, InvariantError, json_int, json_list
 
 TOP = "T"
 BOT = "B"
@@ -273,7 +273,7 @@ class Invariants(NamedTuple):
     short_arcs: int
 
 
-@lru_cache(maxsize=1 << 18)
+@lru_cache(maxsize=CACHE_SIZE)
 def _nu_vector(d: AffineDiagram) -> Invariants:
     # An edge spanning lo..hi crosses the line after class k once per x in
     # lo..hi-1 with x = k mod n: (hi - lo) // n times each line, once more

@@ -12,10 +12,10 @@ re-stacks the emitted letter and checks that the original diagram is
 recovered with no contractible loop; a failed check raises InvariantError.
 Every diagram edit and window read here is an `afftl.diagrams` function.
 
-A peel depends only on the current diagram, so once a peel leaves a rest
-of length at most `_PREFIX_REUSE`, `straighten` returns the rest's cached
-word with the peeled letters on its ends.  Longer diagrams peel down to
-that length first, so at most `_PREFIX_REUSE` calls of `straighten` nest.
+`stack` and `straighten` follow `config`'s caching policy: a peel depends
+only on the current diagram, so `straighten` returns the cached word of a
+rest of at most `PREFIX_REUSE` letters.  `is_reduced_word` is the diagram
+engine's test of a word.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .config import GroupConfig, InvariantError
+from .config import CACHE_SIZE, PREFIX_REUSE, GroupConfig, InvariantError
 from .diagrams import (
     TOP,
     BOT,
@@ -66,21 +66,20 @@ def stack(cfg: GroupConfig, word) -> ProductResult:
     return _stack_cached(cfg.n, check_word(cfg, word))
 
 
-# Longest word stacked onto the cached stack of word[:-1], and longest rest
-# straightened through its cached word; also the most calls of either nested.
-_PREFIX_REUSE = 64
+def is_reduced_word(cfg: GroupConfig, word) -> bool:
+    """Diagram-engine test: the word is a reduced word of a fully
+    commutative element iff no loop contracts and the length matches."""
+    word = tuple(word)
+    r = stack(cfg, word)
+    return r.contractible == 0 and length(r.diagram) == len(word)
 
 
-@lru_cache(maxsize=1 << 18)
+@lru_cache(maxsize=CACHE_SIZE)
 def _stack_cached(n: int, word: tuple[int, ...]) -> ProductResult:
-    # Callers mostly stack words one letter longer than words stacked
-    # before, so a short word is one generator step on the cached stack of
-    # word[:-1].  A longer word folds its letters one by one onto the cached
-    # stack of its first _PREFIX_REUSE letters: the cost stays linear in the
-    # word and no input can reach the recursion limit.
+    # callers mostly stack words one letter longer than words stacked before
     if not word:
         return ProductResult(identity(n), 0)
-    cut = len(word) - 1 if len(word) <= _PREFIX_REUSE else _PREFIX_REUSE
+    cut = min(len(word) - 1, PREFIX_REUSE)
     d, contractible = _stack_cached(n, word[:cut])
     for s in word[cut:]:
         r = times_generator(d, s)
@@ -160,7 +159,7 @@ def peel(d: AffineDiagram, f: CongruenceFinding) -> PeelStep:
     return PeelStep(letter, rest)
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=CACHE_SIZE)
 def straighten(d: AffineDiagram) -> StraightWord:
     """Canonical reduced word evaluating to d: peel until straight, then
     emit the commuting core in increasing class order."""
@@ -173,7 +172,7 @@ def straighten(d: AffineDiagram) -> StraightWord:
         step = peel(cur, f)
         (left if f.kind[0] == TOP else right).append(step.letter)
         cur = step.rest
-        if length(cur) <= _PREFIX_REUSE:
+        if length(cur) <= PREFIX_REUSE:
             rest = straighten(cur)
             middle, core = rest.letters, rest.core
             break

@@ -173,25 +173,13 @@ def check_core_order_independence(
     return ("core-order-independence", True, f"{samples} randomized runs")
 
 
-def _record_perms(cfg: GroupConfig, recs):
-    """Each record's affine permutation, in record order, as its prefix
-    record's permutation times one generator: record words are least
-    words, so word[:-1] is the empty word or an earlier record (the
-    argument of check_engine_agreement)."""
-    perms = {(): words.AffinePermutation.identity(cfg.n)}
-    for rec in recs:
-        word = rec.word
-        if word not in perms:
-            perms[word] = perms[word[:-1]].times_generator(word[-1])
-        yield perms[word]
-
-
 def check_involutions(cfg: GroupConfig, recs) -> Check:
+    """The mirror flag against the permutation oracle; `perm_of` takes one
+    step per record, since each word[:-1] is an earlier record's word."""
     count = 0
-    for rec, perm in zip(recs, _record_perms(cfg, recs)):
-        # the diagram's mirror flag, read once, against the permutation oracle
-        flag = rec.is_involution
-        if flag != perm.is_involution():
+    for rec in recs:
+        flag = rec.is_involution  # read once
+        if flag != words.perm_of(cfg, rec.word).is_involution():
             return ("involutions", False, f"mirror flag disagrees with the permutation at {rec.word}")
         if not flag:
             continue

@@ -23,6 +23,8 @@ notation), used throughout as an independent oracle for lengths, element
 identity and involution tests; a word is reduced when each letter ascends
 (`reduced_perm`).  Its windows are built only here, from the identity, so
 `AffinePermutation` is a NamedTuple whose constructor checks nothing.
+`perm_of` follows `config`'s caching policy, so words in record order
+cost one generator step each.
 
 Public functions check their words and generators.  The loops inside test
 adjacency by arithmetic, as `config` and the prune in `explore` do: the
@@ -34,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .config import GroupConfig, InvariantError
+from .config import CACHE_SIZE, PREFIX_REUSE, GroupConfig, InvariantError
 
 Word = tuple[int, ...]
 
@@ -353,10 +355,21 @@ class AffinePermutation(NamedTuple):
         return self.compose(self).is_identity()
 
 
-def to_affine_permutation(cfg: GroupConfig, word) -> AffinePermutation:
-    word = check_word(cfg, word)
-    p = AffinePermutation.identity(cfg.n)
-    for s in word:
+def perm_of(cfg: GroupConfig, word) -> AffinePermutation:
+    """The affine permutation of a word, the product of its generators."""
+    return _perm_of(cfg.n, check_word(cfg, word))
+
+
+to_affine_permutation = perm_of
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _perm_of(n: int, word: Word) -> AffinePermutation:
+    if not word:
+        return AffinePermutation.identity(n)
+    cut = min(len(word) - 1, PREFIX_REUSE)
+    p = _perm_of(n, word[:cut])
+    for s in word[cut:]:
         p = p.times_generator(s)
     return p
 
@@ -369,14 +382,6 @@ def reduced_perm(cfg: GroupConfig, word) -> AffinePermutation | None:
             return None
         p = p.times_generator(s)
     return p
-
-
-_perm_of = lru_cache(maxsize=1 << 16)(to_affine_permutation)
-
-
-def perm_of(cfg: GroupConfig, word) -> AffinePermutation:
-    """Cached variant of to_affine_permutation."""
-    return _perm_of(cfg, tuple(word))
 
 
 def left_decomposition(cfg: GroupConfig, word) -> tuple[frozenset[int], ...]:

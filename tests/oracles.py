@@ -42,7 +42,9 @@ pair of the word's letters is adjacent, both with the greedy descent
 scans; the library reads every descent's absorber, and the letters to
 conjugate away, off one scan per side.  `wc_counts` tallies the
 diagram-keyed enumeration by length, for the tests that play it against
-the permutation oracle's counts.
+the permutation oracle's counts.  `perm_by_fold` multiplies a word's
+generators onto the identity one by one, where the library continues the
+cached permutation of a prefix.
 """
 
 from collections import Counter
@@ -74,6 +76,7 @@ from afftl.explore import enumerate_elements
 from afftl.laurent import ZERO, delta_power
 from afftl.straightening import _innermost_cover, stack
 from afftl.words import (
+    AffinePermutation,
     BraidWitness,
     braid_witness,
     check_word,
@@ -575,3 +578,12 @@ def involution_decompose_by_rescan(cfg, word, rng=None):
         s, w = options[0] if rng is None else rng.choice(options)
         x.append(s)
     return InvolutionDecomposition(tuple(x), frozenset(w))
+
+
+def perm_by_fold(cfg, word):
+    """The word's affine permutation, every letter folded onto the
+    identity, with no cache."""
+    p = AffinePermutation.identity(cfg.n)
+    for s in check_word(cfg, word):
+        p = p.times_generator(s)
+    return p

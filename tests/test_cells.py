@@ -200,6 +200,23 @@ class TestNeighbours:
             core_neighbours(GroupConfig(n), q)
             assert calls == [q]
 
+    # the 7 or 29 commuting sets, and at n = 4 the two alternating words
+    # of two factors that len(q) + 2 allows
+    @pytest.mark.parametrize("n,q,cands", [(4, (1, 3), 9), (7, (1, 3, 5), 29)])
+    def test_each_candidate_stacked_once(self, n, q, cands, monkeypatch):
+        from afftl import cells
+
+        real, stacked = cells.stack, []
+
+        def counted(cfg, word):
+            stacked.append(tuple(word))
+            return real(cfg, word)
+
+        monkeypatch.setattr(cells, "stack", counted)
+        core_neighbours(GroupConfig(n), q)
+        # the core's own stack, then one per candidate core
+        assert stacked[0] == q and len(stacked) == 1 + cands == len(set(stacked[1:])) + 1
+
     def test_symmetry_and_classes(self):
         # neighbour moves are symmetric and connect exactly the same-size
         # commuting blocks below the maximum
@@ -273,6 +290,15 @@ class TestInvolutions:
     def test_rejects_non_involution(self):
         with pytest.raises(ValueError):
             involution_decompose(GroupConfig(4), (1, 2))
+
+    def test_long_words_do_not_recurse(self):
+        # 3,002 letters, x q x^-1 with x of 1,500: stack and perm_of fold
+        # onto cached prefixes of at most PREFIX_REUSE letters
+        cfg = GroupConfig(4)
+        w = alternating_word(cfg, "odd", 1501)
+        dec = involution_decompose(cfg, w)
+        assert len(dec.x) == 1500 and dec.core == {1, 3}
+        assert perm_of(cfg, w).length() == len(w) == 3002
 
     def test_a_equals_core_size_and_choice_free(self, cfg, rng):
         from afftl.explore import enumerate_elements

@@ -371,14 +371,30 @@ class TestVerify:
             )
 
     @pytest.mark.parametrize("n,max_len", [(3, 12), (4, 12), (5, 10), (6, 9), (7, 8), (8, 8)])
-    def test_involutions_build_each_permutation_from_its_prefix(self, n, max_len):
+    def test_involutions_fold_each_permutation_onto_its_prefix(self, n, max_len, monkeypatch):
         from afftl import explore, words
+        from oracles import perm_by_fold
 
         cfg = GroupConfig(n)
         recs = list(explore.enumerate_elements(cfg, max_len))
-        assert list(verify._record_perms(cfg, recs)) == [
-            words.to_affine_permutation(cfg, rec.word) for rec in recs
-        ]
+        # in record order each word[:-1] is cached already: one miss and
+        # one generator step a record
+        words._perm_of.cache_clear()
+        real, steps = words.AffinePermutation.times_generator, []
+
+        def counted(p, s):
+            steps.append(s)
+            return real(p, s)
+
+        with monkeypatch.context() as m:
+            m.setattr(words.AffinePermutation, "times_generator", counted)
+            perms = [words.perm_of(cfg, rec.word) for rec in recs]
+        assert words._perm_of.cache_info().misses == len(recs)
+        assert len(steps) == len(recs) - 1
+        assert perms == [perm_by_fold(cfg, rec.word) for rec in recs]
+        words._perm_of.cache_clear()
+        assert verify.check_involutions(cfg, recs)[1]
+        assert words._perm_of.cache_info().misses == len(recs)
 
     @pytest.mark.parametrize("n,cores", [(6, 18), (7, 29)])
     def test_neighbour_symmetry_searches_each_core_once(self, n, cores, monkeypatch):

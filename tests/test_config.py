@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
+
 import pytest
 
-from afftl.config import GroupConfig
+import afftl
+from afftl.config import CACHE_SIZE, GroupConfig
 
 
 class TestGroupConfig:
@@ -33,3 +37,28 @@ class TestGroupConfig:
         for n in (4, 5, 6, 7):
             cfg = GroupConfig(n)
             assert max(len(t) for t in cfg.commuting_sets()) == n // 2
+
+    def test_rank_checked_once_and_a_plain_tuple(self):
+        with pytest.raises(ValueError, match="need at least 3 generators, got n=2"):
+            GroupConfig(2)
+        cfg = GroupConfig(5)
+        assert cfg == (5,) and hash(cfg) == hash((5,)) and cfg.n == 5
+        assert not hasattr(cfg, "__dict__")
+
+
+def test_every_lru_cache_holds_cache_size():
+    caches = {}
+    for info in pkgutil.iter_modules(afftl.__path__):
+        module = importlib.import_module(f"afftl.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
+    assert set(caches) >= {
+        "config._independent_sets",
+        "diagrams._nu_vector",
+        "straightening._stack_cached",
+        "straightening.straighten",
+        "algebra._rewrite_mul_cached",
+        "words._perm_of",
+    }
+    assert caches == dict.fromkeys(caches, CACHE_SIZE)

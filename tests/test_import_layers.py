@@ -8,7 +8,8 @@ module's top-level body.  The word engine (`words`) and the diagram engine
 (`diagrams`) check each other, so they share nothing but `config`, which
 holds `InvariantError` and the strict JSON readers.  `explore` enumerates
 for `cells`, `verify` and the CLI, so it imports none of `cells`,
-`algebra`, `straightening` or `laurent`.
+`algebra`, `straightening` or `laurent`.  Cell analysis runs on diagrams
+and words alone, so `cells` imports neither `algebra` nor `laurent`.
 """
 
 import ast
@@ -18,6 +19,7 @@ import afftl
 
 SRC = Path(afftl.__file__).parent
 EXPLORE_MUST_NOT_IMPORT = {"cells", "algebra", "straightening", "laurent"}
+CELLS_MUST_NOT_IMPORT = {"algebra", "laurent"}
 ENGINES = {"words", "diagrams"}
 ENGINES_MAY_IMPORT = {"config"}
 
@@ -49,6 +51,9 @@ def _problems(path):
             yield f"{path.name}:{node.lineno} imports afftl below module level"
     if path.stem == "explore":
         for name in sorted(imported & EXPLORE_MUST_NOT_IMPORT):
+            yield f"{path.name} imports {name}"
+    if path.stem == "cells":
+        for name in sorted(imported & CELLS_MUST_NOT_IMPORT):
             yield f"{path.name} imports {name}"
     if path.stem in ENGINES:
         for name in sorted(imported - ENGINES_MAY_IMPORT):
@@ -94,3 +99,14 @@ def test_guard_sees_each_violation(tmp_path):
         encoding="utf-8",
     )
     assert list(_problems(probe)) == ["words.py imports diagrams", "words.py imports laurent"]
+
+
+def test_guard_sees_cells_import_the_algebra(tmp_path):
+    probe = tmp_path / "cells.py"
+    probe.write_text(
+        "from .algebra import is_reduced_word\n"
+        "from .straightening import stack\n"
+        "from afftl import laurent\n",
+        encoding="utf-8",
+    )
+    assert list(_problems(probe)) == ["cells.py imports algebra", "cells.py imports laurent"]

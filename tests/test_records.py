@@ -1,8 +1,8 @@
-"""One record idiom: a record whose constructor checks nothing is a
-`typing.NamedTuple`; `@dataclass` is kept only where the constructor
-validates its input, and only `GroupConfig` (which checks `--n`) does:
-every other value is checked where it enters.  Walks every afftl module
-so a new dataclass, or a record moved back to one, shows up here.
+"""One record idiom: every value type is a `typing.NamedTuple`.  Its
+constructor checks nothing, except `GroupConfig`, which checks `--n` in
+the `__new__` of a subclass of its NamedTuple base; every other value is
+checked where it enters.  Walks every afftl module so a new dataclass, or
+a record moved back to one, shows up here.
 """
 
 import dataclasses
@@ -11,11 +11,12 @@ import pkgutil
 
 import afftl
 
-VALIDATING = {"config.GroupConfig"}
+VALIDATING = set()
 
 # Field names in order, and the defaults, as the records had them as
 # frozen dataclasses.
 RECORDS = {
+    "config.GroupConfig": (("n",), {}),
     "cells.TwoSidedLabel": (("kind", "size", "start", "factors"), {"size": 0, "start": "", "factors": 0}),
     "cells.CellLabels": (("two_sided", "left_pattern", "right_pattern", "loops"), {}),
     "cells.CancelStep": (("side", "s", "t"), {}),

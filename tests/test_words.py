@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_fc_word, shuffled
-from oracles import braid_witness_by_class, braid_witness_left, class_has_braid
+from oracles import braid_witness_by_class, braid_witness_left, class_has_braid, perm_by_fold
 
 from afftl.algebra import is_reduced_word
 from afftl.config import GroupConfig
@@ -284,6 +284,14 @@ class TestBraidWitness:
 
 
 class TestAffinePermutation:
+    def test_long_word_does_not_recurse(self):
+        # 3,000 letters, past the recursion limit; cached prefixes nest at
+        # most PREFIX_REUSE deep
+        cfg = GroupConfig(3)
+        w = (1, 2, 3) * 1000
+        assert perm_of(cfg, w) == perm_by_fold(cfg, w)
+        assert perm_of(cfg, w).length() == 3000
+
     def test_examples(self):
         cfg = GroupConfig(4)
         assert to_affine_permutation(cfg, ()).window == (1, 2, 3, 4)
