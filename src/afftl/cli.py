@@ -3,7 +3,8 @@
 Subcommands: eval, mul, straighten, diagram, afn, cells label,
 cells census, involution, enumerate, verify.  Exit codes: 0 success,
 1 domain error (error JSON on stderr), 2 usage error, 3 failed internal
-self-check (InvariantError JSON on stderr; a bug, not bad input).
+self-check (InvariantError JSON on stderr; a bug, not bad input); closed
+stdout: killed by SIGPIPE, shell status 141.
 """
 
 from __future__ import annotations
@@ -228,7 +229,23 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Console entry point; the only code in afftl that sets process-wide state.
+
+    A reader that closes stdout ends the command as it ends `cat`, by the
+    default SIGPIPE action.  The collector stays off: a command's records
+    form no cycles, so it would only rescan the caches.  Freezing before
+    exit keeps shutdown's collections from scanning them once more.
+    """
+    import gc
+    import signal
+
+    sigpipe = getattr(signal, "SIGPIPE", None)
+    if sigpipe is not None:
+        signal.signal(sigpipe, signal.SIG_DFL)
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":
