@@ -5,6 +5,11 @@ cells census, involution, enumerate, verify.  Exit codes: 0 success,
 1 domain error (error JSON on stderr), 2 usage error, 3 failed internal
 self-check (InvariantError JSON on stderr; a bug, not bad input); closed
 stdout: killed by SIGPIPE, shell status 141.
+
+The modules that several commands share load with this module.  A
+module that only one command runs is imported by that command when it is
+dispatched: `algebra` (with `laurent`) by mul, `render` by the ascii and
+svg diagrams, `verify` by verify.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import argparse
 import json
 import sys
 
-from . import algebra, cells, diagrams, explore, render, straightening, verify
+from . import cells, diagrams, explore, straightening
 from .config import GroupConfig, InvariantError
 
 
@@ -118,6 +123,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_mul(args) -> int:
+    from . import algebra
+
     a = algebra.element_from_json(_load_json_arg(args.a))
     b = algebra.element_from_json(_load_json_arg(args.b))
     if a.n != args.n or b.n != args.n:
@@ -144,6 +151,8 @@ def _cmd_diagram(args) -> int:
             }
         )
     else:
+        from . import render
+
         sys.stdout.write(render.render(r.diagram, args.format))
     return 0
 
@@ -190,6 +199,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     checks = verify.run_all(args.n, args.max_len, args.seed)
     failed = 0
     for name, ok, detail in checks:
