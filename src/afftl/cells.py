@@ -27,15 +27,24 @@ has one lower neighbour occurrence, the first s.  An involution w = s u s
 sheds a letter s that is a descent on both sides and occurs twice until
 every letter is a left descent: its heap is an antichain.  A commuting
 block that some reduced word holds as a contiguous factor is an antichain
-of the heap, so a(w) is the heap's
-width (`words.heap_width`); `a_bruteforce` is the definition by exhaustion.
+of the heap, so a(w) is the heap's width (`words.heap_width`);
+`a_bruteforce` is the definition by exhaustion.
 
-One cancellation step labels an element of an enumeration in length
-order.  Descents and absorbers are read off the heap, so the deterministic
-reduction (left side first, smallest descent) walks one chain of elements
-from every reduced word, and `classify_core` reads only the core's left
-decomposition.  So w has the label of the shorter u one step down (E_t E_w
-= E_u or E_w E_t = E_u), labelled already: `labelled_elements` looks it up.
+`cell_labels` reads all three labels off the diagram in one edge pass.
+With t through strands, t > 0 gives Small((n - t)/2); t = 0 gives
+Alt(start, loops + 1), start "even" exactly when an odd number of top arcs
+(p, q) cross the seam, q > n.  This is the label of the core, because:
+1. a generator action never adds a through strand and never removes a
+   winding loop.  A cancellation step has E_t E_w = E_u and E_w = E_s E_u,
+   so w and u have the same t and the same loop count;
+2. with t = 0, a left step swaps two top arcs for (t, t+1) and the join of
+   their far ends, changing the number of arcs over every gap by 0 or 2, so
+   the parity of arcs crossing the seam holds.  A right step leaves the top
+   row alone;
+3. Small(k) is straight, with n - 2k through strands.  Alt(start, f) has no
+   through strands, f - 1 winding loops and its first factor's top arcs:
+   none crosses the seam for odd, and (n, n+1) does for even.
+`verify` checks it against `classify_core(reduce_to_core(w))`.
 """
 
 from __future__ import annotations
@@ -118,7 +127,6 @@ class CellLabels(NamedTuple):
 class CancelStep(NamedTuple):
     side: str
     s: int
-    t: int
 
 
 class InvolutionDecomposition(NamedTuple):
@@ -180,13 +188,8 @@ def a_bruteforce(cfg: GroupConfig, word, bound: int = 12) -> int:
 def cancellable(cfg: GroupConfig, word, s: int, side: str) -> int | None:
     """The first t in `cfg.neighbours_of(s)` absorbing the descent s of a
     reduced FC word w, if any: E_t E_w = E_u on the left, E_w E_t = E_u on
-    the right, where u is w with s removed.
-
-    Decided without diagrams: t absorbs s exactly when t is a descent of u
-    on the same side.  If u = t v, then E_t E_s E_t = E_t gives
-    E_t E_w = E_t E_v = E_u; conversely a loop-free E_t E_w has the minimal
-    top arc (t, t+1), and top minimal arcs are the left descents.
-    """
+    the right, where u is w with s removed.  Decided on the word's heap
+    (see the module docstring)."""
     word = check_word(cfg, word)
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -205,7 +208,7 @@ def _cancel_steps(
     for side in sides:
         for s, t in absorbers(cfg, word, side == "left").items():
             if t:
-                yield CancelStep(side, s, t)
+                yield CancelStep(side, s)
 
 
 def _reduce(
@@ -284,36 +287,28 @@ def core_neighbours(cfg: GroupConfig, word) -> frozenset[tuple[int, Word]]:
     return frozenset(out)
 
 
+def cell_labels(d: AffineDiagram) -> CellLabels:
+    """Cell labels read off a diagram (see the module docstring): elements
+    share a left cell iff the two-sided label and the bottom arc pattern
+    agree, a right cell iff the label and the top pattern agree."""
+    top_arcs, bottom_arcs, verticals = edge_list(d)
+    if verticals:
+        two_sided = TwoSidedLabel.small((d.n - len(verticals)) // 2)
+    else:
+        seam = sum(q > d.n for _, q in top_arcs) % 2
+        two_sided = TwoSidedLabel.alternating("even" if seam else "odd", d.loops + 1)
+    return CellLabels(two_sided, frozenset(bottom_arcs), frozenset(top_arcs), d.loops)
+
+
 def labels(cfg: GroupConfig, word) -> CellLabels:
-    """Cell labels of an element: elements share a left cell iff the
-    two-sided label and the bottom arc pattern agree, a right cell iff the
-    label and the top pattern agree, a two-sided cell iff the label agrees."""
-    w = _require_reduced_fc(cfg, word)
-    return _cell_labels(stack(cfg, w).diagram, classify_core(cfg, _reduce(cfg, w)))
+    """Cell labels of the element a reduced FC word names."""
+    return cell_labels(stack(cfg, _require_reduced_fc(cfg, word)).diagram)
 
 
 def labelled_elements(cfg: GroupConfig, max_len: int) -> Iterator[EnumerationRecord]:
-    """`explore.enumerate_elements` with each record's `labels`.  Records
-    come in length order, so the element one cancellation step below each,
-    one generator action away, is labelled already: `known` holds the
-    two-sided label of every diagram so far, and only cores are classified.
-    The enumeration makes only reduced FC words, so none is checked again."""
-    known: dict[AffineDiagram, TwoSidedLabel] = {}
+    """`explore.enumerate_elements` with each record's `labels`."""
     for rec in enumerate_elements(cfg, max_len):
-        d = rec.diagram
-        if (step := next(_cancel_steps(cfg, rec.word), None)) is None:
-            known[d] = classify_core(cfg, rec.word)
-        else:
-            u = generator_times(step.t, d) if step.side == "left" else times_generator(d, step.t)
-            if u is None or u not in known:
-                raise InvariantError("cancellation step leaves the labelled elements")
-            known[d] = known[u]
-        yield rec._replace(labels=_cell_labels(d, known[d]))
-
-
-def _cell_labels(d: AffineDiagram, two_sided: TwoSidedLabel) -> CellLabels:
-    top_arcs, bottom_arcs, _ = edge_list(d)
-    return CellLabels(two_sided, frozenset(bottom_arcs), frozenset(top_arcs), d.loops)
+        yield rec._replace(labels=cell_labels(rec.diagram))
 
 
 def involution_decompose(

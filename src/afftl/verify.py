@@ -7,9 +7,10 @@ crossing-count statistics, the straightening round trip, enumeration count
 agreement between the diagram engine and the affine-permutation oracle,
 agreement of the two multiplication engines, the arc-count invariant against
 the width of the word's heap at every enumerated length, and
-order-independence of descent cancellation.  The width is played against the
-brute-force definition (`cells.a_bruteforce`, the largest commuting factor
-over the commutation class) in the tier-1 tests.
+order-independence of descent cancellation, whose core label must also be
+the one `cells.cell_labels` reads off the diagram.  The width is played
+against the brute-force definition (`cells.a_bruteforce`, the largest
+commuting factor over the commutation class) in the tier-1 tests.
 """
 
 from __future__ import annotations
@@ -170,6 +171,9 @@ def check_core_order_independence(
         rnd = cells.classify_core(cfg, cells.reduce_to_core(cfg, w, rng=rng))
         if det != rnd:
             return ("core-order-independence", False, f"fails at {w}")
+        read = cells.cell_labels(straightening.stack(cfg, w).diagram).two_sided
+        if read != det:
+            return ("core-order-independence", False, f"diagram reads {read}, core {det} at {w}")
     return ("core-order-independence", True, f"{samples} randomized runs")
 
 

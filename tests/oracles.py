@@ -456,10 +456,10 @@ _DESCENTS_GREEDY = {"left": left_descents_greedy, "right": right_descents_greedy
 
 def cancel_options_greedy(cfg, word, sides=("left", "right")):
     return [
-        CancelStep(side, s, t)
+        CancelStep(side, s)
         for side in sides
         for s in sorted(_DESCENTS_GREEDY[side](cfg, word))
-        if (t := cancellable_greedy(cfg, word, s, side)) is not None
+        if cancellable_greedy(cfg, word, s, side) is not None
     ]
 
 

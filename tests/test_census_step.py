@@ -1,13 +1,16 @@
-"""Census labels each element from the shorter element one cancellation
-step below it: the labelled enumeration against `cells.labels` word by
-word, census rows that never need the full reduction nor check a word the
-enumeration made, and no label table shared between enumerations."""
+"""Cell labels are read off the diagram (`cells.cell_labels`): on every
+enumerated record the label equals the core's that the cancellation chain
+reaches, neither census nor `cells label` runs the chain, census trusts
+the enumeration's words, and verify's core-order-independence check
+catches a label read wrongly off the diagram."""
+
+import json
 
 import pytest
-from test_crossing_pass import HORIZONS
 
 from afftl import algebra, cells
-from afftl.cells import census, labelled_elements, labels
+from afftl.cells import census, classify_core, labelled_elements, labels, reduce_to_core
+from afftl.cli import main
 from afftl.config import GroupConfig
 
 # (two-sided label, left cells, right cells, elements seen) at max_len 8
@@ -32,20 +35,39 @@ def rows(n, max_len=8):
     return [(str(r.two_sided), *r[1:]) for r in census(GroupConfig(n), max_len)]
 
 
-@pytest.mark.parametrize("n,max_len", sorted(HORIZONS.items()))
-def test_enumeration_labels_match_labels(n, max_len):
+# 12,952 records in all
+PROOF_HORIZONS = [(3, 20), (4, 20), (5, 14), (6, 14), (7, 11), (8, 10)]
+
+
+@pytest.mark.parametrize("n,max_len", PROOF_HORIZONS)
+def test_diagram_labels_are_the_core_labels(n, max_len):
     cfg = GroupConfig(n)
     for rec in labelled_elements(cfg, max_len):
-        assert rec.labels == labels(cfg, rec.word), rec.word
+        assert rec.labels.two_sided == classify_core(cfg, reduce_to_core(cfg, rec.word)), rec.word
+
+
+def refuse_the_chain(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("labelling ran the cancellation chain")
+
+    for name in ("_reduce", "_cancel_steps", "classify_core"):
+        monkeypatch.setattr(cells, name, refuse)
 
 
 @pytest.mark.parametrize("n", sorted(PINNED_ROWS))
 def test_census_never_runs_the_full_reduction(monkeypatch, n):
-    def refuse(*args, **kwargs):
-        raise AssertionError("census ran the full cancellation chain")
-
-    monkeypatch.setattr(cells, "_reduce", refuse)
+    refuse_the_chain(monkeypatch)
     assert rows(n) == PINNED_ROWS[n]
+
+
+def test_label_of_a_long_word_never_runs_the_chain(monkeypatch, capsys):
+    # the chain is quadratic in the word: about 5 s on these 16,000 letters
+    refuse_the_chain(monkeypatch)
+    assert main(["cells", "label", "--n", "5", "--word", " ".join(["1 2 3 4 5"] * 3200)]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert (got["two_sided"], got["left_pattern"], got["right_pattern"]) == (
+        {"kind": "small", "k": 1}, [[5, 6]], [[1, 2]],
+    )
 
 
 @pytest.mark.parametrize("n", sorted(PINNED_ROWS))
@@ -67,3 +89,28 @@ def test_census_trusts_its_own_records(monkeypatch, n):
 
 def test_interleaved_censuses_match_fresh_runs():
     assert [rows(4), rows(6), rows(4)] == [PINNED_ROWS[4], PINNED_ROWS[6], PINNED_ROWS[4]]
+
+
+def flip_seam(lab):
+    return lab._replace(start={"odd": "even", "even": "odd"}.get(lab.start, ""))
+
+
+def one_more_factor(lab):
+    return lab._replace(factors=lab.factors + 1) if lab.kind == "alternating" else lab
+
+
+@pytest.mark.parametrize("plant", [flip_seam, one_more_factor])
+@pytest.mark.parametrize("n,max_len", [(4, 8), (6, 10)])
+def test_verify_catches_a_label_misread_off_the_diagram(monkeypatch, capsys, plant, n, max_len):
+    real = cells.cell_labels
+
+    def misread(d):
+        lab = real(d)
+        return lab._replace(two_sided=plant(lab.two_sided))
+
+    monkeypatch.setattr(cells, "cell_labels", misread)
+    assert main(["verify", "--n", str(n), "--max-len", str(max_len)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11
+    assert lines[8].startswith("FAIL core-order-independence: diagram reads ")
+    assert all(line.startswith("PASS ") for line in lines[:8] + lines[9:])
