@@ -38,7 +38,7 @@ _EXPORTS = {
         "explore": ("EnumerationRecord", "enumerate_elements", "oracle_counts"),
         "words": (
             "AffinePermutation", "BraidWitness", "braid_witness", "greedy_front", "is_fc_reduced",
-            "left_decomposition", "left_descents", "right_descents", "to_affine_permutation",
+            "left_decomposition", "left_descents", "right_descents",
         ),
     }.items()
     for name in names

@@ -20,11 +20,8 @@ from functools import lru_cache
 from .config import CACHE_SIZE, GroupConfig, InvariantError, json_int, json_list
 from .diagrams import AffineDiagram, canonical_key, identity, multiply
 from .laurent import ONE, ZERO, LaurentPoly, delta_power, norm1, pack, product_bits, unpack
-from . import straightening
 from .straightening import stack, straighten
 from .words import Word, _braid_split, absorbers, check_word
-
-is_reduced_word = straightening.is_reduced_word  # its old import path
 
 
 class AlgebraElement:

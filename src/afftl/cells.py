@@ -6,10 +6,10 @@ of some reduced word) governs the two-sided cell structure.  Descents that
 can be cancelled by an adjacent generator are repeatedly removed to reach
 a *core* element: either a product of pairwise non-adjacent generators, or
 (for even n) an alternating product of the two maximal commuting sets.
-Core classification yields the two-sided label; the bottom and top arc
-patterns of the diagram refine it to left and right cells.  Involutions
-decompose canonically as x * (commuting block) * x^-1, and each right cell
-outside the non-square alternating family contains exactly one involution.
+The diagram carries all three cell labels (`cell_labels`, below): the
+two-sided label, which the core's classification gives too, refined by the
+bottom arc pattern to a left cell and by the top one to a right cell.
+Involutions decompose canonically as x * (commuting block) * x^-1.
 
 Descents are read off the heap of a reduced word (Stembridge 1996, *On
 the fully commutative elements of Coxeter groups*): the left descents are
@@ -45,6 +45,18 @@ Alt(start, loops + 1), start "even" exactly when an odd number of top arcs
    through strands, f - 1 winding loops and its first factor's top arcs:
    none crosses the seam for odd, and (n, n+1) does for even.
 `verify` checks it against `classify_core(reduce_to_core(w))`.
+
+`right_cell_involution` reads a right cell's involution off the diagram.
+An involution's diagram is mirror-symmetric (`explore`), so one in w's
+right cell has w's top arcs, their mirror image below, w's t and, with
+t = 0, w's loop count.  Uniqueness: its verticals keep their cyclic
+order, so the j-th top end meets the (j + r)-th bottom end for one offset
+r; the mirror has offset -r, so r = 0, leaving `diagrams.top_involution`.
+Existence: that diagram crosses each line twice per top arc over it and
+once per loop, so it is admissible unless t = 0 and the loop count is odd,
+that is in the cells Alt(start, f) with f even, which hold no involution
+(`M_NONSQUARE`); else its labels, read off the same arcs, through strands
+and loops, put it in w's right cell.
 """
 
 from __future__ import annotations
@@ -53,7 +65,15 @@ import random
 from typing import Iterator, NamedTuple
 
 from .config import GroupConfig, InvariantError
-from .diagrams import AffineDiagram, edge_list, generator_times, short_arc_count, times_generator
+from .diagrams import (
+    AffineDiagram,
+    edge_list,
+    generator_times,
+    is_admissible,
+    short_arc_count,
+    times_generator,
+    top_involution,
+)
 from .explore import EnumerationRecord, enumerate_elements
 from .straightening import is_reduced_word, stack, straighten
 from .words import (
@@ -65,7 +85,6 @@ from .words import (
     left_decomposition,
     perm_of,
     reduced_perm,
-    right_groups,
 )
 
 M_NONSQUARE = "M-nonsquare cell"
@@ -200,27 +219,20 @@ def cancellable(cfg: GroupConfig, word, s: int, side: str) -> int | None:
     return t or None
 
 
-def _cancel_steps(
-    cfg: GroupConfig, word: Word, sides: tuple[str, ...] = ("left", "right")
-) -> Iterator[CancelStep]:
-    # by side in the given order, then ascending descent: seeded choices rely
-    # on it; a later side is scanned only when the earlier ones are used up
-    for side in sides:
+def _cancel_steps(cfg: GroupConfig, word: Word) -> Iterator[CancelStep]:
+    # left side first, then ascending descent: seeded choices rely on it;
+    # the right side is scanned only when the left one is used up
+    for side in ("left", "right"):
         for s, t in absorbers(cfg, word, side == "left").items():
             if t:
                 yield CancelStep(side, s)
 
 
-def _reduce(
-    cfg: GroupConfig,
-    w: Word,
-    rng: random.Random | None = None,
-    sides: tuple[str, ...] = ("left", "right"),
-) -> Word:
+def _reduce(cfg: GroupConfig, w: Word, rng: random.Random | None = None) -> Word:
     # reduce_to_core on a word already checked to be reduced FC
     while step := (
-        next(_cancel_steps(cfg, w, sides), None) if rng is None
-        else (options := [*_cancel_steps(cfg, w, sides)]) and rng.choice(options)
+        next(_cancel_steps(cfg, w), None) if rng is None
+        else (options := [*_cancel_steps(cfg, w)]) and rng.choice(options)
     ):
         w = drop_letter(w, step.s, step.side == "left")
     return w
@@ -341,29 +353,16 @@ def involution_decompose(
 
 
 def right_cell_involution(cfg: GroupConfig, word) -> Word | str:
-    """The canonical involution sharing the element's right cell, or the
-    M_NONSQUARE marker for the alternating cells without involutions."""
-    w = _reduce(cfg, _require_reduced_fc(cfg, word), sides=("right",))
-    groups = right_groups(cfg, w)
-    half = cfg.n // 2
-    if groups and cfg.n % 2 == 0 and len(groups[-1]) == half:
-        j = len(groups)
-        while j > 0 and len(groups[j - 1]) == half:
-            j -= 1
-        if (len(groups) - j) % 2 == 0:
-            return M_NONSQUARE
-        head, tail = groups[:j], groups[j:]
-    else:
-        head, tail = groups[:-1], groups[-1:]
-    y = tuple(s for g in head for s in sorted(g))
-    q = tuple(s for g in tail for s in sorted(g))
-    d = y + q + tuple(reversed(y))
-    p = reduced_perm(cfg, d)
-    if p is None:
-        raise InvariantError("involution candidate is not reduced")
-    if not p.is_involution():
-        raise InvariantError("involution candidate is not an involution")
-    return straighten(stack(cfg, d).diagram).letters
+    """The canonical word of the one involution in the element's right
+    cell, or M_NONSQUARE for the cells holding none (module docstring)."""
+    d = stack(cfg, _require_reduced_fc(cfg, word)).diagram
+    inv = top_involution(d)
+    if not is_admissible(inv):
+        return M_NONSQUARE
+    want, got = cell_labels(d), cell_labels(inv)
+    if (got.two_sided, got.right_pattern) != (want.two_sided, want.right_pattern):
+        raise InvariantError("mirrored top row left the right cell")
+    return straighten(inv).letters
 
 
 def census(cfg: GroupConfig, max_len: int) -> list[CensusRow]:

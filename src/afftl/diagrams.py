@@ -331,6 +331,25 @@ def short_arc_count(d: AffineDiagram) -> int:
     return _nu_vector(d).short_arcs
 
 
+def innermost_cover(d: AffineDiagram, side: str, k: int) -> tuple[int, int] | None:
+    """The arc lift on side's row with the largest left end strictly over
+    the minimal arc (k, k+1), or None.  Walking left from k - 1, an arc
+    closing at j is passed whole and a vertical end, by planarity, means no
+    cover; arcs span fewer than n positions, so the walk stops at k + 1 - n."""
+    n, bit = d.n, side == BOT
+    row = d.bottom if bit else d.top
+    j = k - 1
+    while j > k + 1 - n:
+        c = (j - 1) % n
+        e = row[c] + 2 * (j - 1 - c)
+        if e & 1 != bit:
+            return None
+        if e >> 1 > j:
+            return j, e >> 1
+        j = (e >> 1) - 1
+    return None
+
+
 def descent_arcs(d: AffineDiagram, side: str) -> frozenset[int]:
     """Classes i whose nodes i, i+1 on the given row are joined by a
     minimal arc; for a stacked word diagram this is the descent set."""
@@ -547,3 +566,10 @@ def is_mirror_symmetric(d: AffineDiagram) -> bool:
     """mirror(d) == d: the bottom row is the top row with each entry's
     row bit flipped."""
     return d.bottom == tuple([t ^ 1 for t in d.top])
+
+
+def top_involution(d: AffineDiagram) -> AffineDiagram:
+    """The mirror-symmetric diagram with d's top arcs and loops and every
+    vertical straight: the one involution d's right cell can hold (`cells`)."""
+    top = tuple(node(BOT, i) if t & 1 else t for i, t in enumerate(d.top, 1))
+    return AffineDiagram(d.n, top, tuple(e ^ 1 for e in top), d.loops)

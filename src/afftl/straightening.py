@@ -31,8 +31,8 @@ from .diagrams import (
     ProductResult,
     class_of,
     descent_arcs,
-    edge_list,
     identity,
+    innermost_cover,
     is_admissible,
     is_straight,
     join_arcs,
@@ -90,19 +90,6 @@ def _stack_cached(n: int, word: tuple[int, ...]) -> ProductResult:
     return ProductResult(d, contractible)
 
 
-def _innermost_cover(n: int, arcs, k: int) -> tuple[int, int] | None:
-    """Among arc lifts strictly covering positions (k, k+1), the one with
-    the largest left endpoint; None if no arc covers."""
-    best = None
-    for p, q in arcs:
-        # the lift with the largest left endpoint below k covers if any does
-        m = (k - 1 - p) // n
-        lo, hi = p + m * n, q + m * n
-        if hi > k + 1 and (best is None or lo > best[0]):
-            best = (lo, hi)
-    return best
-
-
 def find_distinguished(d: AffineDiagram) -> CongruenceFinding:
     """Highest-priority peelable class of an admissible non-straight
     diagram; `straighten` peels at it."""
@@ -110,10 +97,9 @@ def find_distinguished(d: AffineDiagram) -> CongruenceFinding:
         raise ValueError("diagram is not admissible")
     if is_straight(d) is not None:
         raise ValueError("diagram is straight; nothing to peel")
-    top_arcs, bottom_arcs, _ = edge_list(d)
-    for side, arcs in ((TOP, top_arcs), (BOT, bottom_arcs)):
+    for side in (TOP, BOT):
         for k in sorted(descent_arcs(d, side)):
-            cover = _innermost_cover(d.n, arcs, k)
+            cover = innermost_cover(d, side, k)
             if cover is not None or d.loops:
                 return CongruenceFinding(k, side + "1", cover)
     for side, other in ((TOP, BOT), (BOT, TOP)):

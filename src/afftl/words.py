@@ -360,9 +360,6 @@ def perm_of(cfg: GroupConfig, word) -> AffinePermutation:
     return _perm_of(cfg.n, check_word(cfg, word))
 
 
-to_affine_permutation = perm_of
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def _perm_of(n: int, word: Word) -> AffinePermutation:
     if not word:
@@ -405,9 +402,3 @@ def left_decomposition(cfg: GroupConfig, word) -> tuple[frozenset[int], ...]:
         layers[k].add(x)
         level[x] = k
     return tuple(map(frozenset, layers))
-
-
-def right_groups(cfg: GroupConfig, word) -> tuple[frozenset[int], ...]:
-    """Blocks of the right decomposition, in left-to-right word order (the
-    last block is the right descent set of the element)."""
-    return left_decomposition(cfg, tuple(word)[::-1])[::-1]

@@ -3,7 +3,8 @@
 The diagram-validation oracles scan translates one period at a time over a
 window wide enough for the coordinates involved, so their cost grows with
 the coordinate magnitudes; the library decides planarity in one linear
-sweep, naming one crossing pair, and finds covering arcs in closed form.
+sweep, naming one crossing pair, and finds covering arcs by walking the
+window.
 `window` builds a diagram from window rows written as (side, pos) pairs,
 so no test depends on how `afftl.diagrams` encodes an entry.  The word oracles test adjacency through the validating
 `GroupConfig.adjacent` where the library uses arithmetic on the cycle;
@@ -44,13 +45,15 @@ conjugate away, off one scan per side.  `wc_counts` tallies the
 diagram-keyed enumeration by length, for the tests that play it against
 the permutation oracle's counts.  `perm_by_fold` multiplies a word's
 generators onto the identity one by one, where the library continues the
-cached permutation of a prefix.
+cached permutation of a prefix.  `right_cell_involution_by_reduction`
+cancels right descents and rebuilds y q y^-1 from the right decomposition
+of what is left, where the library mirrors the diagram's top row.
 """
 
 from collections import Counter
 
 from afftl.algebra import AlgebraElement
-from afftl.cells import CancelStep, InvolutionDecomposition
+from afftl.cells import M_NONSQUARE, CancelStep, InvolutionDecomposition
 from afftl.diagrams import (
     BOT,
     TOP,
@@ -74,7 +77,7 @@ from afftl.diagrams import (
 )
 from afftl.explore import enumerate_elements
 from afftl.laurent import ZERO, delta_power
-from afftl.straightening import _innermost_cover, stack
+from afftl.straightening import stack, straighten
 from afftl.words import (
     AffinePermutation,
     BraidWitness,
@@ -83,6 +86,7 @@ from afftl.words import (
     drop_letter,
     greedy_back,
     greedy_front,
+    reduced_perm,
 )
 
 
@@ -489,6 +493,30 @@ def left_decomposition_greedy(cfg, word):
     return tuple(groups)
 
 
+def right_cell_involution_by_reduction(cfg, word):
+    """right_cell_involution by cancelling right descents only, with greedy
+    scans, and rebuilding y q y^-1 from the right decomposition of what is
+    left: q is its last block, or its trailing run of half-size blocks at
+    even n, which must be odd in number (else M_NONSQUARE), and y the
+    blocks before q."""
+    w = check_word(cfg, word)
+    while options := cancel_options_greedy(cfg, w, ("right",)):
+        w = greedy_back_adjacent(cfg, w, options[0].s)[:-1]
+    groups = left_decomposition_greedy(cfg, w[::-1])[::-1]
+    j = max(len(groups) - 1, 0)
+    if groups and 2 * len(groups[-1]) == cfg.n:
+        while j > 0 and 2 * len(groups[j - 1]) == cfg.n:
+            j -= 1
+        if (len(groups) - j) % 2 == 0:
+            return M_NONSQUARE
+    y = tuple(s for g in groups[:j] for s in sorted(g))
+    q = tuple(s for g in groups[j:] for s in sorted(g))
+    inv = y + q + y[::-1]
+    p = reduced_perm(cfg, inv)
+    assert p is not None and p.is_involution(), word
+    return straighten(stack(cfg, inv).diagram).letters
+
+
 def least_word_greedy(cfg, word, order):
     """The lexicographically least word of `word`'s commutation class, with
     letters compared by their position in `order`: the letter moved to the
@@ -546,7 +574,7 @@ def congruence_candidates(d: AffineDiagram) -> dict[str, dict[int, tuple | None]
     top_arcs, bottom_arcs, _ = edge_list(d)
     for side, other, arcs in ((TOP, BOT, top_arcs), (BOT, TOP, bottom_arcs)):
         for k in sorted(descent_arcs(d, side)):
-            cover = _innermost_cover(n, arcs, k)
+            cover = innermost_cover_bruteforce(n, arcs, k)
             if cover is not None or d.loops:
                 out[side + "1"][k] = cover
             # A strand entering at the node left of a minimal arc and exiting

@@ -6,7 +6,6 @@ from afftl.algebra import (
     AlgebraElement,
     element_from_json,
     element_to_json,
-    is_reduced_word,
     mul,
     rewrite_eval,
     rewrite_mul,
@@ -15,7 +14,7 @@ from afftl.cells import a_value
 from afftl.config import GroupConfig
 from afftl.diagrams import generator, length, multiply
 from afftl.laurent import DELTA, delta_power
-from afftl.straightening import stack, straighten
+from afftl.straightening import is_reduced_word, stack, straighten
 from afftl.words import commutation_class, perm_of
 
 

@@ -2,9 +2,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_fc_word, shuffled
-from oracles import cancellable_by_stacking
+from oracles import cancellable_by_stacking, right_cell_involution_by_reduction
 
 from afftl.cells import (
     M_NONSQUARE,
@@ -23,9 +25,28 @@ from afftl.cells import (
     right_cell_involution,
 )
 from afftl.config import GroupConfig
-from afftl.diagrams import multiply, generator
+from afftl.diagrams import edge_list, multiply, generator
+from afftl.explore import enumerate_elements
 from afftl.straightening import stack
-from afftl.words import left_descents, perm_of, right_descents
+from afftl.words import is_fc_reduced, left_descents, perm_of, right_descents
+
+INVOLUTION_HORIZONS = [(3, 10), (4, 10), (5, 9), (6, 9), (7, 8), (8, 8)]
+
+
+@st.composite
+def fc_words(draw):
+    """(n, word): a reduced FC word at n in 3..12 of length <= 40, each
+    letter drawn among the generators that keep it reduced FC."""
+    n = draw(st.integers(3, 12))
+    cfg = GroupConfig(n)
+    size = draw(st.integers(0, 40))
+    word = ()
+    for pick in draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)):
+        options = [w for s in cfg.generators() if is_fc_reduced(cfg, w := word + (s,))]
+        if not options:
+            break
+        word = options[pick % len(options)]
+    return n, word
 
 
 class TestAValue:
@@ -184,16 +205,16 @@ class TestNeighbours:
             core_neighbours(cfg4, (1, 2))
 
     def test_word_checked_once(self, monkeypatch):
-        from afftl import algebra, cells
+        from afftl import cells, straightening
 
         calls = []
-        real = algebra.is_reduced_word
+        real = straightening.is_reduced_word
 
         def counted(cfg, word):
             calls.append(word)
             return real(cfg, word)
 
-        for module in (algebra, cells):
+        for module in (straightening, cells):
             monkeypatch.setattr(module, "is_reduced_word", counted)
         for n, q in [(4, ()), (4, (1, 3)), (5, (1, 3)), (6, (1, 3, 5, 2, 4, 6))]:
             calls.clear()
@@ -361,6 +382,30 @@ class TestRightCellInvolution:
             lw, lo = labels(cfg, w), labels(cfg, out)
             assert lw.two_sided == lo.two_sided
             assert lw.right_pattern == lo.right_pattern
+
+    @pytest.mark.parametrize("n,max_len", INVOLUTION_HORIZONS)
+    def test_matches_the_reduction_oracle(self, n, max_len):
+        cfg = GroupConfig(n)
+        for rec in enumerate_elements(cfg, max_len):
+            got = right_cell_involution(cfg, rec.word)
+            assert got == right_cell_involution_by_reduction(cfg, rec.word), rec.word
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(fc_words())
+    def test_matches_the_reduction_oracle_on_long_words(self, case):
+        n, word = case
+        cfg = GroupConfig(n)
+        assert right_cell_involution(cfg, word) == right_cell_involution_by_reduction(cfg, word)
+
+    @pytest.mark.parametrize("n,max_len", INVOLUTION_HORIZONS)
+    def test_nonsquare_exactly_without_verticals_and_with_odd_loops(self, n, max_len):
+        cfg = GroupConfig(n)
+        marked = 0
+        for rec in enumerate_elements(cfg, max_len):
+            nonsquare = not edge_list(rec.diagram)[2] and rec.diagram.loops % 2 == 1
+            assert (right_cell_involution(cfg, rec.word) == M_NONSQUARE) == nonsquare, rec.word
+            marked += nonsquare
+        assert (marked > 0) == (n % 2 == 0)
 
 
 class TestCellConnectivityWitnesses:

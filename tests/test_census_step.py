@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from afftl import algebra, cells
+from afftl import cells, straightening
 from afftl.cells import census, classify_core, labelled_elements, labels, reduce_to_core
 from afftl.cli import main
 from afftl.config import GroupConfig
@@ -77,7 +77,7 @@ def test_census_trusts_its_own_records(monkeypatch, n):
 
     cfg = GroupConfig(n)
     with monkeypatch.context() as m:
-        for module in (algebra, cells):
+        for module in (straightening, cells):
             m.setattr(module, "is_reduced_word", refuse)
         m.setattr(cells, "_require_reduced_fc", refuse)
         got = rows(n)

@@ -18,6 +18,7 @@ from afftl.diagrams import (
     generator,
     identity,
     is_admissible,
+    is_mirror_symmetric,
     length,
     mirror,
     multiply,
@@ -25,8 +26,10 @@ from afftl.diagrams import (
     node_ref,
     partner,
     to_json_dict,
+    top_involution,
     validate,
 )
+from afftl.explore import enumerate_elements
 from afftl.straightening import stack
 
 
@@ -282,6 +285,25 @@ class TestMirror:
         for _ in range(15):
             w = random_fc_word(cfg, rng, 8)
             assert mirror(stack(cfg, w).diagram) == stack(cfg, tuple(reversed(w))).diagram
+
+
+class TestTopInvolution:
+    @pytest.mark.parametrize("n,max_len", [(3, 10), (4, 10), (5, 8), (6, 8)])
+    def test_mirrors_the_top_row_with_straight_verticals(self, n, max_len):
+        involutions = 0
+        for rec in enumerate_elements(GroupConfig(n), max_len):
+            d = rec.diagram
+            inv = top_involution(d)
+            assert validate(inv) == [] and is_mirror_symmetric(inv), rec.word
+            top_arcs, _, verticals = edge_list(d)
+            inv_top, _, inv_verticals = edge_list(inv)
+            assert inv_top == top_arcs and inv.loops == d.loops, rec.word
+            assert inv_verticals == [(p, p) for p, _ in verticals], rec.word
+            if rec.is_involution:
+                # the only mirror-symmetric diagram of its right cell
+                assert inv == d, rec.word
+                involutions += 1
+        assert involutions > 0
 
 
 class TestEdgeList:

@@ -1,8 +1,9 @@
 """The names `afftl` exports, resolved lazily from its submodules.
 
 `EXPORTED` pins the public names the package bound when it still imported
-every submodule eagerly; the lazy table must offer exactly these, each the
-very object its submodule defines.
+every submodule eagerly, less the retired alias `to_affine_permutation`
+(`perm_of` is the function); the lazy table must offer exactly these, each
+the very object its submodule defines.
 """
 
 import importlib
@@ -33,14 +34,14 @@ EXPORTED = {
     "explore": ["EnumerationRecord", "enumerate_elements", "oracle_counts"],
     "words": [
         "AffinePermutation", "BraidWitness", "braid_witness", "greedy_front", "is_fc_reduced",
-        "left_decomposition", "left_descents", "right_descents", "to_affine_permutation",
+        "left_decomposition", "left_descents", "right_descents",
     ],
 }
 NAMES = sorted(name for names in EXPORTED.values() for name in names)
 
 
 def test_the_table_offers_exactly_the_pinned_names():
-    assert len(NAMES) == len(set(NAMES)) == 59
+    assert len(NAMES) == len(set(NAMES)) == 58
     assert sorted(afftl._EXPORTS) == afftl.__all__ == NAMES
 
 
@@ -49,11 +50,13 @@ def test_each_name_is_its_submodules_object(module, name):
     assert getattr(afftl, name) is getattr(importlib.import_module(f"afftl.{module}"), name)
 
 
-def test_kept_aliases_resolve_to_the_one_function():
+def test_retired_aliases_are_gone():
     from afftl import algebra, straightening, words
 
-    assert afftl.is_reduced_word is straightening.is_reduced_word is algebra.is_reduced_word
-    assert afftl.to_affine_permutation is words.to_affine_permutation is words.perm_of
+    assert afftl.is_reduced_word is straightening.is_reduced_word
+    assert not hasattr(algebra, "is_reduced_word")
+    assert not hasattr(words, "to_affine_permutation")
+    assert not hasattr(afftl, "to_affine_permutation")
 
 
 def test_dir_and_star_import_see_every_name():

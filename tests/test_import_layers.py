@@ -166,7 +166,7 @@ def test_guard_sees_each_violation(tmp_path):
 def test_guard_sees_cells_import_the_algebra(tmp_path):
     probe = tmp_path / "cells.py"
     probe.write_text(
-        "from .algebra import is_reduced_word\n"
+        "from .algebra import mul\n"
         "from .straightening import stack\n"
         "from afftl import laurent\n",
         encoding="utf-8",

@@ -36,7 +36,7 @@ UNREACHED = {
     "words.greedy_front": TRACER,
     "words.is_fc_reduced": "reached only through words.braid_witness",
     "cells.right_cell_involution": API,
-    "words.right_groups": API,
+    "diagrams.top_involution": "reached only through cells.right_cell_involution",
     "words.left_descents": API,
     "words.right_descents": API,
     "diagrams.mirror": API,

@@ -1,6 +1,6 @@
 """Input validation at the boundary: the linear planarity sweep and the
-closed-form cover search against the test-only brute-force oracles, shape
-checks, and bounded cost."""
+window walk finding covers against the test-only brute-force oracles,
+shape checks, and bounded cost."""
 
 import ast
 import json
@@ -20,15 +20,19 @@ from afftl.diagrams import (
     BOT,
     TOP,
     AffineDiagram,
+    descent_arcs,
+    edge_list,
     from_json_dict,
     generator,
     identity,
+    innermost_cover,
     node,
     node_ref,
     to_json_dict,
     validate,
 )
-from afftl.straightening import _innermost_cover, stack
+from afftl.explore import enumerate_elements
+from afftl.straightening import stack
 
 SHIFT = 3 * 10**7
 
@@ -165,15 +169,18 @@ def test_sweep_verdict_matches_oracle(case):
 
 class TestInnermostCoverAgainstOracle:
     def test_differential(self):
-        rng = random.Random(11)
-        for _ in range(2000):
-            n = rng.randint(3, 7)
-            arcs = []
-            for _ in range(rng.randint(0, 3)):
-                p = rng.randint(1, n)
-                arcs.append((p, p + rng.randint(1, 3 * n)))
-            k = rng.randint(1, n)
-            assert _innermost_cover(n, arcs, k) == innermost_cover_bruteforce(n, arcs, k)
+        # every minimal arc on either row of every element at n = 3..8
+        walked = covered = 0
+        for n, max_len in [(3, 12), (4, 12), (5, 10), (6, 9), (7, 8), (8, 8)]:
+            for rec in enumerate_elements(GroupConfig(n), max_len):
+                top_arcs, bottom_arcs, _ = edge_list(rec.diagram)
+                for side, arcs in ((TOP, top_arcs), (BOT, bottom_arcs)):
+                    for k in descent_arcs(rec.diagram, side):
+                        cover = innermost_cover(rec.diagram, side, k)
+                        assert cover == innermost_cover_bruteforce(n, arcs, k), (rec.word, side, k)
+                        walked += 1
+                        covered += cover is not None
+        assert 0 < covered < walked
 
 
 class TestBoundary:

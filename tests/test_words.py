@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from conftest import random_fc_word, shuffled
 from oracles import braid_witness_by_class, braid_witness_left, class_has_braid, perm_by_fold
 
-from afftl.algebra import is_reduced_word
 from afftl.config import GroupConfig
 from afftl.explore import enumerate_elements
+from afftl.straightening import is_reduced_word
 from afftl.words import (
     AffinePermutation,
     _braid_split,
@@ -25,8 +25,6 @@ from afftl.words import (
     perm_of,
     reduced_perm,
     right_descents,
-    right_groups,
-    to_affine_permutation,
 )
 
 
@@ -294,9 +292,9 @@ class TestAffinePermutation:
 
     def test_examples(self):
         cfg = GroupConfig(4)
-        assert to_affine_permutation(cfg, ()).window == (1, 2, 3, 4)
-        assert to_affine_permutation(cfg, (1,)).window == (2, 1, 3, 4)
-        p = to_affine_permutation(cfg, (4,))
+        assert perm_of(cfg, ()).window == (1, 2, 3, 4)
+        assert perm_of(cfg, (1,)).window == (2, 1, 3, 4)
+        p = perm_of(cfg, (4,))
         assert p.window == (0, 2, 3, 5)
         assert sum(p.window) == 10
         assert p.image(5) == p.image(1) + 4
@@ -304,7 +302,7 @@ class TestAffinePermutation:
     def test_length_formula_vs_bruteforce(self, cfg, rng):
         for _ in range(60):
             w = tuple(rng.choice(range(1, cfg.n + 1)) for _ in range(rng.randrange(0, 12)))
-            p = to_affine_permutation(cfg, w)
+            p = perm_of(cfg, w)
             assert p.length() == perm_length_bruteforce(p)
             assert p.length() <= len(w)
 
@@ -313,13 +311,13 @@ class TestAffinePermutation:
             w = list(rng.choice(range(1, cfg.n + 1)) for _ in range(rng.randrange(2, 12)))
             i = rng.randrange(len(w) - 1)
             a, b = w[i], w[i + 1]
-            p = to_affine_permutation(cfg, tuple(w))
+            p = perm_of(cfg, tuple(w))
             if not cfg.adjacent(a, b):
                 w2 = w[:i] + [b, a] + w[i + 2:]
-                assert to_affine_permutation(cfg, tuple(w2)) == p
+                assert perm_of(cfg, tuple(w2)) == p
             if i + 2 < len(w) and w[i + 2] == a and cfg.adjacent(a, b):
                 w2 = w[:i] + [b, a, b] + w[i + 3:]
-                assert to_affine_permutation(cfg, tuple(w2)) == p
+                assert perm_of(cfg, tuple(w2)) == p
 
     def test_inverse_and_compose(self, cfg, rng):
         for _ in range(20):
@@ -334,7 +332,7 @@ class TestAffinePermutation:
         cfg = GroupConfig(n)
         prev = AffinePermutation.identity(n)
         for rec in enumerate_elements(cfg, 6):
-            p = to_affine_permutation(cfg, rec.word)
+            p = perm_of(cfg, rec.word)
             built = [p, p.inverse(), p.compose(p), p.compose(prev), prev.compose(p.inverse())]
             built += [p.times_generator(s) for s in cfg.generators()]
             for q in built:
@@ -388,15 +386,6 @@ class TestLeftDecomposition:
                 word = (s,) + tuple(sorted(g)) + (s,)
                 both = all(t in g for t in cfg.neighbours_of(s))
                 assert is_fc_reduced(cfg, word) == both
-
-    def test_right_groups_mirror(self):
-        cfg = GroupConfig(4)
-        assert right_groups(cfg, (2, 1, 3, 2)) == (
-            frozenset({2}),
-            frozenset({1, 3}),
-            frozenset({2}),
-        )
-        assert right_groups(cfg, (1, 2))[-1] == right_descents(cfg, (1, 2))
 
 
 class TestDescents:
