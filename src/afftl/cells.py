@@ -57,6 +57,23 @@ once per loop, so it is admissible unless t = 0 and the loop count is odd,
 that is in the cells Alt(start, f) with f even, which hold no involution
 (`M_NONSQUARE`); else its labels, read off the same arcs, through strands
 and loops, put it in w's right cell.
+
+`core_neighbours` reads its candidates off the generator's window
+W = {s-1, s, s+1}.  For a commuting set T, E_s E_T E_s is delta^2 E_T if
+s is in T, delta E_{T+s} if T misses W, E_{T-t+s} if T meets W in one
+neighbour t (E_s E_t E_s = E_s), and E_{s T s}, whose heap is no
+antichain, if T holds both.  So a straight q's straight neighbours agree
+with q off W: q minus W joined with {}, {s-1}, {s}, {s+1} or {s-1, s+1}.
+It has no alternating one: an action never removes a winding loop.  An
+alternating q, of f >= 2 factors, f - 1 loops and length fn/2, has no
+neighbour q'.  l(q) <= l(q') + 2 and q' has at most f - 1 loops, so q'
+alternates f' <= f factors (f' = 1 for a maximal commuting set, smaller
+ones being too short) with (f - f') n/2 <= 2.  If s is in q''s first
+factor, E_s E_q' closes a contractible loop.  Else both neighbours of s
+are in that factor, so s q' is reduced FC (`words.heap_is_fc`), and either s
+is in q''s last factor, closing a loop on the right, or s q' s is reduced
+FC of length l(q') + 2.  That needs n = 4 and f' = f - 1, and then s q' s
+has the one right descent s, where q has two.
 """
 
 from __future__ import annotations
@@ -70,6 +87,7 @@ from .diagrams import (
     edge_list,
     generator_times,
     is_admissible,
+    is_straight,
     short_arc_count,
     times_generator,
     top_involution,
@@ -245,17 +263,6 @@ def reduce_to_core(cfg: GroupConfig, word, rng: random.Random | None = None) -> 
     return _reduce(cfg, _require_reduced_fc(cfg, word), rng)
 
 
-def alternating_word(cfg: GroupConfig, start: str, factors: int) -> Word:
-    """Reduced word of the alternating product of the two maximal
-    commuting sets, beginning with the given parity."""
-    odd, even = cfg.alternating_sets()
-    first, second = (odd, even) if start == "odd" else (even, odd)
-    out: list[int] = []
-    for i in range(factors):
-        out.extend(sorted(first if i % 2 == 0 else second))
-    return tuple(out)
-
-
 def classify_core(cfg: GroupConfig, word) -> TwoSidedLabel:
     """Two-sided label of a core element: the block structure of its left
     decomposition is a single commuting set, or an alternation of the two
@@ -275,25 +282,28 @@ def classify_core(cfg: GroupConfig, word) -> TwoSidedLabel:
 
 
 def core_neighbours(cfg: GroupConfig, word) -> frozenset[tuple[int, Word]]:
-    """All pairs (s, q') of core elements q' with E_q = E_s E_q' E_s,
-    found by exhaustive engine search over candidate cores."""
+    """All pairs (s, q') of core elements q' with E_q = E_s E_q' E_s.  An
+    alternating q has none; for a straight q the engine decides every
+    commuting set that agrees with q off s's window (module docstring),
+    even those that cannot qualify, so a fault in the actions' loops shows."""
     w = _require_reduced_fc(cfg, word)
     if next(_cancel_steps(cfg, w), None) is not None:
         raise ValueError("not a core element")
     n = cfg.n
     target = stack(cfg, w).diagram
-    bound = len(w) + 2
-    cands: list[Word] = [tuple(sorted(t)) for t in cfg.commuting_sets()]
-    if n % 2 == 0:
-        max_factors = (2 * bound) // n
-        for start in ("odd", "even"):
-            for f in range(2, max_factors + 1):
-                cands.append(alternating_word(cfg, start, f))
-    stacked = [(cw, stack(cfg, cw).diagram) for cw in cands]
+    core = is_straight(target)
+    if core is None:
+        return frozenset()
     out = set()
     for s in cfg.generators():
-        for cw, dq in stacked:
-            d = generator_times(s, dq)
+        a, b = cfg.neighbours_of(s)
+        rest = core - {a, s, b}
+        for x in ((), (a,), (s,), (b,), (a, b)):
+            cand = rest.union(x)
+            if any(i % n + 1 in cand for i in cand):
+                continue
+            cw = tuple(sorted(cand))
+            d = generator_times(s, stack(cfg, cw).diagram)
             if d is not None and times_generator(d, s) == target:
                 out.add((s, cw))
     return frozenset(out)

@@ -19,8 +19,6 @@ in the word and at most `PREFIX_REUSE` calls nest.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple
 
 CACHE_SIZE = 1 << 18  # entries of each lru_cache
@@ -79,10 +77,6 @@ class GroupConfig(NamedTuple("GroupConfig", [("n", int)])):
         a, b = i - 1 or self.n, i % self.n + 1
         return (a, b) if a < b else (b, a)
 
-    def commuting_sets(self) -> tuple[frozenset[int], ...]:
-        """All sets of pairwise non-adjacent generators (including the empty set)."""
-        return _independent_sets(self.n)
-
     def alternating_sets(self) -> tuple[frozenset[int], frozenset[int]]:
         """For even n, the two maximal commuting sets (odd classes, even classes)."""
         if self.n % 2:
@@ -91,15 +85,3 @@ class GroupConfig(NamedTuple("GroupConfig", [("n", int)])):
         even = frozenset(range(2, self.n + 1, 2))
         return odd, even
 
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _independent_sets(n: int) -> tuple[frozenset[int], ...]:
-    if n > 20:
-        raise ValueError("independent-set enumeration capped at n <= 20")
-    # by size, then lexicographically: the order combinations come in
-    return tuple(
-        frozenset(c)
-        for k in range(n // 2 + 1)
-        for c in combinations(range(1, n + 1), k)
-        if all(b - a > 1 for a, b in zip(c, c[1:])) and not (k > 1 and c[0] == 1 and c[-1] == n)
-    )

@@ -48,12 +48,19 @@ generators onto the identity one by one, where the library continues the
 cached permutation of a prefix.  `right_cell_involution_by_reduction`
 cancels right descents and rebuilds y q y^-1 from the right decomposition
 of what is left, where the library mirrors the diagram's top row.
+`commuting_sets` lists every commuting set of the n-cycle and
+`alternating_word` writes an alternating core, for the tests that sweep
+all cores; `core_neighbours_exhaustive` stacks every such core against
+every generator, where the library tries the few commuting sets that
+agree with the core off the generator's window.
 """
 
 from collections import Counter
+from functools import cache
+from itertools import combinations
 
 from afftl.algebra import AlgebraElement
-from afftl.cells import M_NONSQUARE, CancelStep, InvolutionDecomposition
+from afftl.cells import M_NONSQUARE, CancelStep, InvolutionDecomposition, reduce_to_core
 from afftl.diagrams import (
     BOT,
     TOP,
@@ -615,3 +622,58 @@ def perm_by_fold(cfg, word):
     for s in check_word(cfg, word):
         p = p.times_generator(s)
     return p
+
+
+def commuting_sets(cfg):
+    """All sets of pairwise non-adjacent generators (including the empty
+    set), by size, then lexicographically."""
+    return _independent_sets(cfg.n)
+
+
+@cache
+def _independent_sets(n):
+    if n > 20:
+        raise ValueError("independent-set enumeration capped at n <= 20")
+    # by size, then lexicographically: the order combinations come in
+    return tuple(
+        frozenset(c)
+        for k in range(n // 2 + 1)
+        for c in combinations(range(1, n + 1), k)
+        if all(b - a > 1 for a, b in zip(c, c[1:])) and not (k > 1 and c[0] == 1 and c[-1] == n)
+    )
+
+
+def alternating_word(cfg, start, factors):
+    """Reduced word of the alternating product of the two maximal
+    commuting sets, beginning with the given parity."""
+    odd, even = cfg.alternating_sets()
+    first, second = (odd, even) if start == "odd" else (even, odd)
+    out = []
+    for i in range(factors):
+        out.extend(sorted(first if i % 2 == 0 else second))
+    return tuple(out)
+
+
+def core_neighbours_exhaustive(cfg, word):
+    """core_neighbours by stacking every commuting set and, at even n,
+    every alternating word up to len(q) + 2 letters against every
+    generator."""
+    w = tuple(word)
+    if reduce_to_core(cfg, w) != w:
+        raise ValueError("not a core element")
+    n = cfg.n
+    target = stack(cfg, w).diagram
+    bound = len(w) + 2
+    cands = [tuple(sorted(t)) for t in commuting_sets(cfg)]
+    if n % 2 == 0:
+        for start in ("odd", "even"):
+            for f in range(2, (2 * bound) // n + 1):
+                cands.append(alternating_word(cfg, start, f))
+    stacked = [(cw, stack(cfg, cw).diagram) for cw in cands]
+    out = set()
+    for s in cfg.generators():
+        for cw, dq in stacked:
+            d = generator_times(s, dq)
+            if d is not None and times_generator(d, s) == target:
+                out.add((s, cw))
+    return frozenset(out)

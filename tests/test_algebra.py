@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import random_fc_word
+from oracles import alternating_word, commuting_sets
 
 from afftl.algebra import (
     AlgebraElement,
@@ -145,7 +146,7 @@ class TestAlgebraCellFacts:
     def test_core_factor_appears_in_products(self, cfg, rng):
         # multiplying a commuting-block monomial by generators keeps a
         # translate of an equally-sized block as a contiguous factor
-        cores = [t for t in cfg.commuting_sets() if t]
+        cores = [t for t in commuting_sets(cfg) if t]
         for _ in range(15):
             q = tuple(sorted(rng.choice(cores)))
             word = q
@@ -169,8 +170,6 @@ class TestAlgebraCellFacts:
     def test_alternating_core_recurs_in_products(self, rng):
         # singleton-class cores of several factors recur verbatim (up to
         # commutations) inside any product they generate
-        from afftl.cells import alternating_word
-
         cfg = GroupConfig(4)
         for factors in (2, 3):
             q = alternating_word(cfg, "odd", factors)
@@ -187,7 +186,7 @@ class TestAlgebraCellFacts:
 
     def test_right_products_keep_core_prefix(self, cfg, rng):
         # E_q E_{s_1} ... E_{s_m} lands on an element of the form q.x
-        cores = [t for t in cfg.commuting_sets()]
+        cores = [t for t in commuting_sets(cfg)]
         for _ in range(20):
             q = tuple(sorted(rng.choice(cores)))
             word = q

@@ -1,19 +1,25 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_fc_word, shuffled
-from oracles import cancellable_by_stacking, right_cell_involution_by_reduction
+from oracles import (
+    alternating_word,
+    cancellable_by_stacking,
+    commuting_sets,
+    core_neighbours_exhaustive,
+    right_cell_involution_by_reduction,
+)
 
 from afftl.cells import (
     M_NONSQUARE,
     TwoSidedLabel,
     a_bruteforce,
     a_value,
-    alternating_word,
     cancellable,
     census,
     classify_core,
@@ -27,7 +33,7 @@ from afftl.cells import (
 from afftl.config import GroupConfig
 from afftl.diagrams import edge_list, multiply, generator
 from afftl.explore import enumerate_elements
-from afftl.straightening import stack
+from afftl.straightening import is_straight, stack
 from afftl.words import is_fc_reduced, left_descents, perm_of, right_descents
 
 INVOLUTION_HORIZONS = [(3, 10), (4, 10), (5, 9), (6, 9), (7, 8), (8, 8)]
@@ -53,7 +59,7 @@ class TestAValue:
     def test_commuting_blocks(self):
         for n in range(3, 9):
             cfg = GroupConfig(n)
-            for t in cfg.commuting_sets():
+            for t in commuting_sets(cfg):
                 assert a_value(cfg, tuple(sorted(t))) == len(t)
                 if len(t) <= 8:
                     assert a_bruteforce(cfg, tuple(sorted(t))) == len(t)
@@ -138,7 +144,7 @@ class TestReduceToCore:
     def test_examples(self):
         cfg = GroupConfig(4)
         assert reduce_to_core(cfg, (1, 2)) == (2,)
-        for t in cfg.commuting_sets():
+        for t in commuting_sets(cfg):
             assert reduce_to_core(cfg, tuple(sorted(t))) == tuple(sorted(t))
 
     def test_max_block_conjugate(self):
@@ -174,7 +180,7 @@ class TestCoreMembership:
 
         for n in (3, 4, 5):
             cfg = GroupConfig(n)
-            expected = {perm_of(cfg, tuple(sorted(t))).window for t in cfg.commuting_sets()}
+            expected = {perm_of(cfg, tuple(sorted(t))).window for t in commuting_sets(cfg)}
             if n % 2 == 0:
                 for start in ("odd", "even"):
                     for f in range(2, (2 * 8) // n + 1):
@@ -221,29 +227,57 @@ class TestNeighbours:
             core_neighbours(GroupConfig(n), q)
             assert calls == [q]
 
-    # the 7 or 29 commuting sets, and at n = 4 the two alternating words
-    # of two factors that len(q) + 2 allows
-    @pytest.mark.parametrize("n,q,cands", [(4, (1, 3), 9), (7, (1, 3, 5), 29)])
-    def test_each_candidate_stacked_once(self, n, q, cands, monkeypatch):
+    # a straight core stacks at most five commuting sets per generator, the
+    # ones agreeing with it off the generator's window; an alternating one
+    # stacks none
+    @pytest.mark.parametrize(
+        "n,q", [(3, (2,)), (4, (1, 3)), (5, (1, 3)), (7, (1, 3, 5)), (8, (2, 5)), (4, (1, 3, 2, 4))]
+    )
+    def test_each_generator_stacks_at_most_five_straight_candidates(self, n, q, monkeypatch):
         from afftl import cells
 
-        real, stacked = cells.stack, []
+        real_stack, real_act = cells.stack, cells.generator_times
+        stacked, acted = [], []
 
-        def counted(cfg, word):
+        def counted_stack(cfg, word):
             stacked.append(tuple(word))
-            return real(cfg, word)
+            return real_stack(cfg, word)
 
-        monkeypatch.setattr(cells, "stack", counted)
+        def counted_act(s, d):
+            acted.append((s, stacked[-1], d))
+            return real_act(s, d)
+
+        monkeypatch.setattr(cells, "stack", counted_stack)
+        monkeypatch.setattr(cells, "generator_times", counted_act)
         core_neighbours(GroupConfig(n), q)
-        # the core's own stack, then one per candidate core
-        assert stacked[0] == q and len(stacked) == 1 + cands == len(set(stacked[1:])) + 1
+        # the core's own stack, then one per candidate, each acted on once
+        assert stacked[0] == q and len(stacked) == 1 + len(acted)
+        assert [cw for _, cw, _ in acted] == stacked[1:]
+        per_generator = Counter(s for s, _, _ in acted)
+        assert all(count <= 5 for count in per_generator.values())
+        assert all(is_straight(d) is not None for _, _, d in acted)
+        if len(q) > n // 2:
+            assert acted == []
+        else:
+            assert set(per_generator) == set(GroupConfig(n).generators())
+
+    def test_matches_exhaustive_search(self):
+        # every straight core at n = 3..10, and the alternating cores of
+        # two to four factors at even n, against the search over all cores
+        for n in range(3, 11):
+            cfg = GroupConfig(n)
+            cores = [tuple(sorted(t)) for t in commuting_sets(cfg)]
+            if n % 2 == 0:
+                cores += [alternating_word(cfg, st, f) for st in ("odd", "even") for f in (2, 3, 4)]
+            for q in cores:
+                assert core_neighbours(cfg, q) == core_neighbours_exhaustive(cfg, q), (n, q)
 
     def test_symmetry_and_classes(self):
         # neighbour moves are symmetric and connect exactly the same-size
         # commuting blocks below the maximum
         for n in (4, 5):
             cfg = GroupConfig(n)
-            cores = [tuple(sorted(t)) for t in cfg.commuting_sets()]
+            cores = [tuple(sorted(t)) for t in commuting_sets(cfg)]
             neigh = {q: core_neighbours(cfg, q) for q in cores}
             for q, out in neigh.items():
                 for s, q2 in out:
@@ -267,7 +301,7 @@ class TestNeighbours:
                 assert len(sizes) == 1
                 k = sizes.pop()
                 if 2 * k < n:
-                    expected = {tuple(sorted(t)) for t in cfg.commuting_sets() if len(t) == k}
+                    expected = {tuple(sorted(t)) for t in commuting_sets(cfg) if len(t) == k}
                     assert members == expected
                 else:
                     assert len(members) == 1
@@ -304,7 +338,7 @@ class TestInvolutions:
         cfg = GroupConfig(4)
         dec = involution_decompose(cfg, (2, 1, 3, 2))
         assert dec.x == (2,) and dec.core == {1, 3}
-        for t in cfg.commuting_sets():
+        for t in commuting_sets(cfg):
             dec = involution_decompose(cfg, tuple(sorted(t)))
             assert dec.x == () and dec.core == t
 

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -9,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from afftl import algebra, straightening, verify
+import afftl
+from afftl import algebra, diagrams, straightening, verify
 from afftl.cli import main, parse_word
 from afftl.config import GroupConfig, InvariantError
 
@@ -294,16 +297,14 @@ class TestVerify:
         assert code == 0
         assert all(line.startswith("PASS") for line in out.strip().splitlines())
 
-    def test_exits_1_past_the_commuting_set_cap(self, capsys):
-        # neighbour-symmetry lists the commuting sets, which stop at n = 20,
-        # whatever the length horizon; the ten checks before it still report
+    def test_runs_past_n_20(self, capsys):
+        # neighbour-symmetry reads its cores off the records, so no rank
+        # caps it; at length 0 the one core is the identity
         code, out, err = run_cli(capsys, "verify", "--n", "21", "--max-len", "0")
         lines = out.splitlines()
-        assert (code, err, len(lines)) == (1, "", 11)
-        assert all(line.startswith("PASS ") for line in lines[:10])
-        assert lines[10] == (
-            "FAIL neighbour-symmetry: ValueError: independent-set enumeration capped at n <= 20"
-        )
+        assert (code, err, len(lines)) == (0, "", 11)
+        assert all(line.startswith("PASS ") for line in lines)
+        assert lines[10] == "PASS neighbour-symmetry: 1 cores"
 
     def test_a_crashing_check_fails_alone(self, capsys, monkeypatch):
         def crash(cfg, recs):
@@ -398,8 +399,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("n,cores", [(6, 18), (7, 29)])
     def test_neighbour_symmetry_searches_each_core_once(self, n, cores, monkeypatch):
-        from afftl import cells
+        from afftl import cells, explore
 
+        cfg = GroupConfig(n)
+        recs = list(explore.enumerate_elements(cfg, n // 2))
         real, calls = cells.core_neighbours, []
 
         def spy(cfg, word):
@@ -407,9 +410,50 @@ class TestVerify:
             return real(cfg, word)
 
         monkeypatch.setattr(cells, "core_neighbours", spy)
-        got = verify.check_neighbour_symmetry(GroupConfig(n))
+        got = verify.check_neighbour_symmetry(cfg, recs)
         assert got == ("neighbour-symmetry", True, f"{cores} cores")
         assert len(calls) == len(set(calls)) == cores
+
+    def test_neighbour_symmetry_reaches_every_core_at_half_the_rank(self, monkeypatch):
+        # a straight core has at most n // 2 letters: from that horizon on
+        # the check sees all L_n commuting sets, by size, then lexicographically
+        from afftl import cells, explore
+        from oracles import commuting_sets
+
+        lucas = {3: 4, 4: 7, 5: 11, 6: 18, 7: 29, 8: 47, 9: 76, 10: 123, 11: 199, 12: 322}
+        for n, cores in lucas.items():
+            cfg = GroupConfig(n)
+            recs = list(explore.enumerate_elements(cfg, n // 2))
+            assert verify.check_neighbour_symmetry(cfg, recs) == (
+                "neighbour-symmetry", True, f"{cores} cores"
+            )
+            calls = []
+            with monkeypatch.context() as m:
+                m.setattr(cells, "core_neighbours", lambda cfg, q: calls.append(q) or frozenset())
+                verify.check_neighbour_symmetry(cfg, recs)
+            assert calls == [tuple(sorted(t)) for t in commuting_sets(cfg)]
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_neighbour_symmetry_catches_a_dropped_loop(self, n, capsys, monkeypatch):
+        # a generator action that keeps the diagram where it closes a
+        # contractible loop makes E_1 E_1 E_1 look like E_1, so (1,)
+        # reaches (), which reaches nothing
+        def clear_caches():
+            for info in pkgutil.iter_modules(afftl.__path__):
+                for obj in vars(importlib.import_module(f"afftl.{info.name}")).values():
+                    if callable(getattr(obj, "cache_clear", None)):
+                        obj.cache_clear()
+
+        real = diagrams._generator_action
+        with monkeypatch.context() as m:
+            m.setattr(diagrams, "_generator_action", lambda d, s, side: real(d, s, side) or d)
+            clear_caches()
+            try:
+                code, out, _ = run_cli(capsys, "verify", "--n", str(n), "--max-len", "8")
+            finally:
+                clear_caches()
+        assert code == 1
+        assert out.splitlines()[10] == "FAIL neighbour-symmetry: (1,) -> () not symmetric"
 
     @pytest.mark.parametrize("n,max_len,pairs", [(4, 6, 961), (7, 8, 12769)])
     def test_engine_agreement_filters_the_shared_records(self, n, max_len, pairs, monkeypatch):

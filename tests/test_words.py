@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_fc_word, shuffled
-from oracles import braid_witness_by_class, braid_witness_left, class_has_braid, perm_by_fold
+from oracles import (
+    braid_witness_by_class,
+    braid_witness_left,
+    class_has_braid,
+    commuting_sets,
+    perm_by_fold,
+)
 
 from afftl.config import GroupConfig
 from afftl.explore import enumerate_elements
@@ -379,7 +385,7 @@ class TestLeftDecomposition:
     def test_recurrence_biconditional(self, cfg):
         # s . (commuting block) . s is reduced FC exactly when the block
         # holds both generators not commuting with s
-        for g in cfg.commuting_sets():
+        for g in commuting_sets(cfg):
             for s in cfg.generators():
                 if s in g:
                     continue
