@@ -1,26 +1,31 @@
 """Breadth-first enumeration of the fully commutative elements.
 
-The primary enumeration extends words on the right and keeps an extension
-exactly when the diagram engine reports no contracted loop and a diagram
-not seen before; elements are deduplicated by their diagram, which the
-faithfulness of the representation makes an exact key.  No length is
-computed: a loop-free product E_w E_s is a basis diagram of length at most
-l(w) + 1, because crossing numbers are subadditive under stacking (Fan and
-Green, On the affine Temperley-Lieb algebras, 1999), and every element
-shorter than that has been seen already.
+The primary enumeration extends words on the right, and every generator
+action it computes yields a new record.  Each record's word is the lexicographically least
+reduced word of its element, letters compared as integers.  An extension
+W s of a least word W is computed exactly when it is again the least word
+of a fully commutative element:
 
-Most extensions are not computed at all.  The reduced words of a fully
-commutative element form one commutation class (Stembridge 1996, On the
-fully commutative elements of Coxeter groups), and each record's word is
-the lexicographically least word of its class, letters compared as
-integers.  By Anisimov and Knuth (Inhomogeneous sorting, 1979) a word is
-least in its class exactly when it has no factor b u a with a < b, where a
-commutes with b and with every letter of u.  So W s, with W least, can be
-the least word of a new element only when every letter of W after its
-last neighbour of s is below s; otherwise the product closes a loop,
-collapses to a shorter diagram, or is an element first reached from an
-earlier word.  Each frontier entry carries, per letter, the highest letter
-after that letter's last neighbour, and the test costs one comparison.
+* W s is reduced and fully commutative exactly when s is not in W, or at
+  least two occurrences of s - 1 or s + 1 follow W's last s (Stembridge
+  1996, On the fully commutative elements of Coxeter groups: a word is a
+  reduced word of an FC element exactly when no two consecutive
+  occurrences of a letter have fewer than two neighbour occurrences
+  between them, `words.heap_is_fc`).  W is reduced FC, so the only pair
+  to test is (last s, new s).
+* The reduced words of an FC element form one commutation class, and a
+  word is least in its class exactly when it has no factor b u a with
+  a < b, where a commutes with b and with every letter of u (Anisimov and
+  Knuth, Inhomogeneous sorting, 1979).  W is least, so W s is least
+  exactly when every letter of W after its last neighbour of s is below s.
+
+Each frontier entry carries both tests' counters per letter, and the test
+costs two comparisons.  Distinct least words name distinct elements, so no
+element is reached twice and no diagram is compared: deduplication does
+not rest on the faithfulness of the diagram representation, and the
+enumeration holds only its frontier.  Every prefix of a least reduced FC word is one too, so
+every element is reached.  No length is computed: the word's is the
+element's.
 
 A record holds the least word, the diagram and, once
 `cells.labelled_elements` adds them, the cell labels.  Its length is the
@@ -38,7 +43,7 @@ import json
 import os
 from typing import Iterator, NamedTuple
 
-from .config import GroupConfig
+from .config import GroupConfig, InvariantError
 from .diagrams import AffineDiagram, identity, is_mirror_symmetric, times_generator
 from .words import AffinePermutation, Word, heap_is_fc
 
@@ -81,27 +86,27 @@ def enumerate_elements(cfg: GroupConfig, max_len: int) -> Iterator[EnumerationRe
     length order and, within a length, in lexicographic order of its least
     word, as unlabelled records.
 
-    Level ln extends the elements of length ln - 1.  Every element u of
-    length < ln is in `seen` already, by induction: u = ws with l(u) =
-    l(w) + 1 gives E_w E_s = E_u with no loop.  A loop-free E_w E_s is a
-    basis diagram of length at most l(w) + 1 = ln, because crossing numbers
-    are subadditive under stacking.  So an unseen extension has length
-    exactly ln, and no length is computed.
+    Level ln extends the least words of length ln - 1, in lexicographic
+    order, by each letter s in ascending order, and keeps W s exactly when
+    it is the least reduced word of an FC element.  Completeness: a prefix
+    of a least reduced FC word is a least reduced FC word, so the least
+    word of every element of length ln extends one of level ln - 1.
+    Exactness: W is reduced FC, so W s is reduced FC exactly when the only
+    new pair of consecutive occurrences of a letter, (W's last s, the new
+    s), has at least two neighbour occurrences between them (Stembridge
+    1996); `since[r]` counts the occurrences of r - 1 and r + 1 after W's
+    last r, 2 when r is not in W (any value >= 2 acts the same).  W is
+    least, so W s is least exactly when it has no factor b u s with b > s
+    commuting with s and with every letter of u (Anisimov and Knuth 1979):
+    when no letter of W after its last neighbour of s is at or above s.
+    `after[r]` holds the highest letter after W's last neighbour of r, 0
+    when there is none.  Two kept words are distinct least words, so they
+    name distinct elements, and the lexicographic order of the frontier
+    carries over to the level built from it.
 
-    The frontier is in lexicographic order, and an element's least word is
-    the least of (least word of u s) s over its right descents s, so each
-    element is first reached by appending one letter to the least word of
-    a parent: records carry least words, by induction.  Hence W s is
-    computed only when it can be a least word (Anisimov and Knuth 1979):
-    when no letter of W after the last neighbour of s is at or above s.
-    If s itself is there, s is a right descent of W and E_W E_s has a
-    loop.  If a higher letter b is there, W s is greater than the word of
-    its class with s moved before b; when that word is reduced and fully
-    commutative, an earlier parent has reached its element, and otherwise
-    the product has a loop or is shorter.  `after[r]` holds the highest
-    letter after W's last neighbour of r, 0 when there is none.  The loop
-    and `seen` checks still reject what the prune lets through: braid
-    collapses to shorter diagrams.
+    The diagram of W s is the product E_W E_s, a basis diagram because W s
+    is reduced and fully commutative; an action that closes a loop instead
+    is a bug, and raises InvariantError.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
@@ -109,33 +114,38 @@ def enumerate_elements(cfg: GroupConfig, max_len: int) -> Iterator[EnumerationRe
     letters = cfg.generators()
     limit = element_cap()
     start = identity(n)
-    seen = {start}
     count = 1
     yield EnumerationRecord((), start)
-    # entries are (word, diagram, after), `after` indexed by letter 1..n
-    frontier: list[tuple[Word, AffineDiagram, list[int]]] = [((), start, [0] * (n + 1))]
+    # entries are (word, diagram, after, since), the lists indexed by letter 1..n
+    frontier: list[tuple[Word, AffineDiagram, list[int], list[int]]] = [
+        ((), start, [0] * (n + 1), [2] * (n + 1))
+    ]
     for ln in range(1, max_len + 1):
-        nxt: list[tuple[Word, AffineDiagram, list[int]]] = []
-        for word, d, after in frontier:
+        nxt: list[tuple[Word, AffineDiagram, list[int], list[int]]] = []
+        for word, d, after, since in frontier:
             for s in letters:
-                if after[s] >= s:
+                if after[s] >= s or since[s] < 2:
                     continue
                 d2 = times_generator(d, s)
-                if d2 is None or d2 in seen:
-                    continue
-                seen.add(d2)
+                w2 = word + (s,)
+                if d2 is None:
+                    raise InvariantError(f"the reduced FC word {w2} closes a loop")
                 count += 1
                 if count > limit:
                     raise RuntimeError(
                         f"enumeration exceeded the cap of {limit} elements"
                     )
-                w2 = word + (s,)
                 yield EnumerationRecord(w2, d2)
                 if ln == max_len:
                     continue  # the last level is never extended
-                after2 = [a if a > s else s for a in after]
-                after2[s - 1 or n] = after2[s % n + 1] = 0
-                nxt.append((w2, d2, after2))
+                a, b = s - 1 or n, s % n + 1
+                after2 = [x if x > s else s for x in after]
+                after2[a] = after2[b] = 0
+                since2 = since.copy()
+                since2[s] = 0
+                since2[a] += 1
+                since2[b] += 1
+                nxt.append((w2, d2, after2, since2))
         frontier = nxt
 
 

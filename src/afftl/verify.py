@@ -106,10 +106,15 @@ def check_roundtrip(cfg: GroupConfig, recs) -> Check:
 
 
 def check_counts_vs_oracle(cfg: GroupConfig, recs, max_len: int) -> Check:
+    """Per-length counts against the permutation oracle's; the records'
+    diagrams must also be distinct, which the enumeration does not test."""
     primary = dict(Counter(rec.length for rec in recs))
     oracle = explore.oracle_counts(cfg, max_len)
     if primary != oracle:
         return ("counts-vs-oracle", False, f"{primary} != {oracle}")
+    shared = len(recs) - len({rec.diagram for rec in recs})
+    if shared:
+        return ("counts-vs-oracle", False, f"{shared} records repeat an earlier diagram")
     return ("counts-vs-oracle", True, f"lengths 0..{max_len}")
 
 
@@ -199,14 +204,19 @@ def check_involutions(cfg: GroupConfig, recs) -> Check:
 
 def check_neighbour_symmetry(cfg: GroupConfig, recs) -> Check:
     """q reaches q' exactly when q' reaches q, for every straight core in
-    the records: all L_n of them once the horizon reaches n // 2."""
+    the records: all L_n of them once the horizon reaches n // 2.  The
+    detail names L_n, the Lucas number, when the records hold fewer."""
     cores = [rec.word for rec in recs if diagrams.is_straight(rec.diagram) is not None]
     reached = cache(lambda q: [w for _, w in cells.core_neighbours(cfg, q)])
     for q in cores:
         for q2 in reached(q):
             if q not in reached(q2):
                 return ("neighbour-symmetry", False, f"{q} -> {q2} not symmetric")
-    return ("neighbour-symmetry", True, f"{len(cores)} cores")
+    lucas, nxt = 2, 1  # L_0, L_1
+    for _ in range(cfg.n):
+        lucas, nxt = nxt, lucas + nxt
+    total = "" if len(cores) >= lucas else f" of {lucas}"
+    return ("neighbour-symmetry", True, f"{len(cores)}{total} cores")
 
 
 def run_all(n: int, max_len: int, seed: int) -> list[Check]:

@@ -16,7 +16,9 @@ left descent exactly when the first t has one lower neighbour occurrence,
 the first s (`absorbers`).  Between consecutive occurrences of a letter in
 a reduced FC word lie at least two neighbour occurrences (`heap_is_fc`),
 which also locates the obstruction that appending a letter can produce
-(`_braid_split`).
+(`_braid_split`).  `explore` applies the criterion incrementally: each
+frontier word carries, per letter, the neighbour occurrences since that
+letter's last occurrence, so deciding an extension is one comparison.
 
 The module also hosts an affine-permutation model of the group (window
 notation), used throughout as an independent oracle for lengths, element

@@ -23,9 +23,9 @@ reads descents off the words; and the greedy formulations
 where the library reads the heap's minimal and maximal elements off one
 scan per side; and `enumerate_filtered` computes every extension and
 keeps one only after computing its length and builds the mirror for the
-involution flag, where the library skips the extensions that cannot be
-least words, relies on the length argument and compares the rows
-entrywise; `least_word_greedy` builds the least word of a commutation
+involution flag, where the library computes only the extensions that
+are least reduced FC words, reads the length off the word and compares
+the rows entrywise; `least_word_greedy` builds the least word of a commutation
 class one letter at a time, where the library's records are least words
 by construction.  The differential tests play each against its library
 counterpart.  `class_has_braid` (the definition of full commutativity)
@@ -42,8 +42,8 @@ only after dropping it from the front and rescanning the rest, while some
 pair of the word's letters is adjacent, both with the greedy descent
 scans; the library reads every descent's absorber, and the letters to
 conjugate away, off one scan per side.  `wc_counts` tallies the
-diagram-keyed enumeration by length, for the tests that play it against
-the permutation oracle's counts.  `perm_by_fold` multiplies a word's
+library enumeration by length, for the tests that play it against the
+permutation oracle's counts.  `perm_by_fold` multiplies a word's
 generators onto the identity one by one, where the library continues the
 cached permutation of a prefix.  `right_cell_involution_by_reduction`
 cancels right descents and rebuilds y q y^-1 from the right decomposition
@@ -565,7 +565,8 @@ def enumerate_filtered(cfg, max_len, generator_order=None):
 
 
 def wc_counts(cfg, max_len):
-    """Per-length element counts from the diagram-keyed enumeration."""
+    """Per-length element counts from the library enumeration, whose
+    records are the least reduced FC words."""
     return dict(Counter(rec.length for rec in enumerate_elements(cfg, max_len)))
 
 

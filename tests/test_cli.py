@@ -299,12 +299,12 @@ class TestVerify:
 
     def test_runs_past_n_20(self, capsys):
         # neighbour-symmetry reads its cores off the records, so no rank
-        # caps it; at length 0 the one core is the identity
+        # caps it; at length 0 the one core is the identity, of L_21
         code, out, err = run_cli(capsys, "verify", "--n", "21", "--max-len", "0")
         lines = out.splitlines()
         assert (code, err, len(lines)) == (0, "", 11)
         assert all(line.startswith("PASS ") for line in lines)
-        assert lines[10] == "PASS neighbour-symmetry: 1 cores"
+        assert lines[10] == "PASS neighbour-symmetry: 1 of 24476 cores"
 
     def test_a_crashing_check_fails_alone(self, capsys, monkeypatch):
         def crash(cfg, recs):

@@ -1,21 +1,26 @@
-"""The enumeration keeps every unseen loop-free extension without computing
-its length, and computes only the extensions that can be least words.
+"""The enumeration computes one generator action per element: every
+action yields a diagram not recorded before, and no length is computed.
 Played here against the filtered enumeration of
 `oracles.enumerate_filtered`, record by record and in order; every
 record's word against the greedy least word of its commutation class;
 every computed generator action against the records already made; and
-every record's length and involution flag against their definitions.
+every record's length and involution flag against their definitions; and
+the per-letter counter rule of the prune against `words.heap_is_fc` and,
+at small sizes, against reducedness and the braid-free definition.
 
 The enumeration compares letters as integers, the default generator
 order; the cases carry that order in their ids."""
 
 import pytest
-from oracles import enumerate_filtered, least_word_greedy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import class_has_braid, enumerate_filtered, least_word_greedy
 
 from afftl import explore
-from afftl.config import GroupConfig
+from afftl.config import GroupConfig, InvariantError
 from afftl.diagrams import length, mirror
 from afftl.explore import enumerate_elements
+from afftl.words import AffinePermutation, heap_is_fc, reduced_perm
 
 HORIZONS = [(3, 12), (4, 12), (5, 10), (6, 9), (7, 8), (8, 10)]
 
@@ -60,9 +65,9 @@ def test_records_carry_least_words(n, max_len):
 def computed_actions(monkeypatch, cfg, max_len):
     """Run the enumeration with `explore.times_generator` wrapped; return
     the number of actions it computed.  Each action is checked against the
-    records made so far: it closes no loop and, when its diagram is
-    already recorded, that record is shorter than the level being built."""
-    lengths = {}
+    records made so far: it acts on a recorded diagram, closes no loop and
+    yields a diagram not recorded yet."""
+    recorded = set()
     calls = 0
     action = explore.times_generator
 
@@ -70,23 +75,85 @@ def computed_actions(monkeypatch, cfg, max_len):
         nonlocal calls
         calls += 1
         r = action(d, s)
-        assert r is not None, (d, s)
-        prev = lengths.get(r)
-        assert prev is None or prev < lengths[d] + 1, (d, s)
+        assert d in recorded and r is not None and r not in recorded, (d, s)
         return r
 
     monkeypatch.setattr(explore, "times_generator", checked)
-    for rec in records(cfg, max_len):
-        lengths[rec.diagram] = rec.length
+    for rec in enumerate_elements(cfg, max_len):  # lazily, so each action sees the records before it
+        recorded.add(rec.diagram)
     return calls
 
 
 @pytest.mark.parametrize("n,max_len", IN_DEFAULT_ORDER)
 def test_no_wasted_action(monkeypatch, n, max_len):
-    computed_actions(monkeypatch, GroupConfig(n), max_len)
+    cfg = GroupConfig(n)
+    elements = len(records(cfg, max_len))
+    assert computed_actions(monkeypatch, cfg, max_len) == elements - 1
+
+
+def test_a_loop_on_a_kept_extension_raises(monkeypatch):
+    # every kept extension is a reduced FC word, whose product is loop-free
+    monkeypatch.setattr(explore, "times_generator", lambda d, s: None)
+    with pytest.raises(InvariantError, match=r"\(1,\) closes a loop"):
+        records(GroupConfig(5), 2)
 
 
 def test_action_count_pinned(monkeypatch):
-    # 68,488 when every frontier element is extended by every letter
-    assert computed_actions(monkeypatch, GroupConfig(8), 12) == 23_213
+    # one action per non-identity record, of 10,163
+    assert computed_actions(monkeypatch, GroupConfig(8), 12) == 10_162
 
+
+
+def since_counters(n, word):
+    """The frontier's `since` list for a word, built letter by letter as
+    the enumeration builds it: per letter r, the occurrences of r - 1 and
+    r + 1 after the last r, 2 when r does not occur."""
+    since = [2] * (n + 1)
+    for s in word:
+        since[s] = 0
+        since[s - 1 or n] += 1
+        since[s % n + 1] += 1
+    return since
+
+
+def draw_fc_word(data, max_n, max_len):
+    """A random reduced FC word: each step tries the letters from a drawn
+    one onwards and appends the first that keeps the word reduced (the
+    permutation ascends) and FC (`heap_is_fc`)."""
+    n = data.draw(st.integers(3, max_n), label="n")
+    cfg = GroupConfig(n)
+    word, p = (), AffinePermutation.identity(n)
+    for _ in range(data.draw(st.integers(0, max_len), label="length")):
+        first = data.draw(st.integers(0, n - 1))
+        for k in range(n):
+            s = (first + k) % n + 1
+            if p.ascends(s) and heap_is_fc(cfg, word + (s,)):
+                word, p = word + (s,), p.times_generator(s)
+                break
+        else:
+            break
+    return cfg, word
+
+
+PROPERTY = settings(max_examples=100, deadline=None, database=None)
+
+
+@PROPERTY
+@given(st.data())
+def test_counter_rule_is_the_heap_criterion(data):
+    cfg, word = draw_fc_word(data, 32, 200)
+    since = since_counters(cfg.n, word)
+    for s in cfg.generators():
+        assert (since[s] >= 2) == heap_is_fc(cfg, word + (s,)), (word, s)
+
+
+@PROPERTY
+@given(st.data())
+def test_counter_rule_is_the_definition(data):
+    # reduced through the permutation model, FC by searching the class
+    cfg, word = draw_fc_word(data, 6, 8)
+    since = since_counters(cfg.n, word)
+    for s in cfg.generators():
+        w2 = word + (s,)
+        defined = reduced_perm(cfg, w2) is not None and not class_has_braid(cfg, w2)
+        assert (since[s] >= 2) == defined, (word, s)

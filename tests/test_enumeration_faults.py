@@ -1,0 +1,80 @@
+"""`verify` catches faults in the generator action that the enumeration
+no longer sees.
+
+The enumeration computes only actions whose product is a new basis
+diagram, so it neither rejects a loop nor deduplicates; these faults must
+show in `verify`'s other checks (crossing counts, neighbour symmetry,
+engine agreement) or stop it with exit 3.  Each case copies the package
+into a temporary directory, plants one fault by an exact text replacement
+that matches once, and runs `verify` on the copy in a subprocess.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from afftl import verify
+from afftl.config import GroupConfig
+from afftl.explore import enumerate_elements
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "afftl"
+
+DROPS_WINDING_LOOP = ("        loops += 1\n", "        loops += 0\n")
+RETURNS_D_FOR_NONE = (
+    "close a contractible loop\n        return None\n",
+    "close a contractible loop\n        return d\n",
+)
+IGNORES_LAST_GENERATOR = (
+    "    return _generator_action(d, s, BOT)\n",
+    "    return d if s == d.n else _generator_action(d, s, BOT)\n",
+)
+
+
+def run_verify(tmp_path, fault, n, max_len):
+    shutil.copytree(PACKAGE, tmp_path / "afftl", ignore=shutil.ignore_patterns("__pycache__"))
+    if fault:
+        path = tmp_path / "afftl" / "diagrams.py"
+        text = path.read_text()
+        old, new = fault
+        assert text.count(old) == 1, old
+        path.write_text(text.replace(old, new))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "afftl.cli", "verify", "--n", str(n), "--max-len", str(max_len)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+
+
+def test_the_copy_passes_unchanged(tmp_path):
+    proc = run_verify(tmp_path, None, 5, 8)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("fault,n,max_len", [
+    pytest.param(DROPS_WINDING_LOOP, 4, 12, id="drops-winding-loop"),
+    pytest.param(RETURNS_D_FOR_NONE, 5, 8, id="returns-d-for-none"),
+    pytest.param(IGNORES_LAST_GENERATOR, 5, 8, id="ignores-s-n-at-5"),
+    pytest.param(IGNORES_LAST_GENERATOR, 7, 8, id="ignores-s-n-at-7"),
+])
+def test_verify_catches_the_fault(tmp_path, fault, n, max_len):
+    proc = run_verify(tmp_path, fault, n, max_len)
+    assert proc.returncode != 0, proc.stdout
+    assert "Traceback" not in proc.stderr  # a failed check, not a broken copy
+    fails = [line for line in proc.stdout.splitlines() if line.startswith("FAIL ")]
+    assert fails or proc.returncode == 3, proc.stdout
+
+
+def test_counts_vs_oracle_fails_on_repeated_diagrams():
+    cfg = GroupConfig(5)
+    recs = list(enumerate_elements(cfg, 4))
+    passed = verify.check_counts_vs_oracle(cfg, recs, 4)
+    assert passed == ("counts-vs-oracle", True, "lengths 0..4")
+    # same words and lengths, so the per-length counts still agree
+    twins = [rec._replace(diagram=recs[1].diagram) if rec.length == 1 else rec for rec in recs]
+    assert verify.check_counts_vs_oracle(cfg, twins, 4) == (
+        "counts-vs-oracle", False, "4 records repeat an earlier diagram",
+    )
