@@ -32,7 +32,7 @@ A record holds the least word, the diagram and, once
 word's, and its involution flag is read off the diagram when asked:
 swapping the rows gives the diagram of the inverse element, so w is an
 involution exactly when its diagram is mirror-symmetric.  An independent
-enumeration over affine permutations, filtered by the word-level FC test,
+walk over affine permutations, FC by 321-avoidance rather than by the heap,
 provides per-length counts to check against.  Both enumerations stop with
 RuntimeError past `element_cap()` elements.
 """
@@ -45,7 +45,7 @@ from typing import Iterator, NamedTuple
 
 from .config import GroupConfig, InvariantError
 from .diagrams import AffineDiagram, identity, is_mirror_symmetric, times_generator
-from .words import AffinePermutation, Word, heap_is_fc
+from .words import AffinePermutation, Word
 
 DEFAULT_CAP = 10**7
 CAP_ENV_VAR = "AFFTL_MAX_ELEMENTS"
@@ -150,38 +150,23 @@ def enumerate_elements(cfg: GroupConfig, max_len: int) -> Iterator[EnumerationRe
 
 
 def oracle_counts(cfg: GroupConfig, max_len: int) -> dict[int, int]:
-    """Per-length counts via affine permutations filtered by the word-level
-    FC test; fully independent of the diagram engine."""
-    n = cfg.n
+    """Per-length counts via affine permutations, FC by 321-avoidance (Green
+    2002); independent of the diagram engine and of the heap.  Level ln is
+    the set of p s with p on level ln - 1, s an ascent of p and p s still
+    FC (`AffinePermutation.stays_fc`); each has length ln, so no earlier
+    level needs keeping."""
     limit = element_cap()
     counts = {0: 1}
-    seen = {AffinePermutation.identity(n).window}
-    rejected: set[tuple[int, ...]] = set()
-    frontier: list[tuple[AffinePermutation, Word]] = [
-        (AffinePermutation.identity(n), ())
-    ]
-    total = 1
+    level, total = {AffinePermutation.identity(cfg.n)}, 1
     for ln in range(1, max_len + 1):
-        nxt = []
-        for p, w in frontier:
+        nxt: set[AffinePermutation] = set()
+        for p in level:
             for s in cfg.generators():
-                # p has length ln - 1, so p s has length ln when p ascends at s
-                if not p.ascends(s):
-                    continue
-                p2 = p.times_generator(s)
-                if p2.window in seen or p2.window in rejected:
-                    continue
-                w2 = w + (s,)
-                if not heap_is_fc(cfg, w2):
-                    rejected.add(p2.window)
-                    continue
-                seen.add(p2.window)
-                total += 1
-                if total > limit:
-                    raise RuntimeError(
-                        f"enumeration exceeded the cap of {limit} elements"
-                    )
-                counts[ln] = counts.get(ln, 0) + 1
-                nxt.append((p2, w2))
-        frontier = nxt
+                if p.ascends(s) and p.stays_fc(s):
+                    nxt.add(p.times_generator(s))
+                    if total + len(nxt) > limit:
+                        raise RuntimeError(f"enumeration exceeded the cap of {limit} elements")
+        if nxt:
+            counts[ln] = len(nxt)
+        level, total = nxt, total + len(nxt)
     return counts

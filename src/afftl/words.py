@@ -23,7 +23,9 @@ letter's last occurrence, so deciding an extension is one comparison.
 The module also hosts an affine-permutation model of the group (window
 notation), used throughout as an independent oracle for lengths, element
 identity and involution tests; a word is reduced when each letter ascends
-(`reduced_perm`).  Its windows are built only here, from the identity, so
+(`reduced_perm`), and an element is FC when its permutation avoids 321,
+which `AffinePermutation.stays_fc` decides one ascent at a time off the
+window.  Its windows are built only here, from the identity, so
 `AffinePermutation` is a NamedTuple whose constructor checks nothing.
 `perm_of` follows `config`'s caching policy, so words in record order
 cost one generator step each.
@@ -342,6 +344,21 @@ class AffinePermutation(NamedTuple):
     def ascends(self, i: int) -> bool:
         """Whether l(self * s_i) = l(self) + 1 (Bjorner-Brenti 8.3)."""
         return self.image(i) < self.image(i + 1)
+
+    def stays_fc(self, s: int) -> bool:
+        """Whether p s_s avoids 321, for p = self avoiding 321 and ascending at s.
+
+        An affine permutation is FC exactly when no i < j < k have
+        p(i) > p(j) > p(k) (Green 2002).  Right multiplication by s_s swaps
+        the values at s + kn and s + 1 + kn, so a triple holding no such pair
+        keeps its order and was a 321 of p already; a new one is
+        (i, s, s + 1) with p(i) > p(s + 1), or (s, s + 1, i + n) with
+        p(i) + n < p(s).  By periodicity i ranges over s - n .. s - 1, where
+        the classes of s and s + 1 never qualify: the n - 2 other classes,
+        each at its lift just left of s, must lie strictly between the bounds.
+        """
+        lo, hi = self.image(s) - self.n, self.image(s + 1)
+        return all(lo < self.image(i) < hi for i in range(s + 2 - self.n, s))
 
     def length(self) -> int:
         """Coxeter length (periodic inversion count)."""

@@ -45,7 +45,9 @@ conjugate away, off one scan per side.  `wc_counts` tallies the
 library enumeration by length, for the tests that play it against the
 permutation oracle's counts.  `perm_by_fold` multiplies a word's
 generators onto the identity one by one, where the library continues the
-cached permutation of a prefix.  `right_cell_involution_by_reduction`
+cached permutation of a prefix.  `avoids_321_bruteforce` scans a
+permutation's positions for a 321 pattern, where the oracle tests one
+ascent's new patterns off the window (`AffinePermutation.stays_fc`).  `right_cell_involution_by_reduction`
 cancels right descents and rebuilds y q y^-1 from the right decomposition
 of what is left, where the library mirrors the diagram's top row.
 `commuting_sets` lists every commuting set of the n-cycle and
@@ -623,6 +625,19 @@ def perm_by_fold(cfg, word):
     for s in check_word(cfg, word):
         p = p.times_generator(s)
     return p
+
+
+def avoids_321_bruteforce(p):
+    """Whether the affine permutation p has no positions i < j < k with
+    p(i) > p(j) > p(k), scanning every triple of positions in 1 - n .. 2n
+    whose middle lies in 1..n: a middle against the largest value before
+    it and the smallest after it.  That range finds every pattern: a shift
+    by a multiple of n puts j in 1..n, and the lifts of the classes of i
+    and k within n of j, in j - n .. j - 1 and j + 1 .. j + n, form a
+    pattern too."""
+    n = p.n
+    values = [p.image(i) for i in range(1 - n, 2 * n + 1)]  # position i at index i + n - 1
+    return not any(max(values[:j]) > values[j] > min(values[j + 1:]) for j in range(n, 2 * n))
 
 
 def commuting_sets(cfg):

@@ -1,12 +1,14 @@
 """`verify` catches faults in the generator action that the enumeration
-no longer sees.
+no longer sees, and faults in the permutation oracle's walk.
 
 The enumeration computes only actions whose product is a new basis
 diagram, so it neither rejects a loop nor deduplicates; these faults must
 show in `verify`'s other checks (crossing counts, neighbour symmetry,
-engine agreement) or stop it with exit 3.  Each case copies the package
-into a temporary directory, plants one fault by an exact text replacement
-that matches once, and runs `verify` on the copy in a subprocess.
+engine agreement) or stop it with exit 3.  A fault in the oracle's walk or
+in its 321 lemma changes the oracle's counts, so counts-vs-oracle fails.
+Each case copies the package into a temporary directory, plants one fault
+by an exact text replacement that matches once, and runs `verify` on the
+copy in a subprocess.
 """
 
 import os
@@ -23,23 +25,47 @@ from afftl.explore import enumerate_elements
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "afftl"
 
-DROPS_WINDING_LOOP = ("        loops += 1\n", "        loops += 0\n")
+# (file, old text, new text)
+DROPS_WINDING_LOOP = ("diagrams.py", "        loops += 1\n", "        loops += 0\n")
 RETURNS_D_FOR_NONE = (
+    "diagrams.py",
     "close a contractible loop\n        return None\n",
     "close a contractible loop\n        return d\n",
 )
 IGNORES_LAST_GENERATOR = (
+    "diagrams.py",
     "    return _generator_action(d, s, BOT)\n",
     "    return d if s == d.n else _generator_action(d, s, BOT)\n",
 )
+# Two mutants of the lemma change nothing, so they have no case here.
+# Widening the range by one at either end adds position s + 1 - n or s,
+# whose value lies strictly between the bounds because p ascends at s;
+# `<` -> `<=` never fires, since the bounds are values of the classes of s
+# and s + 1, which no other class takes.
+NO_LEVEL_DEDUP = (
+    "explore.py",
+    "        nxt: set[AffinePermutation] = set()\n"
+    "        for p in level:\n"
+    "            for s in cfg.generators():\n"
+    "                if p.ascends(s) and p.stays_fc(s):\n"
+    "                    nxt.add(",
+    "        nxt: list[AffinePermutation] = []\n"
+    "        for p in level:\n"
+    "            for s in cfg.generators():\n"
+    "                if p.ascends(s) and p.stays_fc(s):\n"
+    "                    nxt.append(",
+)
+OMITS_CLASS_S_MINUS_1 = ("words.py", "range(s + 2 - self.n, s))", "range(s + 2 - self.n, s - 1))")
+UPPER_BOUND_ONLY = ("words.py", "all(lo < self.image(i) < hi", "all(self.image(i) < hi")
+ORACLE_HORIZONS = [(4, 12), (5, 8), (7, 8)]
 
 
 def run_verify(tmp_path, fault, n, max_len):
     shutil.copytree(PACKAGE, tmp_path / "afftl", ignore=shutil.ignore_patterns("__pycache__"))
     if fault:
-        path = tmp_path / "afftl" / "diagrams.py"
+        name, old, new = fault
+        path = tmp_path / "afftl" / name
         text = path.read_text()
-        old, new = fault
         assert text.count(old) == 1, old
         path.write_text(text.replace(old, new))
     env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
@@ -66,6 +92,19 @@ def test_verify_catches_the_fault(tmp_path, fault, n, max_len):
     assert "Traceback" not in proc.stderr  # a failed check, not a broken copy
     fails = [line for line in proc.stdout.splitlines() if line.startswith("FAIL ")]
     assert fails or proc.returncode == 3, proc.stdout
+
+
+@pytest.mark.parametrize("fault", [
+    pytest.param(NO_LEVEL_DEDUP, id="no-level-dedup"),
+    pytest.param(OMITS_CLASS_S_MINUS_1, id="omits-class-s-1"),
+    pytest.param(UPPER_BOUND_ONLY, id="upper-bound-only"),
+])
+@pytest.mark.parametrize("n,max_len", ORACLE_HORIZONS, ids=[f"{n}-{m}" for n, m in ORACLE_HORIZONS])
+def test_verify_catches_the_oracle_fault(tmp_path, fault, n, max_len):
+    proc = run_verify(tmp_path, fault, n, max_len)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    fails = [line.split(":")[0] for line in proc.stdout.splitlines() if line.startswith("FAIL ")]
+    assert fails == ["FAIL counts-vs-oracle"], proc.stdout
 
 
 def test_counts_vs_oracle_fails_on_repeated_diagrams():

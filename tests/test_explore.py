@@ -31,11 +31,11 @@ class TestCounts:
     def test_periodic_tails(self, n, start, period, horizon):
         # FC counts per length are eventually periodic (Hanusa & Jones 2010,
         # "The enumeration of fully commutative affine permutations"), checked
-        # here at lengths the oracle enumeration cannot reach in tier-1
-        counts = wc_counts(GroupConfig(n), horizon)
-        assert set(counts) == set(range(horizon + 1))
-        for length in range(start, horizon + 1):
-            assert counts[length] == period[(length - start) % len(period)], length
+        # here on both enumerations
+        for counts in (wc_counts(GroupConfig(n), horizon), oracle_counts(GroupConfig(n), horizon)):
+            assert set(counts) == set(range(horizon + 1))
+            for length in range(start, horizon + 1):
+                assert counts[length] == period[(length - start) % len(period)], length
 
     def test_each_element_once(self):
         cfg = GroupConfig(4)

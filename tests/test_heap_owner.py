@@ -5,13 +5,18 @@ arithmetic on the n-cycle, and no configuration carries an adjacency table.
 it is played against the per-descent drop and rescan it replaced.  The
 involution decomposition is played against its drop-and-rescan form, and
 `reduced_perm` against the Coxeter length.  The heap commands take memory
-and time bounded by the word, not by n, and neither the permutation
-oracle's FC test nor the rewrite engine builds the heap order.
+and time bounded by the word, not by n.  Neither the permutation oracle
+nor the rewrite engine builds the heap order, and the oracle calls nothing
+outside the permutation model: it shares no FC test with the enumeration
+it checks.
 """
 
 import ast
 import hashlib
+import inspect
+import os
 import random
+import sys
 import time
 import tracemalloc
 from itertools import product
@@ -32,9 +37,10 @@ from afftl.algebra import _rewrite_mul_cached, rewrite_eval
 from afftl.cells import involution_decompose, labels
 from afftl.config import GroupConfig
 from afftl.diagrams import multiply
-from afftl.explore import enumerate_elements, oracle_counts
+from afftl.explore import element_cap, enumerate_elements, oracle_counts
 from afftl.straightening import stack
 from afftl.words import (
+    AffinePermutation,
     absorbers,
     check_word,
     left_decomposition,
@@ -147,9 +153,50 @@ def test_heap_scans_at_large_n_are_fast():
 REWRITE_PAIRS_N5_L3 = "5784ee626803f5a6d98dbc340fe0f19ca0de82f608cf85b5c1e79d51855d681f"
 
 
+def _codes(*functions):
+    """The code objects of the functions and of what they nest, such as a
+    generator expression."""
+    out, todo = set(), [f.__code__ for f in functions]
+    while todo:
+        code = todo.pop()
+        out.add(code)
+        todo += [c for c in code.co_consts if inspect.iscode(c)]
+    return out
+
+
+def _methods(cls):
+    return [f for f in (getattr(v, "__func__", v) for v in vars(cls).values()) if inspect.isfunction(f)]
+
+
+def _afftl_calls(run):
+    """The afftl code objects that run() calls, recorded by sys.setprofile;
+    frames outside the package, such as os.environ's inside element_cap,
+    are ignored."""
+    package = os.path.dirname(afftl.__file__)
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and os.path.dirname(frame.f_code.co_filename) == package:
+            called.add(frame.f_code)
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(old)
+    return called
+
+
 def test_engines_do_not_read_the_heap_order(monkeypatch):
-    # the permutation oracle's FC test and the rewrite engine each make
-    # their own pass over the word; only heap_width builds the order
+    # the permutation oracle decides FC off the window and the rewrite
+    # engine makes its own pass over the word; only heap_width builds the
+    # order, and the oracle calls no word code at all
+    called = _afftl_calls(lambda: oracle_counts(GroupConfig(6), 10))
+    allowed = _codes(oracle_counts, element_cap, *_methods(GroupConfig), *_methods(AffinePermutation))
+    assert sorted(code.co_name for code in called - allowed) == []
+    assert {oracle_counts.__code__, AffinePermutation.stays_fc.__code__} <= called
+
     def forbidden(cfg, word):
         raise AssertionError("_heap_reach called")
 

@@ -34,6 +34,7 @@ UNREACHED = {
     "words.commutation_class": TRACER,
     "words.greedy_back": TRACER,
     "words.greedy_front": TRACER,
+    "words.heap_is_fc": TRACER,
     "words.is_fc_reduced": "reached only through words.braid_witness",
     "cells.right_cell_involution": API,
     "diagrams.top_involution": "reached only through cells.right_cell_involution",
