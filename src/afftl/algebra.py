@@ -21,7 +21,7 @@ from .config import CACHE_SIZE, GroupConfig, InvariantError, json_int, json_list
 from .diagrams import AffineDiagram, canonical_key, identity, multiply
 from .laurent import ONE, ZERO, LaurentPoly, delta_power, norm1, pack, product_bits, unpack
 from .straightening import stack, straighten
-from .words import Word, _braid_split, absorbers, check_word
+from .words import Word, _braid_split, check_word, descends
 
 
 class AlgebraElement:
@@ -194,7 +194,7 @@ def rewrite_mul(cfg: GroupConfig, word, s: int) -> tuple[int, Word]:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _rewrite_mul_cached(cfg: GroupConfig, word: Word, s: int) -> tuple[int, Word]:
-    if s in absorbers(cfg, word, False):
+    if descends(cfg, word, s, False):
         # s is a right descent: the square relation contributes one delta
         return 1, word
     wit = _braid_split(cfg, word, s)

@@ -352,9 +352,11 @@ def innermost_cover(d: AffineDiagram, side: str, k: int) -> tuple[int, int] | No
 
 def descent_arcs(d: AffineDiagram, side: str) -> frozenset[int]:
     """Classes i whose nodes i, i+1 on the given row are joined by a
-    minimal arc; for a stacked word diagram this is the descent set."""
-    row = d.top if side == TOP else d.bottom
-    return frozenset(i for i, e in enumerate(row, 1) if e == node(side, i + 1))
+    minimal arc; for a stacked word diagram this is the descent set.
+    `node`'s encoding, 2 * pos + bit, is inlined."""
+    bit = side == BOT
+    row = d.bottom if bit else d.top
+    return frozenset(i for i, e in enumerate(row, 1) if e == 2 * i + 2 + bit)
 
 
 def multiply(a: AffineDiagram, b: AffineDiagram) -> ProductResult:

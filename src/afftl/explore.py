@@ -153,19 +153,18 @@ def oracle_counts(cfg: GroupConfig, max_len: int) -> dict[int, int]:
     """Per-length counts via affine permutations, FC by 321-avoidance (Green
     2002); independent of the diagram engine and of the heap.  Level ln is
     the set of p s with p on level ln - 1, s an ascent of p and p s still
-    FC (`AffinePermutation.stays_fc`); each has length ln, so no earlier
-    level needs keeping."""
+    FC (`AffinePermutation.fc_ascents`, read off one extended window); each
+    has length ln, so no earlier level needs keeping."""
     limit = element_cap()
     counts = {0: 1}
     level, total = {AffinePermutation.identity(cfg.n)}, 1
     for ln in range(1, max_len + 1):
         nxt: set[AffinePermutation] = set()
         for p in level:
-            for s in cfg.generators():
-                if p.ascends(s) and p.stays_fc(s):
-                    nxt.add(p.times_generator(s))
-                    if total + len(nxt) > limit:
-                        raise RuntimeError(f"enumeration exceeded the cap of {limit} elements")
+            for s in p.fc_ascents():
+                nxt.add(p.times_generator(s))
+                if total + len(nxt) > limit:
+                    raise RuntimeError(f"enumeration exceeded the cap of {limit} elements")
         if nxt:
             counts[ln] = len(nxt)
         level, total = nxt, total + len(nxt)

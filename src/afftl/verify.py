@@ -131,28 +131,41 @@ def check_engine_agreement(cfg: GroupConfig, recs, max_len: int = 3) -> Check:
     takes the same steps in the same order, so each result equals
     rewrite_eval(cfg, rb.word, start=ra.word).  Each distinct result is
     stacked once.
+
+    Each record's prefix position and last letter are found once, before
+    the rows, and a row's results are a list indexed like the records.
     """
     recs = [rec for rec in recs if rec.length <= max_len]
+    # per record: its diagram, the position of word[:-1] (-1 for the empty
+    # word; a KeyError when it is no earlier record) and the last letter
+    index, column = {}, []
+    for j, rec in enumerate(recs):
+        word = rec.word
+        column.append((rec.diagram, index[word[:-1]], word[-1]) if word else (rec.diagram, -1, 0))
+        index[word] = j
+    multiply, step, stack = diagrams.multiply, algebra._rewrite_mul_cached, straightening.stack
     pairs = 0
     stacked = {}
     for ra in recs:
-        row = {(): algebra.rewrite_eval(cfg, (), start=ra.word)}
-        for rb in recs:
-            word = rb.word
-            if word not in row:
-                exp_r, cur = row[word[:-1]]
-                step, cur = algebra._rewrite_mul_cached(cfg, cur, word[-1])
-                row[word] = exp_r + step, cur
-            exp_r, word_r = row[word]
-            if word_r not in stacked:
-                stacked[word_r] = straightening.stack(cfg, word_r).diagram
-            prod = diagrams.multiply(ra.diagram, rb.diagram)
-            same_elt = stacked[word_r] == prod.diagram
-            if not (same_elt and exp_r == prod.contractible):
+        start, da = algebra.rewrite_eval(cfg, (), start=ra.word), ra.diagram
+        res = []
+        for j, (db, p, s) in enumerate(column):
+            if p < 0:
+                exp_r, word_r = start
+            else:
+                exp_r, word_r = res[p]
+                e, word_r = step(cfg, word_r, s)
+                exp_r += e
+            res.append((exp_r, word_r))
+            d = stacked.get(word_r)
+            if d is None:
+                d = stacked[word_r] = stack(cfg, word_r).diagram
+            prod = multiply(da, db)
+            if not (d == prod.diagram and exp_r == prod.contractible):
                 return (
                     "engine-agreement",
                     False,
-                    f"pair {ra.word} x {rb.word}",
+                    f"pair {ra.word} x {recs[j].word}",
                 )
             pairs += 1
     return ("engine-agreement", True, f"{pairs} basis pairs")

@@ -11,9 +11,10 @@ layers keyed by letter, so every heap question but the width (`heap_width`,
 on reachability bitmasks over positions) is one pass over the word, in time
 independent of n.  A letter is a left (right) descent, a minimal (maximal)
 element, when no neighbour occurs before its first (after its last)
-occurrence; removing the first s, a left descent, makes a neighbour t a
-left descent exactly when the first t has one lower neighbour occurrence,
-the first s (`absorbers`).  Between consecutive occurrences of a letter in
+occurrence (`descends`, for one letter); removing the first s, a left
+descent, makes a neighbour t a left descent exactly when the first t has
+one lower neighbour occurrence, the first s (`absorbers`, for every
+letter in one scan).  Between consecutive occurrences of a letter in
 a reduced FC word lie at least two neighbour occurrences (`heap_is_fc`),
 which also locates the obstruction that appending a letter can produce
 (`_braid_split`).  `explore` applies the criterion incrementally: each
@@ -24,8 +25,8 @@ The module also hosts an affine-permutation model of the group (window
 notation), used throughout as an independent oracle for lengths, element
 identity and involution tests; a word is reduced when each letter ascends
 (`reduced_perm`), and an element is FC when its permutation avoids 321,
-which `AffinePermutation.stays_fc` decides one ascent at a time off the
-window.  Its windows are built only here, from the identity, so
+which `AffinePermutation.fc_ascents` decides for every ascent at once off
+one extended window.  Its windows are built only here, from the identity, so
 `AffinePermutation` is a NamedTuple whose constructor checks nothing.
 `perm_of` follows `config`'s caching policy, so words in record order
 cost one generator step each.
@@ -75,6 +76,19 @@ def absorbers(cfg: GroupConfig, word: Word, left: bool) -> dict[int, int]:
     return dict(sorted(found.items()))
 
 
+def descends(cfg: GroupConfig, word: Word, s: int, left: bool) -> bool:
+    """Whether s is a left (right) descent of the word: s occurs and no
+    neighbour of s occurs before its first (after its last) occurrence,
+    the test `absorbers` makes for every letter at once.  The letters are
+    not checked."""
+    scan = word if left else word[::-1]
+    if s not in scan:
+        return False
+    head = scan[:scan.index(s)]
+    n = cfg.n
+    return (s - 1 or n) not in head and s % n + 1 not in head
+
+
 def drop_letter(word: Word, s: int, left: bool) -> Word:
     """The word without the first (left) or last occurrence of s."""
     if left:
@@ -95,7 +109,7 @@ def greedy_front(cfg: GroupConfig, word, s: int) -> Word | None:
     """
     cfg.check_generator(s)
     word = check_word(cfg, word)
-    if s in absorbers(cfg, word, True):
+    if descends(cfg, word, s, True):
         return (s,) + drop_letter(word, s, True)
     return None
 
@@ -104,7 +118,7 @@ def greedy_back(cfg: GroupConfig, word, s: int) -> Word | None:
     """Mirror of greedy_front: a word for the same element ending with s."""
     cfg.check_generator(s)
     word = check_word(cfg, word)
-    if s in absorbers(cfg, word, False):
+    if descends(cfg, word, s, False):
         return drop_letter(word, s, False) + (s,)
     return None
 
@@ -249,7 +263,7 @@ def braid_witness(cfg: GroupConfig, word, t: int) -> BraidWitness:
     cfg.check_generator(t)
     if not is_fc_reduced(cfg, word):
         raise ValueError("word must be a reduced word of a fully commutative element")
-    if t in absorbers(cfg, word, False):
+    if descends(cfg, word, t, False):
         raise ValueError("the letter is a right descent: appending it shortens the element")
     wit = _braid_split(cfg, word, t)
     if wit is None:
@@ -345,8 +359,9 @@ class AffinePermutation(NamedTuple):
         """Whether l(self * s_i) = l(self) + 1 (Bjorner-Brenti 8.3)."""
         return self.image(i) < self.image(i + 1)
 
-    def stays_fc(self, s: int) -> bool:
-        """Whether p s_s avoids 321, for p = self avoiding 321 and ascending at s.
+    def fc_ascents(self) -> list[int]:
+        """The ascents s of p = self, ascending, at which p s_s still avoids
+        321, for p avoiding 321.
 
         An affine permutation is FC exactly when no i < j < k have
         p(i) > p(j) > p(k) (Green 2002).  Right multiplication by s_s swaps
@@ -356,9 +371,19 @@ class AffinePermutation(NamedTuple):
         p(i) + n < p(s).  By periodicity i ranges over s - n .. s - 1, where
         the classes of s and s + 1 never qualify: the n - 2 other classes,
         each at its lift just left of s, must lie strictly between the bounds.
+        `ext` holds the images of 1 - n .. 2n, so p(i) is ext[i + n - 1] and
+        those n - 2 values are one slice, never empty since n >= 3.
         """
-        lo, hi = self.image(s) - self.n, self.image(s + 1)
-        return all(lo < self.image(i) < hi for i in range(s + 2 - self.n, s))
+        n, w = self.n, self.window
+        ext = [v - n for v in w] + list(w) + [v + n for v in w]
+        out = []
+        for s in range(1, n + 1):
+            lo, hi = ext[s + n - 1], ext[s + n]
+            if lo < hi:
+                mid = ext[s + 1:s + n - 1]
+                if lo - n < min(mid) and max(mid) < hi:
+                    out.append(s)
+        return out
 
     def length(self) -> int:
         """Coxeter length (periodic inversion count)."""

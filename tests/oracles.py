@@ -46,8 +46,9 @@ library enumeration by length, for the tests that play it against the
 permutation oracle's counts.  `perm_by_fold` multiplies a word's
 generators onto the identity one by one, where the library continues the
 cached permutation of a prefix.  `avoids_321_bruteforce` scans a
-permutation's positions for a 321 pattern, where the oracle tests one
-ascent's new patterns off the window (`AffinePermutation.stays_fc`).  `right_cell_involution_by_reduction`
+permutation's positions for a 321 pattern, where the oracle tests every
+ascent's new patterns off one extended window
+(`AffinePermutation.fc_ascents`).  `right_cell_involution_by_reduction`
 cancels right descents and rebuilds y q y^-1 from the right decomposition
 of what is left, where the library mirrors the diagram's top row.
 `commuting_sets` lists every commuting set of the n-cycle and

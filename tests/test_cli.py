@@ -438,20 +438,14 @@ class TestVerify:
         # a generator action that keeps the diagram where it closes a
         # contractible loop makes E_1 E_1 E_1 look like E_1, so (1,)
         # reaches (), which reaches nothing
-        def clear_caches():
-            for info in pkgutil.iter_modules(afftl.__path__):
-                for obj in vars(importlib.import_module(f"afftl.{info.name}")).values():
-                    if callable(getattr(obj, "cache_clear", None)):
-                        obj.cache_clear()
-
         real = diagrams._generator_action
         with monkeypatch.context() as m:
             m.setattr(diagrams, "_generator_action", lambda d, s, side: real(d, s, side) or d)
-            clear_caches()
+            _clear_caches()
             try:
                 code, out, _ = run_cli(capsys, "verify", "--n", str(n), "--max-len", "8")
             finally:
-                clear_caches()
+                _clear_caches()
         assert code == 1
         assert out.splitlines()[10] == "FAIL neighbour-symmetry: (1,) -> () not symmetric"
 
@@ -514,6 +508,55 @@ class TestVerify:
             assert verify.check_engine_agreement(cfg, recs, 3) == (
                 "engine-agreement", False, "pair () x (1,)"
             )
+
+    def test_engine_agreement_multiplies_each_pair_once(self, monkeypatch):
+        # with every cache cold, one diagram product per counted pair and
+        # one stack per distinct rewrite result: a refactor that adds
+        # products or stacks shows here
+        from afftl.explore import enumerate_elements
+
+        cfg = GroupConfig(5)
+        recs = list(enumerate_elements(cfg, 3))
+        expected = {algebra.rewrite_eval(cfg, b.word, start=a.word)[1] for a in recs for b in recs}
+        real_mul, real_stack = diagrams.multiply, straightening.stack
+        multiplied, stacked = [], []
+
+        def spy_mul(a, b):
+            multiplied.append((a, b))
+            return real_mul(a, b)
+
+        def spy_stack(cfg, word):
+            stacked.append(word)
+            return real_stack(cfg, word)
+
+        monkeypatch.setattr(diagrams, "multiply", spy_mul)
+        monkeypatch.setattr(straightening, "stack", spy_stack)
+        _clear_caches()
+        got = verify.check_engine_agreement(cfg, recs, 3)
+        assert got == ("engine-agreement", True, f"{len(recs) ** 2} basis pairs")
+        assert multiplied == [(a.diagram, b.diagram) for a in recs for b in recs]
+        assert len(stacked) == len(set(stacked)) and set(stacked) == expected
+
+    def test_a_missing_prefix_fails_engine_agreement(self, monkeypatch):
+        # every record's prefix must be an earlier record; without (1,),
+        # the first word that extends it has none
+        from afftl import explore
+
+        real = explore.enumerate_elements
+
+        def without_1(cfg, max_len):
+            return (rec for rec in real(cfg, max_len) if rec.word != (1,))
+
+        monkeypatch.setattr(explore, "enumerate_elements", without_1)
+        results = {name: (ok, detail) for name, ok, detail in verify.run_all(4, 3, 0)}
+        assert results["engine-agreement"] == (False, "KeyError: (1,)")
+
+
+def _clear_caches():
+    for info in pkgutil.iter_modules(afftl.__path__):
+        for obj in vars(importlib.import_module(f"afftl.{info.name}")).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
 
 
 def _miscounting(real):

@@ -1,4 +1,5 @@
-"""Golden stdout for the CLI commands the benchmark digests do not cover.
+"""Golden stdout for the CLI commands the benchmark digests do not cover,
+and for verify, whose benchmark digest tier-1 would otherwise not see.
 
 Records are NamedTuples, and `json.dumps` turns a tuple into a list
 without complaint, so a record that leaks into the output unconverted
@@ -50,6 +51,22 @@ LABELLED = [
 ]
 
 
+# verify's PASS lines, detail texts included: the benchmark's horizon
+# (7 / 8, seed 0), horizons where every check sees a different share of
+# the elements, and n = 8, L <= 2, whose neighbour-symmetry line reads
+# "29 of 47 cores".
+VERIFY = [
+    (["verify", "--n", "4", "--max-len", "12"],
+     "8190f5a8e5d8c87aaf72c63c40581df178db5d1f4f934515e8af2346d81d0777"),
+    (["verify", "--n", "5", "--max-len", "8"],
+     "3056b03cdabda521ac73c9eb846f6474fe62810eecf19ab75ccd46425d31bc3e"),
+    (["verify", "--n", "8", "--max-len", "2"],
+     "8942a39b516d1c3b54269ab7ec1d40805d1f864314c9aeb7ac8a1ae1ef2e00bc"),
+    (["verify", "--n", "7", "--max-len", "8", "--seed", "0"],
+     "3c3b2e9a5a99b25f309ddaa18f28986cdd781377470d5488f141400529d9e708"),
+]
+
+
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a[:2]) for a, _ in GOLDEN])
 def test_stdout_digest(capsys, argv, digest):
     check_digest(capsys, argv, digest)
@@ -57,6 +74,11 @@ def test_stdout_digest(capsys, argv, digest):
 
 @pytest.mark.parametrize("argv,digest", LABELLED, ids=[" ".join(a) for a, _ in LABELLED])
 def test_labelled_stdout_digest(capsys, argv, digest):
+    check_digest(capsys, argv, digest)
+
+
+@pytest.mark.parametrize("argv,digest", VERIFY, ids=[" ".join(a) for a, _ in VERIFY])
+def test_verify_stdout_digest(capsys, argv, digest):
     check_digest(capsys, argv, digest)
 
 

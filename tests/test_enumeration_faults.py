@@ -1,11 +1,13 @@
 """`verify` catches faults in the generator action that the enumeration
-no longer sees, and faults in the permutation oracle's walk.
+no longer sees, faults in the permutation oracle's walk, and a fault in
+the rewrite engine's descent test.
 
 The enumeration computes only actions whose product is a new basis
 diagram, so it neither rejects a loop nor deduplicates; these faults must
 show in `verify`'s other checks (crossing counts, neighbour symmetry,
 engine agreement) or stop it with exit 3.  A fault in the oracle's walk or
-in its 321 lemma changes the oracle's counts, so counts-vs-oracle fails.
+in its 321 lemma changes the oracle's counts, so counts-vs-oracle fails;
+one in the rewrite engine's descent test fails engine-agreement.
 Each case copies the package into a temporary directory, plants one fault
 by an exact text replacement that matches once, and runs `verify` on the
 copy in a subprocess.
@@ -38,7 +40,7 @@ IGNORES_LAST_GENERATOR = (
     "    return d if s == d.n else _generator_action(d, s, BOT)\n",
 )
 # Two mutants of the lemma change nothing, so they have no case here.
-# Widening the range by one at either end adds position s + 1 - n or s,
+# Widening the slice by one at either end adds position s + 1 - n or s,
 # whose value lies strictly between the bounds because p ascends at s;
 # `<` -> `<=` never fires, since the bounds are values of the classes of s
 # and s + 1, which no other class takes.
@@ -46,17 +48,23 @@ NO_LEVEL_DEDUP = (
     "explore.py",
     "        nxt: set[AffinePermutation] = set()\n"
     "        for p in level:\n"
-    "            for s in cfg.generators():\n"
-    "                if p.ascends(s) and p.stays_fc(s):\n"
-    "                    nxt.add(",
+    "            for s in p.fc_ascents():\n"
+    "                nxt.add(",
     "        nxt: list[AffinePermutation] = []\n"
     "        for p in level:\n"
-    "            for s in cfg.generators():\n"
-    "                if p.ascends(s) and p.stays_fc(s):\n"
-    "                    nxt.append(",
+    "            for s in p.fc_ascents():\n"
+    "                nxt.append(",
 )
-OMITS_CLASS_S_MINUS_1 = ("words.py", "range(s + 2 - self.n, s))", "range(s + 2 - self.n, s - 1))")
-UPPER_BOUND_ONLY = ("words.py", "all(lo < self.image(i) < hi", "all(self.image(i) < hi")
+OMITS_CLASS_S_MINUS_1 = ("words.py", "mid = ext[s + 1:s + n - 1]", "mid = ext[s + 1:s + n - 2]")
+UPPER_BOUND_ONLY = ("words.py", "if lo - n < min(mid) and max(mid) < hi:", "if max(mid) < hi:")
+# The one-letter descent test without its neighbour test: any occurrence
+# of s counts as a descent, so the rewrite engine squares where it should
+# append or collapse.
+ANY_OCCURRENCE_DESCENDS = (
+    "words.py",
+    "    return (s - 1 or n) not in head and s % n + 1 not in head\n",
+    "    return True\n",
+)
 ORACLE_HORIZONS = [(4, 12), (5, 8), (7, 8)]
 
 
@@ -105,6 +113,14 @@ def test_verify_catches_the_oracle_fault(tmp_path, fault, n, max_len):
     assert (proc.returncode, proc.stderr) == (1, "")
     fails = [line.split(":")[0] for line in proc.stdout.splitlines() if line.startswith("FAIL ")]
     assert fails == ["FAIL counts-vs-oracle"], proc.stdout
+
+
+@pytest.mark.parametrize("n,max_len", ORACLE_HORIZONS, ids=[f"{n}-{m}" for n, m in ORACLE_HORIZONS])
+def test_verify_catches_the_descent_fault(tmp_path, n, max_len):
+    proc = run_verify(tmp_path, ANY_OCCURRENCE_DESCENDS, n, max_len)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    fails = [line for line in proc.stdout.splitlines() if line.startswith("FAIL ")]
+    assert fails == ["FAIL engine-agreement: pair (1,) x (2, 1)"], proc.stdout
 
 
 def test_counts_vs_oracle_fails_on_repeated_diagrams():

@@ -2,8 +2,9 @@
 arithmetic on the n-cycle, and no configuration carries an adjacency table.
 
 `absorbers` answers every cancellation question of one side in one scan;
-it is played against the per-descent drop and rescan it replaced.  The
-involution decomposition is played against its drop-and-rescan form, and
+it is played against the per-descent drop and rescan it replaced, and
+`descends`, the one-letter test, against it.  The involution
+decomposition is played against its drop-and-rescan form, and
 `reduced_perm` against the Coxeter length.  The heap commands take memory
 and time bounded by the word, not by n.  Neither the permutation oracle
 nor the rewrite engine builds the heap order, and the oracle calls nothing
@@ -43,6 +44,7 @@ from afftl.words import (
     AffinePermutation,
     absorbers,
     check_word,
+    descends,
     left_decomposition,
     left_descents,
     perm_of,
@@ -71,6 +73,18 @@ def test_absorbers_match_rescan(case):
         found = absorbers(cfg, word, left)
         assert list(found) == descents
         assert found == {s: absorber_by_rescan(cfg, word, s, left) for s in descents}
+
+
+@PROPERTY
+@given(words())
+def test_descends_is_membership_in_absorbers(case):
+    # the rewrite engine and the greedy moves ask about one letter; the
+    # answer must be the one the full descent scan gives
+    n, word = case
+    cfg = GroupConfig(n)
+    for left in (True, False):
+        found = absorbers(cfg, word, left)
+        assert [s for s in cfg.generators() if descends(cfg, word, s, left)] == list(found)
 
 
 @pytest.mark.parametrize("n,max_len", [(3, 10), (4, 10), (5, 9), (6, 8), (7, 8), (8, 8)])
@@ -195,7 +209,7 @@ def test_engines_do_not_read_the_heap_order(monkeypatch):
     called = _afftl_calls(lambda: oracle_counts(GroupConfig(6), 10))
     allowed = _codes(oracle_counts, element_cap, *_methods(GroupConfig), *_methods(AffinePermutation))
     assert sorted(code.co_name for code in called - allowed) == []
-    assert {oracle_counts.__code__, AffinePermutation.stays_fc.__code__} <= called
+    assert {oracle_counts.__code__, AffinePermutation.fc_ascents.__code__} <= called
 
     def forbidden(cfg, word):
         raise AssertionError("_heap_reach called")

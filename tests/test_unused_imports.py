@@ -46,3 +46,12 @@ def test_guard_sees_each_unused_import(tmp_path):
         encoding="utf-8",
     )
     assert list(_unused(probe)) == ["probe.py:2 imports os", "probe.py:4 imports drop_letter"]
+
+
+def test_the_rewrite_engine_builds_no_descent_table():
+    # `_rewrite_mul_cached` asks about one letter (`words.descends`); the
+    # full scan `absorbers` serves the cell code alone
+    tree = ast.parse((SRC / "algebra.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "descends" in imported and "absorbers" not in imported
