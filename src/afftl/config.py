@@ -68,9 +68,6 @@ class GroupConfig(NamedTuple("GroupConfig", [("n", int)])):
         self.check_generator(j)
         return (i - j) % self.n in (1, self.n - 1)
 
-    def commutes(self, i: int, j: int) -> bool:
-        return i == j or not self.adjacent(i, j)
-
     def neighbours_of(self, i: int) -> tuple[int, int]:
         """The two generators not commuting with s_i, sorted."""
         self.check_generator(i)

@@ -556,17 +556,10 @@ def from_json_dict(obj: dict) -> AffineDiagram:
     return d
 
 
-def mirror(d: AffineDiagram) -> AffineDiagram:
-    """Swap the two rows: the anti-automorphism reversing words, so the
-    mirror of the diagram of w is the diagram of w^-1."""
-    return AffineDiagram(
-        d.n, tuple(e ^ 1 for e in d.bottom), tuple(e ^ 1 for e in d.top), d.loops
-    )
-
-
 def is_mirror_symmetric(d: AffineDiagram) -> bool:
-    """mirror(d) == d: the bottom row is the top row with each entry's
-    row bit flipped."""
+    """Whether swapping the two rows, the anti-automorphism that maps the
+    diagram of w to that of w^-1, leaves d unchanged: the bottom row is the
+    top row with each entry's row bit flipped."""
     return d.bottom == tuple([t ^ 1 for t in d.top])
 
 

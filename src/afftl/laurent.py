@@ -46,9 +46,6 @@ class LaurentPoly(NamedTuple):
     def as_dict(self) -> dict[int, int]:
         return dict(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -149,7 +146,6 @@ def _coerce(x) -> LaurentPoly:
 ZERO = LaurentPoly()
 ONE = LaurentPoly(((0, 1),))
 V = LaurentPoly(((1, 1),))
-V_INV = LaurentPoly(((-1, 1),))
 DELTA = LaurentPoly(((-1, 1), (1, 1)))
 
 

@@ -22,12 +22,13 @@ frontier word carries, per letter, the neighbour occurrences since that
 letter's last occurrence, so deciding an extension is one comparison.
 
 The module also hosts an affine-permutation model of the group (window
-notation), used throughout as an independent oracle for lengths, element
-identity and involution tests; a word is reduced when each letter ascends
-(`reduced_perm`), and an element is FC when its permutation avoids 321,
-which `AffinePermutation.fc_ascents` decides for every ascent at once off
-one extended window.  Its windows are built only here, from the identity, so
-`AffinePermutation` is a NamedTuple whose constructor checks nothing.
+notation), used throughout as an independent oracle for reducedness,
+element identity, involution tests and full commutativity: a word is
+reduced when each letter ascends (`reduced_perm`), and an element is FC
+when its permutation avoids 321, which `AffinePermutation.fc_ascents`
+decides for every ascent at once off one extended window.  Its windows
+are built only here, from the identity, so `AffinePermutation` is a
+NamedTuple whose constructor checks nothing.
 `perm_of` follows `config`'s caching policy, so words in record order
 cost one generator step each.
 
@@ -347,14 +348,6 @@ class AffinePermutation(NamedTuple):
             win.append(self.window[c - 1] + (q - c))
         return AffinePermutation(self.n, tuple(win))
 
-    def inverse(self) -> AffinePermutation:
-        out = [0] * self.n
-        for i in range(1, self.n + 1):
-            v = self.window[i - 1]
-            c = (v - 1) % self.n + 1
-            out[c - 1] = i - (v - c)
-        return AffinePermutation(self.n, tuple(out))
-
     def ascends(self, i: int) -> bool:
         """Whether l(self * s_i) = l(self) + 1 (Bjorner-Brenti 8.3)."""
         return self.image(i) < self.image(i + 1)
@@ -384,16 +377,6 @@ class AffinePermutation(NamedTuple):
                 if lo - n < min(mid) and max(mid) < hi:
                     out.append(s)
         return out
-
-    def length(self) -> int:
-        """Coxeter length (periodic inversion count)."""
-        w = self.window
-        n = self.n
-        total = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                total += abs((w[j] - w[i]) // n)
-        return total
 
     def is_involution(self) -> bool:
         return self.compose(self).is_identity()

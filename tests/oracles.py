@@ -6,8 +6,11 @@ the coordinate magnitudes; the library decides planarity in one linear
 sweep, naming one crossing pair, and finds covering arcs by walking the
 window.
 `window` builds a diagram from window rows written as (side, pos) pairs,
-so no test depends on how `afftl.diagrams` encodes an entry.  The word oracles test adjacency through the validating
-`GroupConfig.adjacent` where the library uses arithmetic on the cycle;
+so no test depends on how `afftl.diagrams` encodes an entry, and `mirror`
+swaps a diagram's rows, where the library's involution flag compares
+them.  The word oracles test adjacency through the validating
+`GroupConfig.adjacent` (and `commutes`, its negation for distinct
+letters) where the library uses arithmetic on the cycle;
 `multiply_by_partner` traces strands through `partner`/`class_of` where
 the library indexes the windows; `straight_diagram_checked` builds the diagram and then checks it
 is an involution, where the library checks the generator set; and
@@ -45,8 +48,10 @@ conjugate away, off one scan per side.  `wc_counts` tallies the
 library enumeration by length, for the tests that play it against the
 permutation oracle's counts.  `perm_by_fold` multiplies a word's
 generators onto the identity one by one, where the library continues the
-cached permutation of a prefix.  `avoids_321_bruteforce` scans a
-permutation's positions for a 321 pattern, where the oracle tests every
+cached permutation of a prefix; `perm_inverse` and `perm_length` (the
+periodic inversion count, O(n^2)) read a permutation's window, for the
+tests that check the oracle's group operations.  `avoids_321_bruteforce`
+scans a permutation's positions for a 321 pattern, where the oracle tests every
 ascent's new patterns off one extended window
 (`AffinePermutation.fc_ascents`).  `right_cell_involution_by_reduction`
 cancels right descents and rebuilds y q y^-1 from the right decomposition
@@ -78,7 +83,6 @@ from afftl.diagrams import (
     generator_times,
     identity,
     length,
-    mirror,
     multiply,
     node,
     partner,
@@ -105,6 +109,14 @@ def window(n, top, bottom, loops=0):
     pair, as a test writes it by hand."""
     return AffineDiagram(
         n, tuple(node(*e) for e in top), tuple(node(*e) for e in bottom), loops
+    )
+
+
+def mirror(d: AffineDiagram) -> AffineDiagram:
+    """Swap the two rows: the anti-automorphism reversing words, so the
+    mirror of the diagram of w is the diagram of w^-1."""
+    return AffineDiagram(
+        d.n, tuple(e ^ 1 for e in d.bottom), tuple(e ^ 1 for e in d.top), d.loops
     )
 
 
@@ -171,6 +183,10 @@ def innermost_cover_bruteforce(n: int, arcs, k: int) -> tuple[int, int] | None:
                 if best is None or lo > best[0]:
                     best = (lo, hi)
     return best
+
+
+def commutes(cfg, i, j):
+    return i == j or not cfg.adjacent(i, j)
 
 
 def greedy_front_adjacent(cfg, word, s):
@@ -419,7 +435,7 @@ def braid_witness_by_class(cfg, word, t):
     for u in sorted(commutation_class_adjacent(cfg, word)):
         for p in range(len(u) - 1):
             if u[p] == t and cfg.adjacent(t, u[p + 1]) and all(
-                cfg.commutes(t, x) for x in u[p + 2:]
+                commutes(cfg, t, x) for x in u[p + 2:]
             ):
                 return BraidWitness(u[:p], u[p + 1], u[p + 2:])
     return None
@@ -626,6 +642,27 @@ def perm_by_fold(cfg, word):
     for s in check_word(cfg, word):
         p = p.times_generator(s)
     return p
+
+
+def perm_inverse(p: AffinePermutation) -> AffinePermutation:
+    """The inverse permutation, its window read off p's."""
+    out = [0] * p.n
+    for i in range(1, p.n + 1):
+        v = p.window[i - 1]
+        c = (v - 1) % p.n + 1
+        out[c - 1] = i - (v - c)
+    return AffinePermutation(p.n, tuple(out))
+
+
+def perm_length(p: AffinePermutation) -> int:
+    """Coxeter length (periodic inversion count)."""
+    w = p.window
+    n = p.n
+    total = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            total += abs((w[j] - w[i]) // n)
+    return total
 
 
 def avoids_321_bruteforce(p):

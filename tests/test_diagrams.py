@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from conftest import random_fc_word
-from oracles import window
+from oracles import mirror, window
 
 from afftl.config import GroupConfig
 from afftl.diagrams import (
@@ -20,7 +20,6 @@ from afftl.diagrams import (
     is_admissible,
     is_mirror_symmetric,
     length,
-    mirror,
     multiply,
     node,
     node_ref,

@@ -14,11 +14,11 @@ order; the cases carry that order in their ids."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import class_has_braid, enumerate_filtered, least_word_greedy
+from oracles import class_has_braid, enumerate_filtered, least_word_greedy, mirror
 
 from afftl import explore
 from afftl.config import GroupConfig, InvariantError
-from afftl.diagrams import length, mirror
+from afftl.diagrams import length
 from afftl.explore import enumerate_elements
 from afftl.words import AffinePermutation, heap_is_fc, reduced_perm
 

@@ -7,7 +7,9 @@ diagram, so it neither rejects a loop nor deduplicates; these faults must
 show in `verify`'s other checks (crossing counts, neighbour symmetry,
 engine agreement) or stop it with exit 3.  A fault in the oracle's walk or
 in its 321 lemma changes the oracle's counts, so counts-vs-oracle fails;
-one in the rewrite engine's descent test fails engine-agreement.
+one in the rewrite engine's descent test fails engine-agreement.  One
+fault in the heap criterion, which verify no longer runs, is pinned as
+missed, with the tier-1 test that catches it named beside it.
 Each case copies the package into a temporary directory, plants one fault
 by an exact text replacement that matches once, and runs `verify` on the
 copy in a subprocess.
@@ -65,6 +67,17 @@ ANY_OCCURRENCE_DESCENDS = (
     "    return (s - 1 or n) not in head and s % n + 1 not in head\n",
     "    return True\n",
 )
+# The heap criterion with its threshold off by one: one neighbour
+# occurrence between two occurrences of a letter passes.  verify does not
+# run `heap_is_fc` (the enumeration prunes by its own counters, and the
+# oracle decides full commutativity by 321-avoidance), so this fault
+# passes every check; tier-1 catches it in
+# tests/test_enumerate_proof.py::test_counter_rule_is_the_heap_criterion.
+HEAP_THRESHOLD_OFF_BY_ONE = (
+    "words.py",
+    "        if since.get(x, 2) <= 1:\n",
+    "        if since.get(x, 2) <= 0:\n",
+)
 ORACLE_HORIZONS = [(4, 12), (5, 8), (7, 8)]
 
 
@@ -121,6 +134,15 @@ def test_verify_catches_the_descent_fault(tmp_path, n, max_len):
     assert (proc.returncode, proc.stderr) == (1, "")
     fails = [line for line in proc.stdout.splitlines() if line.startswith("FAIL ")]
     assert fails == ["FAIL engine-agreement: pair (1,) x (2, 1)"], proc.stdout
+
+
+@pytest.mark.parametrize("n,max_len", ORACLE_HORIZONS, ids=[f"{n}-{m}" for n, m in ORACLE_HORIZONS])
+def test_verify_misses_the_heap_threshold_fault(tmp_path, n, max_len):
+    # pinned as missed: a change that makes verify catch it updates this test
+    proc = run_verify(tmp_path, HEAP_THRESHOLD_OFF_BY_ONE, n, max_len)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 11 and all(line.startswith("PASS ") for line in lines), proc.stdout
 
 
 def test_counts_vs_oracle_fails_on_repeated_diagrams():

@@ -3,8 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afftl.laurent import (
-    DELTA, ONE, V, V_INV, ZERO, LaurentPoly, delta_power, norm1, pack, product_bits, unpack
+    DELTA, ONE, V, ZERO, LaurentPoly, delta_power, norm1, pack, product_bits, unpack
 )
+
+V_INV = LaurentPoly(((-1, 1),))
 
 PROPERTY = settings(max_examples=300, deadline=None, database=None)
 coeff_dicts = st.dictionaries(st.integers(-8, 8), st.integers(-4, 4), max_size=6)

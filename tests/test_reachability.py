@@ -1,13 +1,16 @@
-"""Which afftl functions no command reaches.
+"""Which afftl functions and methods no command reaches.
 
 Every subcommand and output format runs in-process at a tiny size, plus
 one domain error, under `sys.setprofile` with every cache cleared first.
-The module-level functions of the package that are never called must
-match UNREACHED exactly, each tagged with what keeps it: a name
-perfbench/tracer.py binds, a helper reached only through such a name,
-documented library API, or the console entry point.  New code that no
-command calls fails here until it gets a caller or a tag; a removal
-shrinks the table.
+The functions of the package that are never called, module-level ones and
+the methods, classmethods, staticmethods and property getters of the
+classes it defines, must match UNREACHED exactly, each tagged with what
+keeps it: a name perfbench/tracer.py binds, a helper reached only through
+such a name, documented library API, or the console entry point.  The API
+tag is checked too: README's `## Python API` example runs under the same
+recorder and must call every name so tagged.  New code that no command
+calls fails here until it gets a caller or a tag; a removal shrinks the
+table.
 """
 
 import contextlib
@@ -15,6 +18,7 @@ import importlib
 import inspect
 import io
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -24,7 +28,7 @@ from afftl.cli import _DISPATCH, main
 ROOT = Path(__file__).resolve().parents[1]
 
 TRACER = "bound by perfbench/tracer.py"
-API = "documented library API"
+API = "documented library API, called by README's Python API example"
 
 UNREACHED = {
     "algebra.rewrite_mul": TRACER,
@@ -40,8 +44,27 @@ UNREACHED = {
     "diagrams.top_involution": "reached only through cells.right_cell_involution",
     "words.left_descents": API,
     "words.right_descents": API,
-    "diagrams.mirror": API,
     "cli.run": "entry point (pyproject's console script)",
+    "laurent.LaurentPoly.__radd__": TRACER,
+    "diagrams.AffineDiagram.__post_init__": TRACER,
+    # the calculator's Python surface: elements and their coefficients
+    "algebra.AlgebraElement.zero": API,
+    "algebra.AlgebraElement.one": API,
+    "algebra.AlgebraElement.from_word": API,
+    "algebra.AlgebraElement.__eq__": API,
+    "algebra.AlgebraElement.__hash__": API,
+    "algebra.AlgebraElement.is_zero": API,
+    "algebra.AlgebraElement.__add__": API,
+    "algebra.AlgebraElement.__sub__": API,
+    "algebra.AlgebraElement.scale": API,
+    "algebra.AlgebraElement.__mul__": API,
+    "algebra.AlgebraElement.__rmul__": API,
+    "algebra.AlgebraElement.__repr__": API,
+    "laurent.LaurentPoly.__neg__": API,
+    "laurent.LaurentPoly.__sub__": API,
+    "laurent.LaurentPoly.__rsub__": API,
+    "laurent.LaurentPoly.__pow__": API,
+    "laurent.LaurentPoly.__str__": API,
 }
 
 ELEMENT = (
@@ -77,19 +100,33 @@ def _modules():
 
 
 def _functions(modules):
-    """Code object -> "module.name" of each function a module defines."""
+    """Code object -> "module.name" of each function a module defines, and
+    "module.Class.name" of each function in the body of a class it defines.
+    Code compiled elsewhere is left out: a NamedTuple's generated `_make`,
+    `_replace`, `__repr__` and the like share one code object across all
+    NamedTuples."""
     out = {}
     for mod in modules:
+        short = mod.__name__.removeprefix("afftl.")
         for name, obj in vars(mod).items():
+            if inspect.isclass(obj) and obj.__module__ == mod.__name__:
+                for attr, member in vars(obj).items():
+                    if isinstance(member, (classmethod, staticmethod)):
+                        member = member.__func__
+                    elif isinstance(member, property):
+                        member = member.fget
+                    if inspect.isfunction(member) and member.__code__.co_filename == mod.__file__:
+                        out.setdefault(member.__code__, f"{short}.{name}.{attr}")
+                continue
             f = inspect.unwrap(obj) if callable(obj) else None
             if inspect.isfunction(f) and f.__module__ == mod.__name__:
-                out[f.__code__] = f"{mod.__name__.removeprefix('afftl.')}.{name}"
+                out[f.__code__] = f"{short}.{name}"
     return out
 
 
-def test_unreached_functions_match_the_table():
-    assert {argv[0] for argv, _ in COMMANDS} == set(_DISPATCH)
-    modules = _modules()
+def _called(modules, run):
+    """The code objects of every call made while run() runs, with every
+    cache cleared first."""
     for mod in modules:
         for obj in vars(mod).values():
             if callable(getattr(obj, "cache_clear", None)):
@@ -103,18 +140,52 @@ def test_unreached_functions_match_the_table():
     old = sys.getprofile()
     sys.setprofile(profile)
     try:
-        for argv, code in COMMANDS:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                assert main(argv) == code, argv
+        run()
     finally:
         sys.setprofile(old)
+    return called
+
+
+def _run_commands():
+    for argv, code in COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == code, argv
+
+
+def _readme_example() -> str:
+    """The one fenced python block of README's `## Python API` section."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.M | re.S)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+def test_unreached_functions_match_the_table():
+    assert {argv[0] for argv, _ in COMMANDS} == set(_DISPATCH)
+    modules = _modules()
+    called = _called(modules, _run_commands)
     unreached = sorted(name for code, name in _functions(modules).items() if code not in called)
     assert unreached == sorted(UNREACHED)
 
 
+def test_readme_example_calls_every_api_name():
+    modules = _modules()
+    example = compile(_readme_example(), str(ROOT / "README.md"), "exec")
+    called = _called(modules, lambda: exec(example, {}))  # its asserts check its results
+    names = {name for code, name in _functions(modules).items() if code in called}
+    api = {name for name, tag in UNREACHED.items() if tag == API}
+    assert sorted(api - names) == []
+
+
 def test_tracer_tags_name_tracer_bindings(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT))
-    from perfbench.tracer import SPANNED
+    from perfbench.tracer import LAURENT_METHODS, SPANNED
 
+    bound = {f"{module}.{attr}" for module, attr in SPANNED}
+    bound |= {f"laurent.LaurentPoly.{method}" for method in LAURENT_METHODS}
+    # instrument() patches this hook by name to count constructions; it is
+    # in none of the tracer's tables
+    bound.add("diagrams.AffineDiagram.__post_init__")
     tagged = {name for name, tag in UNREACHED.items() if tag == TRACER}
-    assert tagged <= {f"{module}.{attr}" for module, attr in SPANNED}
+    assert tagged <= bound

@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from conftest import random_fc_word
-from oracles import congruence_candidates
+from oracles import congruence_candidates, mirror
 
 from afftl.config import GroupConfig
 from afftl.diagrams import (
@@ -11,7 +11,6 @@ from afftl.diagrams import (
     generator,
     identity,
     length,
-    mirror,
     multiply,
     node_ref,
     short_arc_count,
