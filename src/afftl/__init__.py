@@ -25,8 +25,7 @@ _EXPORTS = {
         ),
         "laurent": ("DELTA", "ONE", "V", "LaurentPoly", "delta_power"),
         "straightening": (
-            "StraightWord", "find_distinguished", "is_reduced_word", "is_straight", "peel", "stack",
-            "straighten",
+            "StraightWord", "find_distinguished", "is_straight", "peel", "stack", "straighten",
         ),
         "algebra": ("AlgebraElement", "mul", "rewrite_eval", "rewrite_mul"),
         "cells": (
@@ -37,7 +36,7 @@ _EXPORTS = {
         ),
         "explore": ("EnumerationRecord", "enumerate_elements", "oracle_counts"),
         "words": (
-            "AffinePermutation", "BraidWitness", "braid_witness", "greedy_front", "is_fc_reduced",
+            "AffinePermutation", "BraidWitness", "braid_witness", "greedy_front", "heap_is_fc",
             "left_decomposition", "left_descents", "right_descents",
         ),
     }.items()

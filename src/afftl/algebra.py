@@ -9,7 +9,8 @@ is bilinear diagram stacking with delta bookkeeping.
 products purely at word level, using only the defining relations and the
 descents and braid witness that `words` reads off the heap, one pass each;
 it never touches diagrams, affine permutations or the oracle's FC test,
-and exists so the engines can be played against each other.
+and exists so the engines can be played against each other.  Its start
+word is checked by the heap criterion (`words.heap_is_fc`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .config import CACHE_SIZE, GroupConfig, InvariantError, json_int, json_list
 from .diagrams import AffineDiagram, canonical_key, identity, multiply
 from .laurent import ONE, ZERO, LaurentPoly, delta_power, norm1, pack, product_bits, unpack
 from .straightening import stack, straighten
-from .words import Word, _braid_split, check_word, descends
+from .words import Word, _braid_split, check_word, descends, heap_is_fc
 
 
 class AlgebraElement:
@@ -216,12 +217,9 @@ def _fold(cfg: GroupConfig, cur: Word, letters: Word) -> tuple[int, Word]:
 
 def rewrite_eval(cfg: GroupConfig, letters, start=()) -> tuple[int, Word]:
     """Fold rewrite_mul over a generator sequence, starting from a reduced
-    word of a fully commutative element (default: the identity), which is
-    checked by folding it from the identity: it must come back unchanged
-    with no delta, since a descent keeps the length and a collapse
-    shortens the word."""
+    word of a fully commutative element (default: the identity)."""
     start = check_word(cfg, start)
-    if _fold(cfg, (), start) != (0, start):
+    if not heap_is_fc(cfg, start):
         raise ValueError("word must be a reduced word of a fully commutative element")
     return _fold(cfg, start, check_word(cfg, letters))
 

@@ -15,9 +15,11 @@ Descents are read off the heap of a reduced word (Stembridge 1996, *On
 the fully commutative elements of Coxeter groups*): the left descents are
 its minimal elements and the right descents its maximal ones.  One scan
 per side (`words.absorbers`) finds the descents of that side, ascending,
-each with the neighbour that absorbs it.  Cancellation is decided on
-words.  Write w = s u for a left descent s, u being w with the first
-occurrence of s removed; an adjacent t absorbs s (E_t E_w = E_u) exactly
+each with the neighbour that absorbs it.  A function taking a word
+checks once that it is reduced FC, by the heap criterion
+(`words.heap_is_fc`).  Cancellation is decided on words.  Write w = s u
+for a left descent s, u being w with the first occurrence of s
+removed; an adjacent t absorbs s (E_t E_w = E_u) exactly
 when t is a left descent of u.  If u = t v, then E_t E_s E_t = E_t gives
 E_t E_w = E_t E_v = E_u.  Conversely, a loop-free E_t E_w has the minimal
 arc (t, t+1) on its top row, and the top minimal arcs of a word's diagram
@@ -93,13 +95,14 @@ from .diagrams import (
     top_involution,
 )
 from .explore import EnumerationRecord, enumerate_elements
-from .straightening import is_reduced_word, stack, straighten
+from .straightening import stack, straighten
 from .words import (
     Word,
     absorbers,
     check_word,
     commutation_class,
     drop_letter,
+    heap_is_fc,
     left_decomposition,
     perm_of,
     reduced_perm,
@@ -161,11 +164,6 @@ class CellLabels(NamedTuple):
         }
 
 
-class CancelStep(NamedTuple):
-    side: str
-    s: int
-
-
 class InvolutionDecomposition(NamedTuple):
     x: Word
     core: frozenset[int]
@@ -188,7 +186,7 @@ class CensusRow(NamedTuple):
 
 def _require_reduced_fc(cfg: GroupConfig, word) -> Word:
     word = check_word(cfg, word)
-    if not is_reduced_word(cfg, word):
+    if not heap_is_fc(cfg, word):
         raise ValueError("word is not a reduced word of a fully commutative element")
     return word
 
@@ -237,30 +235,23 @@ def cancellable(cfg: GroupConfig, word, s: int, side: str) -> int | None:
     return t or None
 
 
-def _cancel_steps(cfg: GroupConfig, word: Word) -> Iterator[CancelStep]:
-    # left side first, then ascending descent: seeded choices rely on it;
-    # the right side is scanned only when the left one is used up
-    for side in ("left", "right"):
-        for s, t in absorbers(cfg, word, side == "left").items():
-            if t:
-                yield CancelStep(side, s)
-
-
-def _reduce(cfg: GroupConfig, w: Word, rng: random.Random | None = None) -> Word:
-    # reduce_to_core on a word already checked to be reduced FC
-    while step := (
-        next(_cancel_steps(cfg, w), None) if rng is None
-        else (options := [*_cancel_steps(cfg, w)]) and rng.choice(options)
-    ):
-        w = drop_letter(w, step.s, step.side == "left")
-    return w
+def _cancel_steps(cfg: GroupConfig, word: Word) -> list[tuple[int, bool]]:
+    """The (s, left) steps of a reduced FC word: its cancellable left
+    descents s, ascending, then its right ones; seeded choices rely on
+    this order."""
+    return [(s, left) for left in (True, False)
+            for s, t in absorbers(cfg, word, left).items() if t]
 
 
 def reduce_to_core(cfg: GroupConfig, word, rng: random.Random | None = None) -> Word:
     """The core word left when descents are cancelled until none is
     cancellable, each step dropping one letter.  Deterministic order (left
     side first, smallest descent) unless an RNG is supplied."""
-    return _reduce(cfg, _require_reduced_fc(cfg, word), rng)
+    w = _require_reduced_fc(cfg, word)
+    while steps := _cancel_steps(cfg, w):
+        s, left = steps[0] if rng is None else rng.choice(steps)
+        w = drop_letter(w, s, left)
+    return w
 
 
 def classify_core(cfg: GroupConfig, word) -> TwoSidedLabel:
@@ -287,7 +278,7 @@ def core_neighbours(cfg: GroupConfig, word) -> frozenset[tuple[int, Word]]:
     commuting set that agrees with q off s's window (module docstring),
     even those that cannot qualify, so a fault in the actions' loops shows."""
     w = _require_reduced_fc(cfg, word)
-    if next(_cancel_steps(cfg, w), None) is not None:
+    if _cancel_steps(cfg, w):
         raise ValueError("not a core element")
     n = cfg.n
     target = stack(cfg, w).diagram

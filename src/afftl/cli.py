@@ -152,7 +152,8 @@ def _cmd_diagram(args) -> int:
     else:
         from . import render
 
-        sys.stdout.write(render.render(r.diagram, args.format))
+        draw = render.render_ascii if args.format == "ascii" else render.render_svg
+        sys.stdout.write(draw(r.diagram))
     return 0
 
 

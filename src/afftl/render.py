@@ -139,11 +139,3 @@ def render_svg(d: AffineDiagram) -> str:
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def render(d: AffineDiagram, fmt: str) -> str:
-    if fmt == "ascii":
-        return render_ascii(d)
-    if fmt == "svg":
-        return render_svg(d)
-    raise ValueError(f"unknown render format {fmt!r}")

@@ -14,8 +14,8 @@ Every diagram edit and window read here is an `afftl.diagrams` function.
 
 `stack` and `straighten` follow `config`'s caching policy: a peel depends
 only on the current diagram, so `straighten` returns the cached word of a
-rest of at most `PREFIX_REUSE` letters.  `is_reduced_word` is the diagram
-engine's test of a word.
+rest of at most `PREFIX_REUSE` letters.  `stack` takes any word; whether a
+word is reduced FC is decided on the word (`words.heap_is_fc`).
 """
 
 from __future__ import annotations
@@ -64,14 +64,6 @@ class StraightWord(NamedTuple):
 def stack(cfg: GroupConfig, word) -> ProductResult:
     """Left-to-right product of generator diagrams (first letter on top)."""
     return _stack_cached(cfg.n, check_word(cfg, word))
-
-
-def is_reduced_word(cfg: GroupConfig, word) -> bool:
-    """Diagram-engine test: the word is a reduced word of a fully
-    commutative element iff no loop contracts and the length matches."""
-    word = tuple(word)
-    r = stack(cfg, word)
-    return r.contractible == 0 and length(r.diagram) == len(word)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -14,18 +14,21 @@ element, when no neighbour occurs before its first (after its last)
 occurrence (`descends`, for one letter); removing the first s, a left
 descent, makes a neighbour t a left descent exactly when the first t has
 one lower neighbour occurrence, the first s (`absorbers`, for every
-letter in one scan).  Between consecutive occurrences of a letter in
-a reduced FC word lie at least two neighbour occurrences (`heap_is_fc`),
-which also locates the obstruction that appending a letter can produce
-(`_braid_split`).  `explore` applies the criterion incrementally: each
-frontier word carries, per letter, the neighbour occurrences since that
-letter's last occurrence, so deciding an extension is one comparison.
+letter in one scan).  A word is a reduced word of an FC element exactly
+when at least two neighbour occurrences lie between consecutive
+occurrences of each letter (`heap_is_fc`).  It is the one check of such
+a word wherever one is made (`braid_witness`, `algebra.rewrite_eval`, the
+`cells` functions), and it also locates the obstruction that appending
+a letter can produce (`_braid_split`).  `explore` applies the criterion
+incrementally: each frontier word carries, per letter, the neighbour
+occurrences since that letter's last occurrence, so deciding an
+extension is one comparison.
 
 The module also hosts an affine-permutation model of the group (window
-notation), used throughout as an independent oracle for reducedness,
-element identity, involution tests and full commutativity: a word is
-reduced when each letter ascends (`reduced_perm`), and an element is FC
-when its permutation avoids 321, which `AffinePermutation.fc_ascents`
+notation), an independent oracle for reducedness, element identity,
+involution tests and full commutativity: a word is reduced when each
+letter ascends (`reduced_perm`), and an element is FC when its
+permutation avoids 321, which `AffinePermutation.fc_ascents`
 decides for every ascent at once off one extended window.  Its windows
 are built only here, from the identity, so `AffinePermutation` is a
 NamedTuple whose constructor checks nothing.
@@ -216,12 +219,15 @@ def heap_width(cfg: GroupConfig, word) -> int:
 
 
 def heap_is_fc(cfg: GroupConfig, word) -> bool:
-    """FC test for a word already known to be reduced.
+    """Whether the word is a reduced word of a fully commutative element:
+    reducedness and full commutativity decided together, in one pass.
 
-    Every neighbour occurrence between consecutive occurrences of a letter
-    s lies between them in the heap, and every chain from one s to the
-    next leaves and enters through one, so with at most one of them some
-    commutation-equivalent word contains ss or sts (Stembridge 1996).
+    A word is reduced FC exactly when its heap has no covering relation
+    between equal letters and no convex chain s < t < s with s, t adjacent
+    (Stembridge 1996, Prop. 3.3).  Every neighbour occurrence between
+    consecutive occurrences of a letter s lies between them in the heap,
+    and every chain from one s to the next leaves and enters through one,
+    so with at most one of them the two s form such a covering or chain.
     """
     n = cfg.n
     since: dict[int, int] = {}  # neighbour occurrences since x last occurred
@@ -233,15 +239,6 @@ def heap_is_fc(cfg: GroupConfig, word) -> bool:
             if y in since:
                 since[y] += 1
     return True
-
-
-def is_fc_reduced(cfg: GroupConfig, word) -> bool:
-    """Whether the word is a reduced expression of a fully commutative
-    element.  Reducedness comes from the affine-permutation oracle."""
-    word = check_word(cfg, word)
-    if reduced_perm(cfg, word) is None:
-        return False
-    return heap_is_fc(cfg, word)
 
 
 class BraidWitness(NamedTuple):
@@ -262,7 +259,7 @@ def braid_witness(cfg: GroupConfig, word, t: int) -> BraidWitness:
     """
     word = check_word(cfg, word)
     cfg.check_generator(t)
-    if not is_fc_reduced(cfg, word):
+    if not heap_is_fc(cfg, word):
         raise ValueError("word must be a reduced word of a fully commutative element")
     if descends(cfg, word, t, False):
         raise ValueError("the letter is a right descent: appending it shortens the element")

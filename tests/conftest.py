@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -33,6 +34,32 @@ def random_fc_word(cfg, rng, max_len):
             break
         word = rng.choice(options)
     return word
+
+
+def record_calls(run, keep=None):
+    """The code objects of the calls made while run() runs, those that
+    keep(code) accepts when it is given, recorded by sys.setprofile.  The
+    profiler in place before is put back afterwards.  For a C profiler
+    such as cProfile.Profile, sys.getprofile() returns the profiler
+    object, which is not callable, so it is enabled again instead.
+    (`python -m cProfile` profiles with `__main__.Profile`, a class
+    distinct from cProfile.Profile.)"""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and (keep is None or keep(frame.f_code)):
+            called.add(frame.f_code)
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        if outer is None or callable(outer):
+            sys.setprofile(outer)
+        else:
+            outer.enable()
+    return called
 
 
 def shuffled(cfg, word, rng, swaps=20):

@@ -53,9 +53,13 @@ periodic inversion count, O(n^2)) read a permutation's window, for the
 tests that check the oracle's group operations.  `avoids_321_bruteforce`
 scans a permutation's positions for a 321 pattern, where the oracle tests every
 ascent's new patterns off one extended window
-(`AffinePermutation.fc_ascents`).  `right_cell_involution_by_reduction`
-cancels right descents and rebuilds y q y^-1 from the right decomposition
-of what is left, where the library mirrors the diagram's top row.
+(`AffinePermutation.fc_ascents`).  `is_reduced_word` stacks a word and
+`is_fc_reduced` folds its permutation and tests it for 321: each decides
+"a reduced word of an FC element" in its engine, where the library reads
+the answer off the heap (`words.heap_is_fc`).
+`right_cell_involution_by_reduction` cancels right descents and rebuilds
+y q y^-1 from the right decomposition of what is left, where the library
+mirrors the diagram's top row.
 `commuting_sets` lists every commuting set of the n-cycle and
 `alternating_word` writes an alternating core, for the tests that sweep
 all cores; `core_neighbours_exhaustive` stacks every such core against
@@ -68,7 +72,7 @@ from functools import cache
 from itertools import combinations
 
 from afftl.algebra import AlgebraElement
-from afftl.cells import M_NONSQUARE, CancelStep, InvolutionDecomposition, reduce_to_core
+from afftl.cells import M_NONSQUARE, InvolutionDecomposition, reduce_to_core
 from afftl.diagrams import (
     BOT,
     TOP,
@@ -485,8 +489,9 @@ _DESCENTS_GREEDY = {"left": left_descents_greedy, "right": right_descents_greedy
 
 
 def cancel_options_greedy(cfg, word, sides=("left", "right")):
+    """The (s, left) steps: each side's cancellable descents, ascending."""
     return [
-        CancelStep(side, s)
+        (s, side == "left")
         for side in sides
         for s in sorted(_DESCENTS_GREEDY[side](cfg, word))
         if cancellable_greedy(cfg, word, s, side) is not None
@@ -498,11 +503,11 @@ def reduce_to_core_greedy(cfg, word, rng=None):
     cancellable, removing each cancelled descent with a greedy scan."""
     w = check_word(cfg, word)
     while options := cancel_options_greedy(cfg, w):
-        step = options[0] if rng is None else rng.choice(options)
-        if step.side == "left":
-            w = greedy_front_adjacent(cfg, w, step.s)[1:]
+        s, left = options[0] if rng is None else rng.choice(options)
+        if left:
+            w = greedy_front_adjacent(cfg, w, s)[1:]
         else:
-            w = greedy_back_adjacent(cfg, w, step.s)[:-1]
+            w = greedy_back_adjacent(cfg, w, s)[:-1]
     return w
 
 
@@ -527,7 +532,7 @@ def right_cell_involution_by_reduction(cfg, word):
     blocks before q."""
     w = check_word(cfg, word)
     while options := cancel_options_greedy(cfg, w, ("right",)):
-        w = greedy_back_adjacent(cfg, w, options[0].s)[:-1]
+        w = greedy_back_adjacent(cfg, w, options[0][0])[:-1]
     groups = left_decomposition_greedy(cfg, w[::-1])[::-1]
     j = max(len(groups) - 1, 0)
     if groups and 2 * len(groups[-1]) == cfg.n:
@@ -676,6 +681,21 @@ def avoids_321_bruteforce(p):
     n = p.n
     values = [p.image(i) for i in range(1 - n, 2 * n + 1)]  # position i at index i + n - 1
     return not any(max(values[:j]) > values[j] > min(values[j + 1:]) for j in range(n, 2 * n))
+
+
+def is_reduced_word(cfg, word):
+    """Diagram-engine test: the word is a reduced word of a fully
+    commutative element iff no loop contracts and the length matches."""
+    word = tuple(word)
+    r = stack(cfg, word)
+    return r.contractible == 0 and length(r.diagram) == len(word)
+
+
+def is_fc_reduced(cfg, word):
+    """Permutation-engine test: the word is reduced (`reduced_perm`) and
+    its permutation avoids 321 (Green 2002)."""
+    p = reduced_perm(cfg, word)
+    return p is not None and avoids_321_bruteforce(p)
 
 
 def commuting_sets(cfg):

@@ -1,7 +1,16 @@
+import itertools
+
 import pytest
 
 from conftest import random_fc_word
-from oracles import alternating_word, commuting_sets, perm_inverse, perm_length
+from oracles import (
+    alternating_word,
+    commuting_sets,
+    is_fc_reduced,
+    is_reduced_word,
+    perm_inverse,
+    perm_length,
+)
 
 from afftl.algebra import (
     AlgebraElement,
@@ -15,8 +24,8 @@ from afftl.cells import a_value
 from afftl.config import GroupConfig
 from afftl.diagrams import generator, length, multiply
 from afftl.laurent import DELTA, delta_power
-from afftl.straightening import is_reduced_word, stack, straighten
-from afftl.words import commutation_class, perm_of
+from afftl.straightening import stack, straighten
+from afftl.words import commutation_class, heap_is_fc, perm_of
 
 
 def fc_evaluate(cfg, word):
@@ -44,12 +53,20 @@ class TestFcEvaluate:
         assert not is_reduced_word(cfg, (1, 1))
         assert is_reduced_word(cfg, ())
 
-    def test_matches_word_level_test(self, cfg, rng):
-        from afftl.words import is_fc_reduced
-
-        for _ in range(80):
-            w = tuple(rng.choice(range(1, cfg.n + 1)) for _ in range(rng.randrange(0, 9)))
-            assert is_reduced_word(cfg, w) == is_fc_reduced(cfg, w)
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_word_level_test(self, n):
+        # the heap criterion decides reducedness too: every word, reduced
+        # or not, up to the length, against stacking and against the
+        # permutation's length and 321-avoidance (21,978 words in all)
+        cfg = GroupConfig(n)
+        max_len = {3: 7, 4: 6, 5: 5, 6: 5}[n]
+        fc = 0
+        for k in range(max_len + 1):
+            for w in itertools.product(range(1, n + 1), repeat=k):
+                got = heap_is_fc(cfg, w)
+                assert got == is_reduced_word(cfg, w) == is_fc_reduced(cfg, w), w
+                fc += got
+        assert 0 < fc < sum(n**k for k in range(max_len + 1))
 
 
 class TestElementArithmetic:

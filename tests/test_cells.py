@@ -12,6 +12,7 @@ from oracles import (
     cancellable_by_stacking,
     commuting_sets,
     core_neighbours_exhaustive,
+    is_fc_reduced,
     perm_length,
     right_cell_involution_by_reduction,
 )
@@ -35,7 +36,7 @@ from afftl.config import GroupConfig
 from afftl.diagrams import edge_list, multiply, generator
 from afftl.explore import enumerate_elements
 from afftl.straightening import is_straight, stack
-from afftl.words import is_fc_reduced, left_descents, perm_of, right_descents
+from afftl.words import left_descents, perm_of, right_descents
 
 INVOLUTION_HORIZONS = [(3, 10), (4, 10), (5, 9), (6, 9), (7, 8), (8, 8)]
 
@@ -212,17 +213,17 @@ class TestNeighbours:
             core_neighbours(cfg4, (1, 2))
 
     def test_word_checked_once(self, monkeypatch):
-        from afftl import cells, straightening
+        from afftl import cells, words
 
         calls = []
-        real = straightening.is_reduced_word
+        real = words.heap_is_fc
 
         def counted(cfg, word):
             calls.append(word)
             return real(cfg, word)
 
-        for module in (straightening, cells):
-            monkeypatch.setattr(module, "is_reduced_word", counted)
+        for module in (words, cells):
+            monkeypatch.setattr(module, "heap_is_fc", counted)
         for n, q in [(4, ()), (4, (1, 3)), (5, (1, 3)), (6, (1, 3, 5, 2, 4, 6))]:
             calls.clear()
             core_neighbours(GroupConfig(n), q)

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from afftl import cells, straightening
+from afftl import cells, words
 from afftl.cells import census, classify_core, labelled_elements, labels, reduce_to_core
 from afftl.cli import main
 from afftl.config import GroupConfig
@@ -50,7 +50,7 @@ def refuse_the_chain(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("labelling ran the cancellation chain")
 
-    for name in ("_reduce", "_cancel_steps", "classify_core"):
+    for name in ("reduce_to_core", "_cancel_steps", "classify_core"):
         monkeypatch.setattr(cells, name, refuse)
 
 
@@ -77,8 +77,8 @@ def test_census_trusts_its_own_records(monkeypatch, n):
 
     cfg = GroupConfig(n)
     with monkeypatch.context() as m:
-        for module in (straightening, cells):
-            m.setattr(module, "is_reduced_word", refuse)
+        for module in (words, cells):
+            m.setattr(module, "heap_is_fc", refuse)
         m.setattr(cells, "_require_reduced_fc", refuse)
         got = rows(n)
         recs = list(labelled_elements(cfg, 8))

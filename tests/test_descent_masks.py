@@ -47,7 +47,7 @@ def assert_same_descent_answers(cfg, w):
     for side, found in (("left", left), ("right", right)):
         for s in found:
             assert cancellable(cfg, w, s, side) == cancellable_greedy(cfg, w, s, side), (w, s)
-    assert list(_cancel_steps(cfg, w)) == cancel_options_greedy(cfg, w), w
+    assert _cancel_steps(cfg, w) == cancel_options_greedy(cfg, w), w
     assert left_decomposition(cfg, w) == left_decomposition_greedy(cfg, w), w
 
 
@@ -60,7 +60,7 @@ class TestEnumeratedElements:
         for rec in enumerate_elements(cfg, max_len):
             for w in (rec.word, shuffled(cfg, rec.word, rng)):
                 assert_same_descent_answers(cfg, w)
-                cancelled += next(_cancel_steps(cfg, w), None) is not None
+                cancelled += bool(_cancel_steps(cfg, w))
         assert cancelled > 0
 
 

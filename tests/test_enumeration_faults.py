@@ -7,9 +7,11 @@ diagram, so it neither rejects a loop nor deduplicates; these faults must
 show in `verify`'s other checks (crossing counts, neighbour symmetry,
 engine agreement) or stop it with exit 3.  A fault in the oracle's walk or
 in its 321 lemma changes the oracle's counts, so counts-vs-oracle fails;
-one in the rewrite engine's descent test fails engine-agreement.  One
-fault in the heap criterion, which verify no longer runs, is pinned as
-missed, with the tier-1 test that catches it named beside it.
+one in the rewrite engine's descent test fails engine-agreement.  The
+heap criterion checks the words verify passes to the cell functions and
+the rewrite engine: a threshold too strict rejects some of them, and one
+too loose, which only valid words reach, is pinned as missed, with the
+tier-1 test that catches it named beside it.
 Each case copies the package into a temporary directory, plants one fault
 by an exact text replacement that matches once, and runs `verify` on the
 copy in a subprocess.
@@ -68,16 +70,26 @@ ANY_OCCURRENCE_DESCENDS = (
     "    return True\n",
 )
 # The heap criterion with its threshold off by one: one neighbour
-# occurrence between two occurrences of a letter passes.  verify does not
-# run `heap_is_fc` (the enumeration prunes by its own counters, and the
-# oracle decides full commutativity by 321-avoidance), so this fault
-# passes every check; tier-1 catches it in
+# occurrence between two occurrences of a letter passes.  verify calls
+# `heap_is_fc` only on valid words (record words, checked by the cell
+# functions and the rewrite engine's start check; the enumeration prunes
+# by its own counters, and the oracle decides full commutativity by
+# 321-avoidance), so a looser threshold passes every check; tier-1
+# catches it in
 # tests/test_enumerate_proof.py::test_counter_rule_is_the_heap_criterion.
 HEAP_THRESHOLD_OFF_BY_ONE = (
     "words.py",
     "        if since.get(x, 2) <= 1:\n",
     "        if since.get(x, 2) <= 0:\n",
 )
+# The threshold too strict: three neighbour occurrences are needed, so
+# valid record words are rejected where the cell functions check them.
+HEAP_THRESHOLD_TOO_STRICT = (
+    "words.py",
+    "        if since.get(x, 2) <= 1:\n",
+    "        if since.get(x, 3) <= 2:\n",
+)
+REJECTED = "ValueError: word is not a reduced word of a fully commutative element"
 ORACLE_HORIZONS = [(4, 12), (5, 8), (7, 8)]
 
 
@@ -143,6 +155,17 @@ def test_verify_misses_the_heap_threshold_fault(tmp_path, n, max_len):
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
     assert len(lines) == 11 and all(line.startswith("PASS ") for line in lines), proc.stdout
+
+
+@pytest.mark.parametrize("n,max_len", ORACLE_HORIZONS, ids=[f"{n}-{m}" for n, m in ORACLE_HORIZONS])
+def test_verify_catches_the_strict_heap_threshold_fault(tmp_path, n, max_len):
+    proc = run_verify(tmp_path, HEAP_THRESHOLD_TOO_STRICT, n, max_len)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    fails = [line for line in proc.stdout.splitlines() if line.startswith("FAIL ")]
+    assert fails == [
+        f"FAIL core-order-independence: {REJECTED}",
+        f"FAIL involutions: {REJECTED}",
+    ], proc.stdout
 
 
 def test_counts_vs_oracle_fails_on_repeated_diagrams():

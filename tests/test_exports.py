@@ -2,8 +2,10 @@
 
 `EXPORTED` pins the public names the package bound when it still imported
 every submodule eagerly, less the retired alias `to_affine_permutation`
-(`perm_of` is the function); the lazy table must offer exactly these, each
-the very object its submodule defines.
+(`perm_of` is the function), and with `heap_is_fc` in place of the two
+reduced-FC tests that moved to `tests/oracles.py`, `is_reduced_word` and
+`is_fc_reduced`; the lazy table must offer exactly these, each the very
+object its submodule defines.
 """
 
 import importlib
@@ -21,8 +23,7 @@ EXPORTED = {
     ],
     "laurent": ["DELTA", "ONE", "V", "LaurentPoly", "delta_power"],
     "straightening": [
-        "StraightWord", "find_distinguished", "is_reduced_word", "is_straight", "peel", "stack",
-        "straighten",
+        "StraightWord", "find_distinguished", "is_straight", "peel", "stack", "straighten",
     ],
     "algebra": ["AlgebraElement", "mul", "rewrite_eval", "rewrite_mul"],
     "cells": [
@@ -33,7 +34,7 @@ EXPORTED = {
     ],
     "explore": ["EnumerationRecord", "enumerate_elements", "oracle_counts"],
     "words": [
-        "AffinePermutation", "BraidWitness", "braid_witness", "greedy_front", "is_fc_reduced",
+        "AffinePermutation", "BraidWitness", "braid_witness", "greedy_front", "heap_is_fc",
         "left_decomposition", "left_descents", "right_descents",
     ],
 }
@@ -41,7 +42,7 @@ NAMES = sorted(name for names in EXPORTED.values() for name in names)
 
 
 def test_the_table_offers_exactly_the_pinned_names():
-    assert len(NAMES) == len(set(NAMES)) == 58
+    assert len(NAMES) == len(set(NAMES)) == 57
     assert sorted(afftl._EXPORTS) == afftl.__all__ == NAMES
 
 
@@ -53,8 +54,10 @@ def test_each_name_is_its_submodules_object(module, name):
 def test_retired_aliases_are_gone():
     from afftl import algebra, straightening, words
 
-    assert afftl.is_reduced_word is straightening.is_reduced_word
-    assert not hasattr(algebra, "is_reduced_word")
+    for module in (afftl, algebra, straightening):
+        assert not hasattr(module, "is_reduced_word")
+    for module in (afftl, words):
+        assert not hasattr(module, "is_fc_reduced")
     assert not hasattr(words, "to_affine_permutation")
     assert not hasattr(afftl, "to_affine_permutation")
 

@@ -17,7 +17,6 @@ import hashlib
 import inspect
 import os
 import random
-import sys
 import time
 import tracemalloc
 from itertools import product
@@ -26,6 +25,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import record_calls
 from oracles import (
     absorber_by_rescan,
     involution_decompose_by_rescan,
@@ -188,19 +188,7 @@ def _afftl_calls(run):
     frames outside the package, such as os.environ's inside element_cap,
     are ignored."""
     package = os.path.dirname(afftl.__file__)
-    called = set()
-
-    def profile(frame, event, arg):
-        if event == "call" and os.path.dirname(frame.f_code.co_filename) == package:
-            called.add(frame.f_code)
-
-    old = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(old)
-    return called
+    return record_calls(run, lambda code: os.path.dirname(code.co_filename) == package)
 
 
 def test_engines_do_not_read_the_heap_order(monkeypatch):

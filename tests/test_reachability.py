@@ -14,13 +14,15 @@ table.
 """
 
 import contextlib
+import cProfile
 import importlib
 import inspect
 import io
 import pkgutil
 import re
-import sys
 from pathlib import Path
+
+from conftest import record_calls
 
 import afftl
 from afftl.cli import _DISPATCH, main
@@ -38,8 +40,6 @@ UNREACHED = {
     "words.commutation_class": TRACER,
     "words.greedy_back": TRACER,
     "words.greedy_front": TRACER,
-    "words.heap_is_fc": TRACER,
-    "words.is_fc_reduced": "reached only through words.braid_witness",
     "cells.right_cell_involution": API,
     "diagrams.top_involution": "reached only through cells.right_cell_involution",
     "words.left_descents": API,
@@ -131,19 +131,34 @@ def _called(modules, run):
         for obj in vars(mod).values():
             if callable(getattr(obj, "cache_clear", None)):
                 obj.cache_clear()  # a cache hit would hide its function
-    called = set()
+    return record_calls(run)
 
-    def profile(frame, event, arg):
-        if event == "call":
-            called.add(frame.f_code)
 
-    old = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(old)
-    return called
+def _inside():
+    pass
+
+
+def _after():
+    pass
+
+
+def test_the_recorder_hands_an_outer_cprofile_back():
+    # under `python -m cProfile -m pytest` the profiler in place is
+    # cProfile's, an object that sys.setprofile cannot take back
+    outer = cProfile.Profile()
+    inner = set()
+
+    def session():
+        outer.enable()
+        try:
+            inner.update(record_calls(_inside))
+            _after()
+        finally:
+            outer.disable()
+
+    record_calls(session)  # puts back whatever profiles this test run
+    assert _inside.__code__ in inner and _after.__code__ not in inner
+    assert _after.__code__ in {entry.code for entry in outer.getstats()}
 
 
 def _run_commands():

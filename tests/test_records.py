@@ -19,7 +19,6 @@ RECORDS = {
     "config.GroupConfig": (("n",), {}),
     "cells.TwoSidedLabel": (("kind", "size", "start", "factors"), {"size": 0, "start": "", "factors": 0}),
     "cells.CellLabels": (("two_sided", "left_pattern", "right_pattern", "loops"), {}),
-    "cells.CancelStep": (("side", "s"), {}),
     "cells.InvolutionDecomposition": (("x", "core"), {}),
     "cells.CensusRow": (("two_sided", "left_cells", "right_cells", "elements_seen"), {}),
     "diagrams.Invariants": (("nu", "length", "short_arcs"), {}),

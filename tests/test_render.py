@@ -1,11 +1,9 @@
 import hashlib
 
-import pytest
-
 from afftl.config import GroupConfig
 from afftl.diagrams import generator, identity
 from afftl.explore import enumerate_elements
-from afftl.render import render, render_ascii, render_svg
+from afftl.render import render_ascii, render_svg
 from afftl.straightening import stack
 
 
@@ -50,15 +48,6 @@ class TestSvg:
         cfg = GroupConfig(4)
         svg = render_svg(stack(cfg, (1, 3, 2, 4)).diagram)
         assert 'x1="0"' in svg  # full-width loop line
-
-
-class TestDispatch:
-    def test_formats(self):
-        d = identity(3)
-        assert render(d, "ascii") == render_ascii(d)
-        assert render(d, "svg") == render_svg(d)
-        with pytest.raises(ValueError):
-            render(d, "png")
 
 
 def test_every_small_diagram_renders_as_pinned():

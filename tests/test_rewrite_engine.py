@@ -78,7 +78,7 @@ class TestThreeEngines:
 
         cfg = GroupConfig(10)
         for module in (words, algebra):
-            for name in ("commutation_class", "is_fc_reduced"):
+            for name in ("commutation_class", "reduced_perm"):
                 monkeypatch.setattr(module, name, forbidden, raising=module is words)
         monkeypatch.setattr(AffinePermutation, "times_generator", forbidden)
         algebra._rewrite_mul_cached.cache_clear()

@@ -12,6 +12,8 @@ from oracles import (
     class_has_braid,
     commutes,
     commuting_sets,
+    is_fc_reduced,
+    is_reduced_word,
     perm_by_fold,
     perm_inverse,
     perm_length,
@@ -19,7 +21,6 @@ from oracles import (
 
 from afftl.config import GroupConfig
 from afftl.explore import enumerate_elements
-from afftl.straightening import is_reduced_word
 from afftl.words import (
     AffinePermutation,
     _braid_split,
@@ -28,7 +29,6 @@ from afftl.words import (
     greedy_back,
     greedy_front,
     heap_is_fc,
-    is_fc_reduced,
     left_decomposition,
     left_descents,
     perm_of,
@@ -155,10 +155,11 @@ class TestFcChecks:
 
     def test_is_fc_reduced(self):
         cfg = GroupConfig(4)
-        assert is_fc_reduced(cfg, (2, 1, 3, 2))
-        assert not is_fc_reduced(cfg, (1, 1))       # not reduced
-        assert not is_fc_reduced(cfg, (1, 2, 1))    # braid word
-        assert is_fc_reduced(cfg, ())
+        for decide in (heap_is_fc, is_fc_reduced, is_reduced_word):
+            assert decide(cfg, (2, 1, 3, 2))
+            assert not decide(cfg, (1, 1))       # not reduced
+            assert not decide(cfg, (1, 2, 1))    # braid word
+            assert decide(cfg, ())
 
 
 def assert_same_witness(cfg, w, t, got, want):
