@@ -15,12 +15,16 @@ windows, and only `node` and `node_ref` translate between entries and
 (side, pos) pairs: other modules go through its functions.  One linear
 pass over the edges builds a diagram's cached invariant record
 (`Invariants`: crossing numbers, length or None when inadmissible, and
-the short-arc count), and `crossing_number`, `is_admissible`, `length`
-and `short_arc_count` read it, so asking again is one cache lookup.
+the short-arc count), and `crossing_numbers`, `crossing_number`,
+`is_admissible`, `length` and `short_arc_count` read it, so asking again
+is one cache lookup.
 
 Multiplication stacks one diagram on top of another, identifies the middle
-rows, and traces connectivity: each strand once, from its first outer end,
-writing both of its ends.  Middle cycles closing with zero offset
+rows, and traces connectivity.  The product's rows start as the upper
+diagram's top row and the lower one's bottom row, so their arcs need no
+trace; each strand is traced once, writing both of its ends, first from
+the upper top row's verticals, then from the lower bottom row's verticals
+that no walk reached.  Middle cycles closing with zero offset
 contract and are reported as an exponent of the loop scalar; cycles
 closing with offset +-n wind the cylinder once and become long horizontal
 edges of the product.  A product is the NamedTuple (diagram, contractible).
@@ -160,7 +164,9 @@ def join_arcs(d: AffineDiagram, side: str, arcs) -> AffineDiagram:
         for a, b in ((p, q), (q, p)):
             c = (a - 1) % n
             entries[c] = node(side, b - (a - 1 - c))
-    return d._replace(**{"top" if side == TOP else "bottom": tuple(entries)})
+    if side == TOP:
+        return AffineDiagram(n, tuple(entries), d.bottom, d.loops)
+    return AffineDiagram(n, d.top, tuple(entries), d.loops)
 
 
 def edge_list(d: AffineDiagram):
@@ -305,6 +311,11 @@ def _nu_vector(d: AffineDiagram) -> Invariants:
     return Invariants(nu, ell, len(top_arcs) + len(bottom_arcs))
 
 
+def crossing_numbers(d: AffineDiagram) -> tuple[int, ...]:
+    """Every `crossing_number` of d, for k = 1..n in order."""
+    return _nu_vector(d).nu
+
+
 def crossing_number(d: AffineDiagram, k: int) -> int:
     """Crossings of the diagram with the vertical line between classes k
     and k+1, drawn geodesically; each winding loop contributes 1."""
@@ -363,10 +374,11 @@ def multiply(a: AffineDiagram, b: AffineDiagram) -> ProductResult:
     """Stack a on top of b; returns the composite diagram and the number of
     contractible middle loops (the exponent of the loop scalar).
 
-    Each strand is traced once, from its first outer end: a's top row is
-    scanned first, then b's bottom row, and one walk writes both ends of a
-    strand that runs through the middle row.  Middle classes no walk
-    touched close into loops.
+    The product's rows start as a's top row and b's bottom row, whose arcs
+    stay.  Each strand is traced once: first from every vertical of a's top
+    row that no earlier strand ended at, then from every vertical of b's
+    bottom row whose middle node no walk touched; one walk writes both ends.
+    Middle classes no walk touched close into loops.
     """
     if a.n != b.n:
         raise ValueError(f"mismatched sizes {a.n} and {b.n}")
@@ -374,44 +386,74 @@ def multiply(a: AffineDiagram, b: AffineDiagram) -> ProductResult:
     a_bottom, b_top = a.bottom, b.top
     # Window entries are read directly: the partner of the node at cover
     # position pos is row[c] shifted by pos - 1 - c, with c = (pos - 1) % n.
-    # touched[c] and done[c] mark middle-row class c + 1; None marks an
-    # outer end not yet written.
+    # touched[c] and done[c] mark middle-row class c + 1.  A strand visits
+    # each middle class at most once, so a walk still on the middle row
+    # after n + 1 round trips has run away.
     touched = [False] * n
-    rows = ([None] * n, [None] * n)
-    # a strand leaving a's top row (bit 0) downward runs through b, then a,
-    # until it exits b's bottom row or a's top row; one leaving b's bottom
-    # row (bit 1) upward runs through a, then b
-    for bit, outer, row1, row2 in ((0, a.top, b_top, a_bottom), (1, b.bottom, a_bottom, b_top)):
-        out = rows[bit]
-        for i, e in enumerate(outer):
-            if out[i] is not None:
-                continue
-            if e & 1 == bit:
-                out[i] = e  # an arc on the outer row
-                continue
-            pos = e >> 1
-            for _ in range(n + 2):
-                c = (pos - 1) % n
-                touched[c] = True
-                e = row1[c]
-                pos += (e >> 1) - 1 - c
-                if e & 1 != bit:
-                    break
-                c = (pos - 1) % n
-                touched[c] = True
-                e = row2[c]
-                pos += (e >> 1) - 1 - c
-                if e & 1 == bit:
-                    break
-            else:
+    top_row, bottom_row = list(a.top), list(b.bottom)
+    # a strand leaving a's top row runs down through b, then up through a,
+    # until it exits b's bottom row (bit 1) or a's top row (bit 0); the list
+    # iterator sees the far ends written by earlier walks, which are arcs
+    for i, e in enumerate(top_row):
+        if not e & 1:
+            continue
+        pos = e >> 1
+        c = (pos - 1) % n
+        touched[c] = True
+        e = b_top[c]
+        pos += (e >> 1) - 1 - c
+        hops = n + 2
+        while not e & 1:  # back on the middle row
+            hops -= 1
+            if not hops:
                 raise InvariantError("runaway connectivity trace")
-            # the far end sits at cover position pos of row e & 1, shift
-            # positions right of its window entry c
-            out[i] = 2 * pos + (e & 1)
             c = (pos - 1) % n
-            shift = pos - 1 - c
-            rows[e & 1][c] = 2 * (i + 1 - shift) + bit
-    top_row, bottom_row = rows
+            touched[c] = True
+            e = a_bottom[c]
+            pos += (e >> 1) - 1 - c
+            if not e & 1:
+                break  # out through a's top row
+            c = (pos - 1) % n
+            touched[c] = True
+            e = b_top[c]
+            pos += (e >> 1) - 1 - c
+        # the far end sits at cover position pos of row e & 1, shift
+        # positions right of its window entry c
+        top_row[i] = 2 * pos + (e & 1)
+        c = (pos - 1) % n
+        (bottom_row if e & 1 else top_row)[c] = 2 * (i + 1 - (pos - 1 - c))
+    # a strand leaving b's bottom row runs up through a, then down through
+    # b; every strand reaching a's top row was traced above
+    for i, e in enumerate(b.bottom):
+        if e & 1:
+            continue
+        pos = e >> 1
+        c = (pos - 1) % n
+        if touched[c]:
+            continue
+        touched[c] = True
+        e = a_bottom[c]
+        pos += (e >> 1) - 1 - c
+        hops = n + 2
+        while e & 1:  # back on the middle row
+            hops -= 1
+            if not hops:
+                raise InvariantError("runaway connectivity trace")
+            c = (pos - 1) % n
+            touched[c] = True
+            e = b_top[c]
+            pos += (e >> 1) - 1 - c
+            if e & 1:
+                break  # out through b's bottom row
+            c = (pos - 1) % n
+            touched[c] = True
+            e = a_bottom[c]
+            pos += (e >> 1) - 1 - c
+        else:
+            raise InvariantError("strand from the bottom row reached the top row")
+        bottom_row[i] = 2 * pos + 1
+        c = (pos - 1) % n
+        bottom_row[c] = 2 * (i + 1 - (pos - 1 - c)) + 1
 
     contractible = 0
     winding = 0
@@ -451,8 +493,9 @@ def multiply(a: AffineDiagram, b: AffineDiagram) -> ProductResult:
 
     if winding and any(e & 1 for e in top_row):
         raise InvariantError("winding middle cycle alongside a through strand")
-    diagram = AffineDiagram(n, tuple(top_row), tuple(bottom_row), a.loops + b.loops + winding)
-    return ProductResult(diagram, contractible)
+    loops = a.loops + b.loops + winding
+    diagram = tuple.__new__(AffineDiagram, (n, tuple(top_row), tuple(bottom_row), loops))
+    return tuple.__new__(ProductResult, (diagram, contractible))
 
 
 def times_generator(d: AffineDiagram, s: int) -> AffineDiagram | None:

@@ -89,6 +89,11 @@ def find_distinguished(d: AffineDiagram) -> CongruenceFinding:
         raise ValueError("diagram is not admissible")
     if is_straight(d) is not None:
         raise ValueError("diagram is straight; nothing to peel")
+    return _distinguished(d)
+
+
+def _distinguished(d: AffineDiagram) -> CongruenceFinding:
+    # find_distinguished for a diagram known admissible and not straight
     for side in (TOP, BOT):
         for k in sorted(descent_arcs(d, side)):
             cover = innermost_cover(d, side, k)
@@ -144,9 +149,11 @@ def straighten(d: AffineDiagram) -> StraightWord:
     if not is_admissible(d):
         raise ValueError("only admissible diagrams straighten")
     left, right, cur = [], [], d
-    # cur stays admissible: each peel checks its rest's length, defined only then
+    # cur stays admissible (each peel checks its rest's length, defined only
+    # then) and the loop test finds it not straight, so `_distinguished`
+    # skips find_distinguished's two checks
     while (core := is_straight(cur)) is None:
-        f = find_distinguished(cur)
+        f = _distinguished(cur)
         step = peel(cur, f)
         (left if f.kind[0] == TOP else right).append(step.letter)
         cur = step.rest

@@ -348,6 +348,20 @@ class TestVerify:
             "a-agreement", False, f"fails at {word}: {arcs} arcs, heap width {arcs + 1}"
         )
 
+    def test_crossing_counts_name_the_first_class(self):
+        from afftl.explore import enumerate_elements
+
+        cfg = GroupConfig(5)
+        recs = list(enumerate_elements(cfg, 3))
+        assert verify.check_crossing_counts(cfg, recs) == ("crossing-counts", True, "51 elements")
+        # E_1 E_3's diagram under the word 2 3: the vectors first differ at
+        # k = 1, and again at k = 2
+        i = next(i for i, rec in enumerate(recs) if rec.word == (1, 3))
+        recs[i] = recs[i]._replace(word=(2, 3))
+        assert verify.check_crossing_counts(cfg, recs) == (
+            "crossing-counts", False, "fails at (2, 3) k=1"
+        )
+
     def test_involutions_compare_the_mirror_flag(self, monkeypatch):
         from afftl import explore
 

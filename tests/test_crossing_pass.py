@@ -19,6 +19,7 @@ from afftl.config import GroupConfig
 from afftl.diagrams import (
     _nu_vector,
     crossing_number,
+    crossing_numbers,
     edge_list,
     identity,
     is_admissible,
@@ -50,6 +51,7 @@ def assert_record_matches_definitions(d):
     top_arcs, bottom_arcs, _ = edge_list(d)
     assert record.short_arcs == len(top_arcs) + len(bottom_arcs), d
     # the public readers answer from the record
+    assert crossing_numbers(d) == nu
     assert [crossing_number(d, k) for k in range(1, d.n + 1)] == list(nu)
     assert is_admissible(d) == (record.length is not None)
     assert short_arc_count(d) == record.short_arcs

@@ -7,7 +7,9 @@ diagram, so it neither rejects a loop nor deduplicates; these faults must
 show in `verify`'s other checks (crossing counts, neighbour symmetry,
 engine agreement) or stop it with exit 3.  A fault in the oracle's walk or
 in its 321 lemma changes the oracle's counts, so counts-vs-oracle fails;
-one in the rewrite engine's descent test fails engine-agreement.  The
+one in the rewrite engine's descent test fails engine-agreement.  Two
+faults in `multiply`'s middle-cycle count are pinned at every horizon,
+caught or missed, with their FAIL lines.  The
 heap criterion checks the words verify passes to the cell functions and
 the rewrite engine: a threshold too strict rejects some of them, and one
 too loose, which only valid words reach, is pinned as missed, with the
@@ -89,6 +91,20 @@ HEAP_THRESHOLD_TOO_STRICT = (
     "        if since.get(x, 2) <= 1:\n",
     "        if since.get(x, 3) <= 2:\n",
 )
+# `multiply`'s middle-cycle pass with one count wrong.  A winding middle
+# cycle needs a product with no through strand, which odd n never has, so
+# dropping it shows only at n = 4, where engine-agreement's pairs of length
+# at most 3 close one; a doubled contractible loop shows on E_1 E_1.
+MULTIPLY_DROPS_WINDING_LOOP = (
+    "diagrams.py",
+    "                winding += 1\n",
+    "                winding += 0\n",
+)
+MULTIPLY_COUNTS_LOOPS_TWICE = (
+    "diagrams.py",
+    "                contractible += 1\n",
+    "                contractible += 2\n",
+)
 REJECTED = "ValueError: word is not a reduced word of a fully commutative element"
 ORACLE_HORIZONS = [(4, 12), (5, 8), (7, 8)]
 
@@ -165,6 +181,29 @@ def test_verify_catches_the_strict_heap_threshold_fault(tmp_path, n, max_len):
     assert fails == [
         f"FAIL core-order-independence: {REJECTED}",
         f"FAIL involutions: {REJECTED}",
+    ], proc.stdout
+
+
+@pytest.mark.parametrize("n,max_len,expected", [
+    (4, 12, ["FAIL engine-agreement: pair (1,) x (3, 2, 4)"]),
+    (5, 8, []),  # missed: odd n has no winding loops
+    (7, 8, []),
+], ids=[f"{n}-{m}" for n, m in ORACLE_HORIZONS])
+def test_multiply_winding_fault_pinned(tmp_path, n, max_len, expected):
+    proc = run_verify(tmp_path, MULTIPLY_DROPS_WINDING_LOOP, n, max_len)
+    assert (proc.returncode, proc.stderr) == (1 if expected else 0, "")
+    fails = [line for line in proc.stdout.splitlines() if line.startswith("FAIL ")]
+    assert fails == expected, proc.stdout
+
+
+@pytest.mark.parametrize("n,max_len", ORACLE_HORIZONS, ids=[f"{n}-{m}" for n, m in ORACLE_HORIZONS])
+def test_verify_catches_the_doubled_loop_count(tmp_path, n, max_len):
+    proc = run_verify(tmp_path, MULTIPLY_COUNTS_LOOPS_TWICE, n, max_len)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    fails = [line for line in proc.stdout.splitlines() if line.startswith("FAIL ")]
+    assert fails == [
+        "FAIL defining-relations: square relation fails at 1",
+        "FAIL engine-agreement: pair (1,) x (1,)",
     ], proc.stdout
 
 

@@ -35,6 +35,7 @@ API = "documented library API, called by README's Python API example"
 UNREACHED = {
     "algebra.rewrite_mul": TRACER,
     "cells.a_bruteforce": TRACER,
+    "straightening.find_distinguished": TRACER,
     "cells.cancellable": TRACER,
     "words.braid_witness": TRACER,
     "words.commutation_class": TRACER,
@@ -43,6 +44,7 @@ UNREACHED = {
     "cells.right_cell_involution": API,
     "diagrams.top_involution": "reached only through cells.right_cell_involution",
     "words.left_descents": API,
+    "diagrams.crossing_number": API,
     "words.right_descents": API,
     "cli.run": "entry point (pyproject's console script)",
     "laurent.LaurentPoly.__radd__": TRACER,

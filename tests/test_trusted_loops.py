@@ -5,10 +5,10 @@ bitmasks only for the width, `straight_diagram` checks the generator set
 instead of the built diagram, and `multiply` and `is_straight` read the
 window arrays directly.
 Each is compared with the old formulation kept in `tests/oracles.py`, and
-`multiply` also with stacking the concatenated words; the public entry
-points must still reject bad generator indices, stacking must not recurse
-once per letter, and each of `multiply`'s self-checks fires on a
-hand-built broken pair.
+`multiply` also with stacking the concatenated words, on the pairs verify
+and the products workload multiply; the public entry points must still
+reject bad generator indices, stacking must not recurse once per letter,
+and each of `multiply`'s self-checks fires on a hand-built broken pair.
 """
 
 import random
@@ -184,6 +184,35 @@ class TestIsStraight:
 
 
 class TestMultiplyReadsWindows:
+    def test_verify_pairs_equal_partner_trace(self):
+        # engine-agreement's pair set at n = 7: every pair of records up to
+        # length 3, 113 * 113 products
+        pool = [r.diagram for r in enumerate_elements(GroupConfig(7), 3)]
+        assert len(pool) == 113
+        for a in pool:
+            for b in pool:
+                assert multiply(a, b) == multiply_by_partner(a, b), (a, b)
+
+    def test_unit_law_sides_equal_partner_trace(self):
+        one = identity(7)
+        for rec in enumerate_elements(GroupConfig(7), 8):
+            d = rec.diagram
+            assert multiply(one, d) == multiply_by_partner(one, d) == ProductResult(d, 0)
+            assert multiply(d, one) == multiply_by_partner(d, one) == ProductResult(d, 0)
+
+    def test_random_word_diagrams_equal_partner_trace(self):
+        # the products workload's terms: words of length 3..14 over 1..5,
+        # not necessarily reduced, stacked to a basis diagram first
+        cfg = GroupConfig(5)
+        rng = random.Random(0)
+        pool = []
+        for _ in range(300):
+            word = [rng.randint(1, 5) for _ in range(rng.randint(3, 14))]
+            pool.append(stack(cfg, word).diagram)
+        for a in pool[:60]:
+            for b in pool:
+                assert multiply(a, b) == multiply_by_partner(a, b), (a, b)
+
     def test_equals_partner_trace(self):
         for n in (3, 4, 5, 6):
             pool = [r.diagram for r in enumerate_elements(GroupConfig(n), 4)]
@@ -218,11 +247,13 @@ class TestMultiplyReadsWindows:
 
 
 # One hand-built pair of trusted but broken diagrams per self-check of
-# `multiply`; windows list each partner as (side, pos).
+# `multiply`, keyed by its message, and one per path of the trace from b's
+# bottom row (`BROKEN_BOTTOM_PASSES`); windows list each partner as (side, pos).
 T, B = TOP, BOT
 ARCS_T = [(T, 2), (T, 1), (T, 4), (T, 3)]  # arcs (1, 2) and (3, 4) on a top row
 ARCS_B = [(B, 2), (B, 1), (B, 4), (B, 3)]  # the same arcs on a bottom row
 VERTICALS = [(B, 1), (B, 2), (B, 3)]  # a top row of verticals at n = 3
+IDENTITY_4 = ([(B, 1), (B, 2), (B, 3), (B, 4)], [(T, 1), (T, 2), (T, 3), (T, 4)])
 BROKEN_PAIRS = {
     # a's top node 1 enters the middle at 1; b joins middle 1 to 2 and a
     # joins 2 back to 1, so the strand never leaves
@@ -260,10 +291,37 @@ BROKEN_PAIRS = {
 }
 
 
+# a has no top verticals, so no walk starts on its top row; each walk
+# starts at b's bottom node 1, which b joins to middle node 1
+BROKEN_BOTTOM_PASSES = {
+    # a joins middle 1 to its top row, which only a walk from the top may
+    # reach
+    "bottom-reaches-top": (
+        "strand from the bottom row reached the top row",
+        window(4, ARCS_T, IDENTITY_4[1]),
+        window(4, *IDENTITY_4),
+    ),
+    # a joins middle 1 to 2 and b joins 2 back to 1, so the strand never
+    # leaves
+    "bottom-runaway": (
+        "runaway connectivity trace",
+        window(4, ARCS_T, [(B, 2), (B, 1), (B, 3), (B, 4)]),
+        window(4, [(B, 1), (T, 1), (B, 3), (B, 4)], IDENTITY_4[1]),
+    ),
+}
+
+
 class TestMultiplySelfChecks:
     @pytest.mark.parametrize("message", list(BROKEN_PAIRS))
     def test_broken_pair_raises(self, message):
         a, b = BROKEN_PAIRS[message]
+        with pytest.raises(InvariantError) as caught:
+            multiply(a, b)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("path", list(BROKEN_BOTTOM_PASSES))
+    def test_broken_bottom_pass_raises(self, path):
+        message, a, b = BROKEN_BOTTOM_PASSES[path]
         with pytest.raises(InvariantError) as caught:
             multiply(a, b)
         assert str(caught.value) == message
