@@ -5,6 +5,9 @@ Laurent-polynomial coefficients.  A product of two basis diagrams is a
 single basis diagram up to a power of delta = v + 1/v, so multiplication
 is bilinear diagram stacking with delta bookkeeping.
 
+Element JSON is read in one pass (`element_from_json`) and written as
+text in one pass (`element_to_json`, the one writer).
+
 `rewrite_mul` is an independent engine computing basis-times-generator
 products purely at word level, using only the defining relations and the
 descents and braid witness that `words` reads off the heap, one pass each;
@@ -19,7 +22,7 @@ from collections import defaultdict
 from functools import lru_cache
 
 from .config import CACHE_SIZE, GroupConfig, InvariantError, json_int, json_list
-from .diagrams import AffineDiagram, canonical_key, identity, multiply
+from .diagrams import AffineDiagram, ProductResult, canonical_key, identity, multiply
 from .laurent import ONE, ZERO, LaurentPoly, delta_power, norm1, pack, product_bits, unpack
 from .straightening import stack, straighten
 from .words import Word, _braid_split, check_word, descends, heap_is_fc
@@ -146,11 +149,10 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         xs_b = [(db, pack(cb, lo_b, bits)) for db, cb in b.terms.items()]
     else:
         xs_a, xs_b = list(a.terms.items()), list(b.terms.items())
-    totals: defaultdict[tuple[AffineDiagram, int], int | LaurentPoly] = defaultdict(int)
+    totals: defaultdict[ProductResult, int | LaurentPoly] = defaultdict(int)
     for da, xa in xs_a:
         for db, xb in xs_b:
-            r = multiply(da, db)
-            totals[r.diagram, r.contractible] += xa * xb
+            totals[multiply(da, db)] += xa * xb
     deltas: dict[int, int | LaurentPoly] = {}
     out: defaultdict[AffineDiagram, int | LaurentPoly] = defaultdict(int)
     for (d, k), x in totals.items():
@@ -224,29 +226,43 @@ def rewrite_eval(cfg: GroupConfig, letters, start=()) -> tuple[int, Word]:
     return _fold(cfg, start, check_word(cfg, letters))
 
 
-def element_to_json(a: AlgebraElement) -> dict:
-    return {
-        "n": a.n,
-        "terms": [
-            {"coeff": c.to_json(), "word": list(straighten(d).letters)}
-            for d, c in a.items_sorted()
-        ],
-    }
+def element_to_json(a: AlgebraElement) -> str:
+    """The element's one-line JSON text, as `json.dumps` writes it: terms in
+    canonical diagram order, each with its coefficient's terms by exponent
+    and its diagram's canonical word."""
+    parts = []
+    for d, c in a.items_sorted():
+        coeff = ", ".join([f'{{"exp": {e}, "c": {x}}}' for e, x in c.terms])
+        parts.append(f'{{"coeff": [{coeff}], "word": {list(straighten(d).letters)}}}')
+    return f'{{"n": {a.n}, "terms": [{", ".join(parts)}]}}'
 
 
 def element_from_json(obj: dict) -> AlgebraElement:
     """Load an element; term words are re-evaluated, so non-canonical words
-    fold their loop scalars into the coefficient."""
+    fold their loop scalars into the coefficient.
+
+    Every coefficient and word is read before any word is stacked, so the
+    first malformed field is the one reported.  As in `mul`, the terms'
+    coefficients are summed per stacked (diagram, loop count) in one
+    exponent -> int map, and each sum is multiplied by its power of delta
+    once."""
     try:
         n = json_int(obj["n"], "n")
-        raw = [(LaurentPoly.from_json(t["coeff"]),
+        raw = [(LaurentPoly.from_json(t["coeff"]).terms,
                 [json_int(x, "word letter") for x in json_list(t["word"], "word")])
                for t in json_list(obj["terms"], "terms")]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed element JSON: {exc}") from exc
     cfg = GroupConfig(n)
+    totals: dict[ProductResult, dict[int, int]] = {}
+    for terms, word in raw:
+        acc = totals.setdefault(stack(cfg, word), {})
+        for e, c in terms:
+            acc[e] = acc.get(e, 0) + c
     out: dict[AffineDiagram, LaurentPoly] = {}
-    for coeff, word in raw:
-        r = stack(cfg, word)
-        out[r.diagram] = out.get(r.diagram, ZERO) + coeff * delta_power(r.contractible)
+    for (d, k), acc in totals.items():
+        x = LaurentPoly.from_dict(acc)
+        if k:
+            x = x * delta_power(k)
+        out[d] = out[d] + x if d in out else x
     return AlgebraElement(n, out)

@@ -128,7 +128,7 @@ def _cmd_mul(args) -> int:
     b = algebra.element_from_json(_load_json_arg(args.b))
     if a.n != args.n or b.n != args.n:
         raise ValueError("element sizes do not match --n")
-    _emit(algebra.element_to_json(algebra.mul(a, b)))
+    print(algebra.element_to_json(algebra.mul(a, b)))
     return 0
 
 

@@ -6,7 +6,8 @@ scalar is delta = v + 1/v.
 
 `LaurentPoly` is a NamedTuple whose constructor checks nothing: every
 operation here builds the normal form, and input enters through
-`from_json`, which, like `from_dict`, sorts, merges and drops zeros.  Its
+`from_json`, which, like `from_dict`, sorts, merges and drops zeros
+(`algebra.element_to_json` writes coefficients back out).  Its
 equality, hash, length and iteration are the tuple's, so never compare a
 polynomial with a bare tuple, and read `terms`.
 
@@ -122,9 +123,6 @@ class LaurentPoly(NamedTuple):
         for sign, body in parts[1:]:
             out += f" {sign} {body}"
         return out
-
-    def to_json(self) -> list[dict]:
-        return [{"exp": e, "c": c} for e, c in self.terms]
 
     @classmethod
     def from_json(cls, obj) -> LaurentPoly:

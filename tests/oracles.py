@@ -16,7 +16,12 @@ the library indexes the windows; `straight_diagram_checked` builds the diagram a
 is an involution, where the library checks the generator set; and
 `is_straight_by_construction` compares with a built straight diagram where
 the library reads the windows; `mul_pairwise` sums one Laurent product
-per basis pair, where the library packs coefficients into integers; and
+per basis pair, where the library packs coefficients into integers;
+`element_from_json_by_sums` loads an element with one Laurent product
+and sum per term, where the library sums each (diagram, loop count)'s
+coefficients in one exponent map and multiplies by delta once, and
+`element_json_dict` (with `coeff_json`) builds an element's JSON object
+for `json.dumps`, where the library writes the text directly; and
 `cancellable_by_stacking` compares stacked diagrams, where the library
 reads descents off the words; and the greedy formulations
 (`left_descents_greedy`, `right_descents_greedy`, `cancellable_greedy`,
@@ -73,6 +78,7 @@ from itertools import combinations
 
 from afftl.algebra import AlgebraElement
 from afftl.cells import M_NONSQUARE, InvolutionDecomposition, reduce_to_core
+from afftl.config import GroupConfig
 from afftl.diagrams import (
     BOT,
     TOP,
@@ -94,7 +100,7 @@ from afftl.diagrams import (
     times_generator,
 )
 from afftl.explore import enumerate_elements
-from afftl.laurent import ZERO, delta_power
+from afftl.laurent import ZERO, LaurentPoly, delta_power
 from afftl.straightening import stack, straighten
 from afftl.words import (
     AffinePermutation,
@@ -371,6 +377,36 @@ def mul_pairwise(a, b):
             coeff = ca * cb * delta_power(r.contractible)
             out[r.diagram] = out.get(r.diagram, ZERO) + coeff
     return AlgebraElement(a.n, out)
+
+
+def coeff_json(p: LaurentPoly) -> list[dict]:
+    """A coefficient's JSON list: one {"exp", "c"} object per term."""
+    return [{"exp": e, "c": c} for e, c in p.terms]
+
+
+def element_json_dict(a: AlgebraElement) -> dict:
+    """An element's JSON object, built as a dict for `json.dumps`: terms in
+    canonical diagram order, each with its coefficient and canonical word."""
+    return {
+        "n": a.n,
+        "terms": [
+            {"coeff": coeff_json(c), "word": list(straighten(d).letters)}
+            for d, c in a.items_sorted()
+        ],
+    }
+
+
+def element_from_json_by_sums(obj: dict) -> AlgebraElement:
+    """Load an element with one Laurent product and one Laurent sum per
+    term: its coefficient times delta to the loops its word closes, added
+    into its diagram's total."""
+    cfg = GroupConfig(obj["n"])
+    out = {}
+    for t in obj["terms"]:
+        r = stack(cfg, t["word"])
+        coeff = LaurentPoly.from_json(t["coeff"]) * delta_power(r.contractible)
+        out[r.diagram] = out.get(r.diagram, ZERO) + coeff
+    return AlgebraElement(cfg.n, out)
 
 
 def cancellable_by_stacking(cfg, word, s, side):

@@ -4,14 +4,21 @@ and for verify, whose benchmark digest tier-1 would otherwise not see.
 Records are NamedTuples, and `json.dumps` turns a tuple into a list
 without complaint, so a record that leaks into the output unconverted
 would change the bytes silently.  Each digest is the sha256 of the
-command's stdout.
+command's stdout.  `mul` is pinned at the products benchmark's two seeds
+against perfbench/expected.json (read, never written), on one product of
+sparse coefficients, and by its error JSON on malformed coefficients.
 """
 
 import hashlib
+import json
+import random
+from pathlib import Path
 
 import pytest
 
 from afftl.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 DIAGRAM = (
     '{"n": 5, "top": [{"side": "T", "pos": 4}, {"side": "T", "pos": 3}, {"side": "T", "pos": 2}, '
@@ -80,6 +87,74 @@ def test_labelled_stdout_digest(capsys, argv, digest):
 @pytest.mark.parametrize("argv,digest", VERIFY, ids=[" ".join(a) for a, _ in VERIFY])
 def test_verify_stdout_digest(capsys, argv, digest):
     check_digest(capsys, argv, digest)
+
+
+@pytest.mark.parametrize("seed", ["0", "104729"])
+def test_products_stdout_matches_the_benchmark_digest(capsys, tmp_path, monkeypatch, seed):
+    # the products workload's command at its default and held-out seeds
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import workloads
+
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    rng = random.Random(int(seed))
+    argv = ["mul", "--n", str(workloads.PRODUCTS_N)]
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(workloads.random_element(rng, workloads.PRODUCTS_N,
+                                                            workloads.PRODUCTS_TERMS)))
+        argv += [f"--{name}", f"@{path}"]
+    check_digest(capsys, argv, expected["sha256"]["products"][seed])
+
+
+# coefficients too sparse to pack, a big one, a pair of terms that cancels,
+# and words that close loops
+SPARSE_A = json.dumps({"n": 5, "terms": [
+    {"coeff": [{"exp": -7, "c": 3}, {"exp": 40, "c": -2}], "word": [1, 2, 1]},
+    {"coeff": [{"exp": 0, "c": 10**20}], "word": [3, 3, 5]},
+    {"coeff": [{"exp": 5, "c": 1}, {"exp": 5, "c": -1}], "word": [4]},
+]})
+SPARSE_B = json.dumps({"n": 5, "terms": [
+    {"coeff": [{"exp": -30, "c": -1}, {"exp": 30, "c": 1}], "word": [2, 1, 2]},
+    {"coeff": [{"exp": 1, "c": 4}], "word": [5, 3]},
+]})
+
+
+def test_sparse_product_stdout(capsys):
+    from afftl import algebra
+
+    a, b = (algebra.element_from_json(json.loads(x)) for x in (SPARSE_A, SPARSE_B))
+    assert not algebra._dense(a) and not algebra._dense(b)
+    check_digest(capsys, ["mul", "--n", "5", "--a", SPARSE_A, "--b", SPARSE_B],
+                 "7975f9156c4d3821915d3f3e251f043957aa8c88c24f8afc45ed6c5d9028f5dd")
+
+
+def _element(*terms):
+    return json.dumps({"n": 4, "terms": list(terms)})
+
+
+MUL_ERRORS = [
+    (_element({"coeff": [{"exp": 1.5, "c": 1}], "word": [1]}),
+     '{"error": "ValueError", "message": "exp must be an integer, not float"}\n'),
+    (_element({"coeff": [{"exp": 0, "c": "2"}], "word": [1]}),
+     '{"error": "ValueError", "message": "c must be an integer, not str"}\n'),
+    (_element({"coeff": [{"c": 1}], "word": [1]}),
+     '{"error": "ValueError", "message": "malformed element JSON: \'exp\'"}\n'),
+    (_element({"coeff": {"exp": 0, "c": 1}, "word": [1]}),
+     '{"error": "ValueError", "message": "coeff must be a list, not dict"}\n'),
+    # every coefficient is read before any word is stacked
+    (_element({"coeff": [{"exp": 0, "c": 1}], "word": [9]},
+              {"coeff": [{"exp": 0, "c": 1.0}], "word": [1]}),
+     '{"error": "ValueError", "message": "c must be an integer, not float"}\n'),
+]
+
+
+@pytest.mark.parametrize("elt,err", MUL_ERRORS, ids=[
+    "float-exp", "string-c", "missing-exp", "coeff-not-list", "bad-word-then-bad-coeff"])
+def test_mul_error_json(capsys, elt, err):
+    one = _element({"coeff": [{"exp": 0, "c": 1}], "word": []})
+    for a, b in ((elt, one), (one, elt)):
+        assert main(["mul", "--n", "4", "--a", a, "--b", b]) == 1
+        assert capsys.readouterr() == ("", err)
 
 
 def check_digest(capsys, argv, digest):

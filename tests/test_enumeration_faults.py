@@ -5,15 +5,18 @@ the rewrite engine's descent test.
 The enumeration computes only actions whose product is a new basis
 diagram, so it neither rejects a loop nor deduplicates; these faults must
 show in `verify`'s other checks (crossing counts, neighbour symmetry,
-engine agreement) or stop it with exit 3.  A fault in the oracle's walk or
-in its 321 lemma changes the oracle's counts, so counts-vs-oracle fails;
+engine agreement) or stop it with exit 3.  A fault in the oracle's walk
+(its largest-descent test dropped, so elements repeat) or in its 321
+lemma changes the oracle's counts, so counts-vs-oracle fails;
 one in the rewrite engine's descent test fails engine-agreement.  Two
 faults in `multiply`'s middle-cycle count are pinned at every horizon,
 caught or missed, with their FAIL lines.  The
 heap criterion checks the words verify passes to the cell functions and
 the rewrite engine: a threshold too strict rejects some of them, and one
 too loose, which only valid words reach, is pinned as missed, with the
-tier-1 test that catches it named beside it.
+tier-1 test that catches it named beside it.  So are three faults in the
+products path (Laurent `*`, `unpack` and the element loader), which no
+check of verify runs.
 Each case copies the package into a temporary directory, plants one fault
 by an exact text replacement that matches once, and runs `verify` on the
 copy in a subprocess.
@@ -50,16 +53,14 @@ IGNORES_LAST_GENERATOR = (
 # whose value lies strictly between the bounds because p ascends at s;
 # `<` -> `<=` never fires, since the bounds are values of the classes of s
 # and s + 1, which no other class takes.
+# The walk without its largest-descent test: every element is built once
+# per right descent, and the level is no longer free of repeats.
 NO_LEVEL_DEDUP = (
     "explore.py",
-    "        nxt: set[AffinePermutation] = set()\n"
-    "        for p in level:\n"
+    "            for s in p.fc_ascents(max(top - 1, 1)):\n"
+    "                if s < n:\n",
     "            for s in p.fc_ascents():\n"
-    "                nxt.add(",
-    "        nxt: list[AffinePermutation] = []\n"
-    "        for p in level:\n"
-    "            for s in p.fc_ascents():\n"
-    "                nxt.append(",
+    "                if False:\n",
 )
 OMITS_CLASS_S_MINUS_1 = ("words.py", "mid = ext[s + 1:s + n - 1]", "mid = ext[s + 1:s + n - 2]")
 UPPER_BOUND_ONLY = ("words.py", "if lo - n < min(mid) and max(mid) < hi:", "if max(mid) < hi:")
@@ -105,6 +106,26 @@ MULTIPLY_COUNTS_LOOPS_TWICE = (
     "                contractible += 1\n",
     "                contractible += 2\n",
 )
+# Faults in the products path: Laurent multiplication with its exponents
+# subtracted, `unpack` reading every slot one exponent up,
+# and the element loader adding each term's coefficient two exponents up.
+# verify runs no Laurent arithmetic and loads no element JSON, so all three
+# are missed; the tier-1 test named beside each catches it.
+LAURENT_MUL_SUBTRACTS = ("laurent.py", "                e = e1 + e2\n", "                e = e1 - e2\n")
+UNPACK_OFF_BY_ONE = ("laurent.py", "    e = lo\n", "    e = lo + 1\n")
+LOADER_OFF_BY_TWO = (
+    "algebra.py",
+    "            acc[e] = acc.get(e, 0) + c\n",
+    "            acc[e + 2] = acc.get(e + 2, 0) + c\n",
+)
+PRODUCTS_FAULTS = {
+    "laurent-mul-subtracts": (
+        LAURENT_MUL_SUBTRACTS, "tests/test_laurent.py::TestRingOps::test_difference_of_squares"),
+    "unpack-off-by-one": (
+        UNPACK_OFF_BY_ONE, "tests/test_packed_mul.py::TestPacking::test_roundtrip"),
+    "loader-off-by-two": (
+        LOADER_OFF_BY_TWO, "tests/test_element_json.py::test_loader_matches_the_sums_oracle"),
+}
 REJECTED = "ValueError: word is not a reduced word of a fully commutative element"
 ORACLE_HORIZONS = [(4, 12), (5, 8), (7, 8)]
 
@@ -217,3 +238,16 @@ def test_counts_vs_oracle_fails_on_repeated_diagrams():
     assert verify.check_counts_vs_oracle(cfg, twins, 4) == (
         "counts-vs-oracle", False, "4 records repeat an earlier diagram",
     )
+
+
+@pytest.mark.parametrize("name", list(PRODUCTS_FAULTS))
+def test_verify_misses_the_products_fault(tmp_path, name):
+    # pinned as missed at 4/12; tier-1 catches each in the test named in
+    # PRODUCTS_FAULTS, which must exist
+    fault, catcher = PRODUCTS_FAULTS[name]
+    path, _, test = catcher.partition("::")
+    assert f"def {test.split('::')[-1]}(" in (PACKAGE.parents[1] / path).read_text()
+    proc = run_verify(tmp_path, fault, 4, 12)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 11 and all(line.startswith("PASS ") for line in lines), proc.stdout

@@ -1,7 +1,7 @@
 """Which afftl functions and methods no command reaches.
 
 Every subcommand and output format runs in-process at a tiny size, plus
-one domain error, under `sys.setprofile` with every cache cleared first.
+one domain error and `mul` on sparse coefficients, under `sys.setprofile` with every cache cleared first.
 The functions of the package that are never called, module-level ones and
 the methods, classmethods, staticmethods and property getters of the
 classes it defines, must match UNREACHED exactly, each tagged with what
@@ -47,7 +47,6 @@ UNREACHED = {
     "diagrams.crossing_number": API,
     "words.right_descents": API,
     "cli.run": "entry point (pyproject's console script)",
-    "laurent.LaurentPoly.__radd__": TRACER,
     "diagrams.AffineDiagram.__post_init__": TRACER,
     # the calculator's Python surface: elements and their coefficients
     "algebra.AlgebraElement.zero": API,
@@ -73,6 +72,11 @@ ELEMENT = (
     '{"n": 4, "terms": [{"coeff": [{"exp": -1, "c": 2}, {"exp": 1, "c": 1}], "word": [1, 3]}, '
     '{"coeff": [{"exp": 0, "c": 1}], "word": [2]}]}'
 )
+# a sparse coefficient, so `mul` multiplies Laurent polynomials, on a
+# word that closes a loop, so the loader multiplies by delta
+SPARSE = (
+    '{"n": 4, "terms": [{"coeff": [{"exp": 0, "c": 1}, {"exp": 1000, "c": 1}], "word": [1, 1]}]}'
+)
 DIAGRAM = (
     '{"n": 5, "top": [{"side": "T", "pos": 4}, {"side": "T", "pos": 3}, {"side": "T", "pos": 2}, '
     '{"side": "T", "pos": 1}, {"side": "B", "pos": -1}], "bottom": [{"side": "B", "pos": 0}, '
@@ -85,6 +89,7 @@ COMMANDS = [
     (["eval", "--n", "4", "--word", "1 3 2 4 1"], 0),
     (["eval", "--n", "4", "--word", "1 9"], 1),
     (["mul", "--n", "4", "--a", ELEMENT, "--b", ELEMENT], 0),
+    (["mul", "--n", "4", "--a", SPARSE, "--b", ELEMENT], 0),
     (["straighten", "--diagram", DIAGRAM], 0),
     *((["diagram", "--n", "4", "--word", "1 3 2", "--format", f], 0) for f in ("json", "ascii", "svg")),
     (["afn", "--n", "5", "--word", "1 3 2 4"], 0),
