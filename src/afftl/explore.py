@@ -115,6 +115,8 @@ def enumerate_elements(cfg: GroupConfig, max_len: int) -> Iterator[EnumerationRe
     limit = element_cap()
     start = identity(n)
     count = 1
+    if count > limit:
+        raise RuntimeError(f"enumeration exceeded the cap of {limit} elements")
     yield EnumerationRecord((), start)
     # entries are (word, diagram, after, since), the lists indexed by letter 1..n
     frontier: list[tuple[Word, AffineDiagram, list[int], list[int]]] = [
@@ -151,38 +153,20 @@ def enumerate_elements(cfg: GroupConfig, max_len: int) -> Iterator[EnumerationRe
 
 def oracle_counts(cfg: GroupConfig, max_len: int) -> dict[int, int]:
     """Per-length counts via affine permutations, FC by 321-avoidance (Green
-    2002); independent of the diagram engine and of the heap.  Level ln
-    holds the products p s with p on level ln - 1, s an ascent of p at
-    which p s is still FC (`AffinePermutation.fc_ascents`, read off one
-    extended window), and s the largest right descent of p s.  An FC
-    element w of length ln has exactly one such parent, w t for t its
-    largest right descent (w t is FC: its reduced words are prefixes of
-    w's), so each element is built once and no level needs a set; each has
-    length ln, so no earlier level needs keeping."""
-    n = cfg.n
+    2002); independent of the diagram engine and of the heap.  Level ln is
+    the set of p s with p on level ln - 1, s an ascent of p and p s still
+    FC (`AffinePermutation.fc_ascents`, read off one extended window); each
+    has length ln, so no earlier level needs keeping."""
     limit = element_cap()
     counts = {0: 1}
-    level, total = [AffinePermutation.identity(n)], 1
+    level, total = {AffinePermutation.identity(cfg.n)}, 1
+    if total > limit:
+        raise RuntimeError(f"enumeration exceeded the cap of {limit} elements")
     for ln in range(1, max_len + 1):
-        nxt: list[AffinePermutation] = []
+        nxt: set[AffinePermutation] = set()
         for p in level:
-            # q = p s takes the values p(s), p(s + 2), ..., p(n), q(1) + n at
-            # s + 1, ..., n + 1 and must ascend there, so p ascends from
-            # s + 2 on: s is at least top - 1, top being p's last descent
-            # inside the window (0 if none).  What is left to test are the
-            # joins: p(s) < p(s + 2) and p(n) < q(1) + n, or p(s) < q(1) + n
-            # when s + 1 = n.
-            w = p.window
-            top = max([i for i in range(1, n) if w[i - 1] > w[i]], default=0)
-            for s in p.fc_ascents(max(top - 1, 1)):
-                if s < n:
-                    wrap = (w[1] if s == 1 else w[0]) + n
-                    if s + 1 < n:
-                        if w[s - 1] > w[s + 1] or w[-1] > wrap:
-                            continue
-                    elif w[s - 1] > wrap:
-                        continue
-                nxt.append(p.times_generator(s))
+            for s in p.fc_ascents():
+                nxt.add(p.times_generator(s))
                 if total + len(nxt) > limit:
                     raise RuntimeError(f"enumeration exceeded the cap of {limit} elements")
         if nxt:

@@ -2,14 +2,15 @@
 
 `stack` evaluates a word as a product of generator diagrams.  The reverse
 direction peels one generator at a time off a non-straight admissible
-diagram: a minimal arc that is covered by another arc (or coexists with a
-winding loop) splits off on its own row, and otherwise a slanted strand
-next to a minimal arc is shortened by multiplying with a generator.  The
-four peel kinds are tried in the fixed priority T1 > B1 > T2 > B2, with
-the smallest qualifying class as tie-break, which makes the produced word
-canonical; the search stops at the first kind that qualifies.  Every peel
-re-stacks the emitted letter and checks that the original diagram is
-recovered with no contractible loop; a failed check raises InvariantError.
+diagram, at the class `find_distinguished` picks: a minimal arc that is
+covered by another arc (or coexists with a winding loop) splits off on
+its own row, and otherwise a slanted strand next to a minimal arc is
+shortened by multiplying with a generator.  The four peel kinds are tried
+in the fixed priority T1 > B1 > T2 > B2, with the smallest qualifying
+class as tie-break, which makes the produced word canonical; the search
+stops at the first kind that qualifies.  Every peel re-stacks the emitted
+letter and checks that the original diagram is recovered with no
+contractible loop; a failed check raises InvariantError.
 Every diagram edit and window read here is an `afftl.diagrams` function.
 
 `stack` and `straighten` follow `config`'s caching policy: a peel depends
@@ -89,11 +90,6 @@ def find_distinguished(d: AffineDiagram) -> CongruenceFinding:
         raise ValueError("diagram is not admissible")
     if is_straight(d) is not None:
         raise ValueError("diagram is straight; nothing to peel")
-    return _distinguished(d)
-
-
-def _distinguished(d: AffineDiagram) -> CongruenceFinding:
-    # find_distinguished for a diagram known admissible and not straight
     for side in (TOP, BOT):
         for k in sorted(descent_arcs(d, side)):
             cover = innermost_cover(d, side, k)
@@ -149,11 +145,9 @@ def straighten(d: AffineDiagram) -> StraightWord:
     if not is_admissible(d):
         raise ValueError("only admissible diagrams straighten")
     left, right, cur = [], [], d
-    # cur stays admissible (each peel checks its rest's length, defined only
-    # then) and the loop test finds it not straight, so `_distinguished`
-    # skips find_distinguished's two checks
+    # cur stays admissible: each peel checks its rest's length, defined only then
     while (core := is_straight(cur)) is None:
-        f = _distinguished(cur)
+        f = find_distinguished(cur)
         step = peel(cur, f)
         (left if f.kind[0] == TOP else right).append(step.letter)
         cur = step.rest

@@ -349,9 +349,9 @@ class AffinePermutation(NamedTuple):
         """Whether l(self * s_i) = l(self) + 1 (Bjorner-Brenti 8.3)."""
         return self.image(i) < self.image(i + 1)
 
-    def fc_ascents(self, first: int = 1) -> list[int]:
-        """The ascents s >= first of p = self, ascending, at which p s_s
-        still avoids 321, for p avoiding 321.
+    def fc_ascents(self) -> list[int]:
+        """The ascents s of p = self, ascending, at which p s_s still avoids
+        321, for p avoiding 321.
 
         An affine permutation is FC exactly when no i < j < k have
         p(i) > p(j) > p(k) (Green 2002).  Right multiplication by s_s swaps
@@ -367,7 +367,7 @@ class AffinePermutation(NamedTuple):
         n, w = self.n, self.window
         ext = [v - n for v in w] + list(w) + [v + n for v in w]
         out = []
-        for s in range(first, n + 1):
+        for s in range(1, n + 1):
             lo, hi = ext[s + n - 1], ext[s + n]
             if lo < hi:
                 mid = ext[s + 1:s + n - 1]

@@ -285,6 +285,14 @@ class TestEnumerate:
         assert code == 1 and out == ""
         assert "AFFTL_MAX_ELEMENTS" in json.loads(err)["message"]
 
+    def test_cap_of_zero_admits_not_even_the_identity(self, capsys, monkeypatch):
+        monkeypatch.setenv("AFFTL_MAX_ELEMENTS", "0")
+        code, out, err = run_cli(capsys, "enumerate", "--n", "4", "--max-len", "0")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "RuntimeError", "message": "enumeration exceeded the cap of 0 elements",
+        }
+
     def test_labels_included(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--max-len", "1")
         recs = [json.loads(line) for line in out.splitlines()]

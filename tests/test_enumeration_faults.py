@@ -6,11 +6,16 @@ The enumeration computes only actions whose product is a new basis
 diagram, so it neither rejects a loop nor deduplicates; these faults must
 show in `verify`'s other checks (crossing counts, neighbour symmetry,
 engine agreement) or stop it with exit 3.  A fault in the oracle's walk
-(its largest-descent test dropped, so elements repeat) or in its 321
-lemma changes the oracle's counts, so counts-vs-oracle fails;
-one in the rewrite engine's descent test fails engine-agreement.  Two
-faults in `multiply`'s middle-cycle count are pinned at every horizon,
-caught or missed, with their FAIL lines.  The
+(each level kept as a list instead of a set, so an element repeats once
+per FC parent) or in its 321 lemma changes the oracle's counts, so
+counts-vs-oracle fails; one in the rewrite engine's descent test fails
+engine-agreement.  Two faults in `multiply`'s middle-cycle count are
+pinned at every horizon, caught or missed, with their FAIL lines.  So are
+four engine faults, each with its exit code and its FAIL lines or error
+message: the permutation wrap generator's sign flipped and the slide
+peel's letter one class off stop verify with exit 3; `compose` without
+its period shift fails involutions, and no delta on a right descent in
+the rewrite engine fails engine-agreement.  The
 heap criterion checks the words verify passes to the cell functions and
 the rewrite engine: a threshold too strict rejects some of them, and one
 too loose, which only valid words reach, is pinned as missed, with the
@@ -22,6 +27,7 @@ by an exact text replacement that matches once, and runs `verify` on the
 copy in a subprocess.
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -53,14 +59,18 @@ IGNORES_LAST_GENERATOR = (
 # whose value lies strictly between the bounds because p ascends at s;
 # `<` -> `<=` never fires, since the bounds are values of the classes of s
 # and s + 1, which no other class takes.
-# The walk without its largest-descent test: every element is built once
-# per right descent, and the level is no longer free of repeats.
+# The walk with each level kept as a list instead of a set: an element
+# repeats once per FC parent, and so do its extensions.
 NO_LEVEL_DEDUP = (
     "explore.py",
-    "            for s in p.fc_ascents(max(top - 1, 1)):\n"
-    "                if s < n:\n",
+    "        nxt: set[AffinePermutation] = set()\n"
+    "        for p in level:\n"
     "            for s in p.fc_ascents():\n"
-    "                if False:\n",
+    "                nxt.add(",
+    "        nxt: list[AffinePermutation] = []\n"
+    "        for p in level:\n"
+    "            for s in p.fc_ascents():\n"
+    "                nxt.append(",
 )
 OMITS_CLASS_S_MINUS_1 = ("words.py", "mid = ext[s + 1:s + n - 1]", "mid = ext[s + 1:s + n - 2]")
 UPPER_BOUND_ONLY = ("words.py", "if lo - n < min(mid) and max(mid) < hi:", "if max(mid) < hi:")
@@ -125,6 +135,40 @@ PRODUCTS_FAULTS = {
         UNPACK_OFF_BY_ONE, "tests/test_packed_mul.py::TestPacking::test_roundtrip"),
     "loader-off-by-two": (
         LOADER_OFF_BY_TWO, "tests/test_element_json.py::test_loader_matches_the_sums_oracle"),
+}
+# Faults in the permutation engine, the peel and the rewrite engine, each
+# planted once and pinned with its outcome at every horizon: the wrap
+# generator s_n with its sign flipped, which `involution_decompose`'s
+# reducedness check reports as an internal error; `compose` without the
+# period shift, which the involutions check sees on s_n; the slide peel's
+# letter one class off, which the peel's re-stack check stops; and no
+# delta on a right descent, which engine-agreement sees on E_1 E_1.
+WRAP_SIGN_FLIPPED = (
+    "words.py",
+    "w[0], w[n - 1] = w[n - 1] - n, w[0] + n",
+    "w[0], w[n - 1] = w[n - 1] + n, w[0] - n",
+)
+COMPOSE_NO_SHIFT = (
+    "words.py",
+    "win.append(self.window[c - 1] + (q - c))",
+    "win.append(self.window[c - 1])",
+)
+SLIDE_LETTER_OFF_BY_ONE = (
+    "straightening.py",
+    "letter = class_of(d.n, f.cls + 1)",
+    "letter = class_of(d.n, f.cls + 2)",
+)
+NO_DELTA_ON_DESCENT = ("algebra.py", "        return 1, word\n", "        return 0, word\n")
+# (fault, exit code, the InvariantError message on exit 3, else the one
+# FAIL line with n filled in)
+ENGINE_FAULTS = {
+    "wrap-sign-flipped": (WRAP_SIGN_FLIPPED, 3, "decomposition is not reduced"),
+    "compose-no-shift": (
+        COMPOSE_NO_SHIFT, 1,
+        "FAIL involutions: mirror flag disagrees with the permutation at ({n},)"),
+    "slide-letter-off-by-one": (
+        SLIDE_LETTER_OFF_BY_ONE, 3, "peel reconstruction failed at class 1 kind B2"),
+    "no-delta-on-descent": (NO_DELTA_ON_DESCENT, 1, "FAIL engine-agreement: pair (1,) x (1,)"),
 }
 REJECTED = "ValueError: word is not a reduced word of a fully commutative element"
 ORACLE_HORIZONS = [(4, 12), (5, 8), (7, 8)]
@@ -226,6 +270,21 @@ def test_verify_catches_the_doubled_loop_count(tmp_path, n, max_len):
         "FAIL defining-relations: square relation fails at 1",
         "FAIL engine-agreement: pair (1,) x (1,)",
     ], proc.stdout
+
+
+@pytest.mark.parametrize("name", list(ENGINE_FAULTS))
+@pytest.mark.parametrize("n,max_len", ORACLE_HORIZONS, ids=[f"{n}-{m}" for n, m in ORACLE_HORIZONS])
+def test_engine_fault_pinned(tmp_path, name, n, max_len):
+    fault, code, expected = ENGINE_FAULTS[name]
+    proc = run_verify(tmp_path, fault, n, max_len)
+    assert proc.returncode == code, (proc.stdout, proc.stderr)
+    fails = [line for line in proc.stdout.splitlines() if line.startswith("FAIL ")]
+    if code == 3:
+        assert not fails, proc.stdout
+        error = {"error": "InvariantError", "message": expected}
+        assert proc.stderr == json.dumps(error) + "\n"
+    else:
+        assert (fails, proc.stderr) == ([expected.format(n=n)], ""), proc.stdout
 
 
 def test_counts_vs_oracle_fails_on_repeated_diagrams():

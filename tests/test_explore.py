@@ -78,8 +78,13 @@ class TestEnumerate:
         assert element_cap() == 10**7
         monkeypatch.setenv("AFFTL_MAX_ELEMENTS", "0")
         assert element_cap() == 0
-        with pytest.raises(RuntimeError):
-            list(enumerate_elements(GroupConfig(4), 1))
+        cfg = GroupConfig(4)
+        # a cap of 0 admits no element, the identity included
+        for run in (lambda: list(enumerate_elements(cfg, 1)),
+                    lambda: list(enumerate_elements(cfg, 0)),
+                    lambda: census(cfg, 0), lambda: oracle_counts(cfg, 0)):
+            with pytest.raises(RuntimeError, match="cap of 0 elements"):
+                run()
 
     @pytest.mark.parametrize("value", ["abc", "-1", "-0x1", "2.5", "1e3", "²"])
     def test_cap_env_rejects(self, monkeypatch, value):

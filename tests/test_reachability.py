@@ -35,7 +35,6 @@ API = "documented library API, called by README's Python API example"
 UNREACHED = {
     "algebra.rewrite_mul": TRACER,
     "cells.a_bruteforce": TRACER,
-    "straightening.find_distinguished": TRACER,
     "cells.cancellable": TRACER,
     "words.braid_witness": TRACER,
     "words.commutation_class": TRACER,
