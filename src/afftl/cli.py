@@ -6,10 +6,9 @@ cells census, involution, enumerate, verify.  Exit codes: 0 success,
 self-check (InvariantError JSON on stderr; a bug, not bad input); closed
 stdout: killed by SIGPIPE, shell status 141.
 
-The modules that several commands share load with this module.  A
-module that only one command runs is imported by that command when it is
-dispatched: `algebra` (with `laurent`) by mul, `render` by the ascii and
-svg diagrams, `verify` by verify.
+`import afftl.cli` loads only `afftl`, `afftl.cli` and `afftl.config`.
+Each command imports the modules it runs when it is dispatched, so a
+usage error or `--help` loads nothing more.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import argparse
 import json
 import sys
 
-from . import cells, diagrams, explore, straightening
 from .config import GroupConfig, InvariantError
 
 
@@ -113,6 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
+    from . import diagrams, straightening
+
     cfg = GroupConfig(args.n)
     r = straightening.stack(cfg, parse_word(args.word))
     word = straightening.straighten(r.diagram).letters
@@ -133,6 +133,8 @@ def _cmd_mul(args) -> int:
 
 
 def _cmd_straighten(args) -> int:
+    from . import diagrams, straightening
+
     d = diagrams.from_json_dict(_load_json_arg(args.diagram))
     sw = straightening.straighten(d)
     _emit({"word": list(sw.letters), "straight_core": sorted(sw.core)})
@@ -140,6 +142,8 @@ def _cmd_straighten(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
+    from . import diagrams, straightening
+
     cfg = GroupConfig(args.n)
     r = straightening.stack(cfg, parse_word(args.word))
     if args.format == "json":
@@ -158,12 +162,16 @@ def _cmd_diagram(args) -> int:
 
 
 def _cmd_afn(args) -> int:
+    from . import cells
+
     cfg = GroupConfig(args.n)
     print(cells.a_value(cfg, parse_word(args.word)))
     return 0
 
 
 def _cmd_cells(args) -> int:
+    from . import cells
+
     cfg = GroupConfig(args.n)
     if args.cells_command == "label":
         _emit(cells.labels(cfg, parse_word(args.word)).to_json())
@@ -183,6 +191,8 @@ def _cmd_cells(args) -> int:
 
 
 def _cmd_involution(args) -> int:
+    from . import cells
+
     cfg = GroupConfig(args.n)
     dec = cells.involution_decompose(cfg, parse_word(args.word))
     _emit({"x": list(dec.x), "T": sorted(dec.core)})
@@ -190,8 +200,11 @@ def _cmd_involution(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.no_labels:
+        from .explore import enumerate_elements as records
+    else:
+        from .cells import labelled_elements as records
     cfg = GroupConfig(args.n)
-    records = explore.enumerate_elements if args.no_labels else cells.labelled_elements
     write = sys.stdout.write
     for rec in records(cfg, args.max_len):
         write(rec.json_line() + "\n")

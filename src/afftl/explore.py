@@ -157,6 +157,8 @@ def oracle_counts(cfg: GroupConfig, max_len: int) -> dict[int, int]:
     the set of p s with p on level ln - 1, s an ascent of p and p s still
     FC (`AffinePermutation.fc_ascents`, read off one extended window); each
     has length ln, so no earlier level needs keeping."""
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
     limit = element_cap()
     counts = {0: 1}
     level, total = {AffinePermutation.identity(cfg.n)}, 1

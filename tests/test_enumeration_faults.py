@@ -21,7 +21,13 @@ the rewrite engine: a threshold too strict rejects some of them, and one
 too loose, which only valid words reach, is pinned as missed, with the
 tier-1 test that catches it named beside it.  So are three faults in the
 products path (Laurent `*`, `unpack` and the element loader), which no
-check of verify runs.
+check of verify runs, and four from the hand-made table of heap and rewrite
+faults: a collapse appending the wrong letter and `_braid_split` ignoring
+adjacency fail engine-agreement; `left_decomposition` ignoring a wrap
+neighbour is missed; `a_value` one too high on words longer than 8 fails
+a-agreement and involutions where the horizon reaches such words and is
+missed where it does not.  Each missed row names the tier-1 test that
+catches it.
 Each case copies the package into a temporary directory, plants one fault
 by an exact text replacement that matches once, and runs `verify` on the
 copy in a subprocess.
@@ -170,6 +176,49 @@ ENGINE_FAULTS = {
         SLIDE_LETTER_OFF_BY_ONE, 3, "peel reconstruction failed at class 1 kind B2"),
     "no-delta-on-descent": (NO_DELTA_ON_DESCENT, 1, "FAIL engine-agreement: pair (1,) x (1,)"),
 }
+# Faults from the hand-made table.  A collapse keeps the witness's
+# neighbour where the appended letter belongs; `_braid_split` puts every
+# letter but another t into w1, so the split finds no neighbour of t; the
+# left decomposition's layer of 1 ignores an occurrence of n below it; and
+# `a_value` adds one on words longer than 8, which only a horizon past 8
+# reaches.  verify's left decompositions are all of core words, whose
+# layers a missed wrap neighbour does not change.
+COLLAPSE_WRONG_LETTER = (
+    "algebra.py",
+    "    return _fold(cfg, wit.w1 + (s,), wit.w2)\n",
+    "    return _fold(cfg, wit.w1 + (wit.s,), wit.w2)\n",
+)
+BRAID_SPLIT_NO_ADJACENCY = (
+    "words.py",
+    "        if above.isdisjoint((x, x - 1 or n, x % n + 1)):\n",
+    "        if x not in above:\n",
+)
+LEFT_DECOMPOSITION_NO_WRAP = ("words.py", "level.get(x - 1 or n, -1)", "level.get(x - 1, -1)")
+A_VALUE_OFF_ON_LONG_WORDS = (
+    "cells.py",
+    "    return short_arc_count(stack(cfg, word).diagram) // 2\n",
+    "    return short_arc_count(stack(cfg, word).diagram) // 2 + (len(word) > 8)\n",
+)
+# name -> (fault, n, max_len, the FAIL lines or None when verify misses
+# the fault, the tier-1 test that catches a missed fault)
+TABLE_FAULTS = {
+    "collapse-wrong-letter-4-12": (
+        COLLAPSE_WRONG_LETTER, 4, 12, ["FAIL engine-agreement: pair (1,) x (2, 1)"], None),
+    "braid-split-no-adjacency-4-12": (
+        BRAID_SPLIT_NO_ADJACENCY, 4, 12,
+        ["FAIL engine-agreement: IndexError: list index out of range"], None),
+    "left-decomposition-no-wrap-4-12": (
+        LEFT_DECOMPOSITION_NO_WRAP, 4, 12, None,
+        "tests/test_descent_masks.py::TestEnumeratedElements::test_masks_match_greedy_scans"),
+    "a-value-off-on-long-words-4-12": (
+        A_VALUE_OFF_ON_LONG_WORDS, 4, 12, [
+            "FAIL a-agreement: fails at (1, 2, 3, 4, 1, 2, 3, 4, 1): 2 arcs, heap width 1",
+            "FAIL involutions: arc count mismatch at (1, 3, 2, 4, 1, 3, 2, 4, 1, 3)",
+        ], None),
+    "a-value-off-on-long-words-5-8": (
+        A_VALUE_OFF_ON_LONG_WORDS, 5, 8, None,
+        "tests/test_heap_width.py::test_equals_arc_count_past_bruteforce"),
+}
 REJECTED = "ValueError: word is not a reduced word of a fully commutative element"
 ORACLE_HORIZONS = [(4, 12), (5, 8), (7, 8)]
 
@@ -299,14 +348,31 @@ def test_counts_vs_oracle_fails_on_repeated_diagrams():
     )
 
 
-@pytest.mark.parametrize("name", list(PRODUCTS_FAULTS))
-def test_verify_misses_the_products_fault(tmp_path, name):
-    # pinned as missed at 4/12; tier-1 catches each in the test named in
-    # PRODUCTS_FAULTS, which must exist
-    fault, catcher = PRODUCTS_FAULTS[name]
+def assert_missed(proc, catcher):
+    """verify passed every check; the named tier-1 test, which catches the
+    fault instead, must exist.  A change that makes verify catch the fault
+    updates the pin."""
     path, _, test = catcher.partition("::")
     assert f"def {test.split('::')[-1]}(" in (PACKAGE.parents[1] / path).read_text()
-    proc = run_verify(tmp_path, fault, 4, 12)
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
     assert len(lines) == 11 and all(line.startswith("PASS ") for line in lines), proc.stdout
+
+
+@pytest.mark.parametrize("name", list(PRODUCTS_FAULTS))
+def test_verify_misses_the_products_fault(tmp_path, name):
+    # pinned as missed at 4/12
+    fault, catcher = PRODUCTS_FAULTS[name]
+    assert_missed(run_verify(tmp_path, fault, 4, 12), catcher)
+
+
+@pytest.mark.parametrize("name", list(TABLE_FAULTS))
+def test_table_fault_pinned(tmp_path, name):
+    fault, n, max_len, expected, catcher = TABLE_FAULTS[name]
+    proc = run_verify(tmp_path, fault, n, max_len)
+    if expected is None:
+        assert_missed(proc, catcher)
+        return
+    assert (proc.returncode, proc.stderr) == (1, "")
+    fails = [line for line in proc.stdout.splitlines() if line.startswith("FAIL ")]
+    assert fails == expected, proc.stdout

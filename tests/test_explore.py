@@ -104,9 +104,15 @@ class TestEnumerate:
                 rec.labels.left_pattern
             )
 
-    def test_negative_horizon(self):
-        with pytest.raises(ValueError):
-            list(enumerate_elements(GroupConfig(4), -1))
+    def test_negative_horizon(self, monkeypatch):
+        # both references raise the same error, before the cap counts the
+        # identity
+        cfg = GroupConfig(4)
+        for cap in ("10", "0"):
+            monkeypatch.setenv("AFFTL_MAX_ELEMENTS", cap)
+            for run in (lambda: list(enumerate_elements(cfg, -1)), lambda: oracle_counts(cfg, -1)):
+                with pytest.raises(ValueError, match="^max_len must be nonnegative$"):
+                    run()
 
 
 def dict_form(rec) -> dict:

@@ -1,11 +1,10 @@
 """Which afftl modules a process loads: `import afftl` none, `import
-afftl.cli` the modules several commands share, and a command that alone
-runs `algebra`, `render` or `verify` that module besides.
+afftl.cli` only `afftl.config` besides, a usage error or `--help` nothing
+more, and each command exactly the modules it runs.
 
 Each case runs in a fresh interpreter, so nothing another test imported
-counts.  A new module-level import that pulls `algebra`, `laurent`,
-`render` or `verify` back into startup, or a command that imports more
-than it runs, fails here.
+counts.  A new module-level import in `cli` that pulls any module back
+into startup, or a command that imports more than it runs, fails here.
 """
 
 import json
@@ -32,13 +31,13 @@ if sys.argv[1:]:
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "afftl")]))
 """
 
-STARTUP = {
-    "afftl", "afftl.cli", "afftl.config", "afftl.cells", "afftl.diagrams", "afftl.explore",
-    "afftl.straightening", "afftl.words",
-}
-ALGEBRA = STARTUP | {"afftl.laurent", "afftl.algebra"}
-RENDER = STARTUP | {"afftl.render"}
-VERIFY = ALGEBRA | {"afftl.verify"}
+STARTUP = {"afftl", "afftl.cli", "afftl.config"}
+ENUMERATE = STARTUP | {"afftl.explore", "afftl.diagrams", "afftl.words"}
+STACK = STARTUP | {"afftl.diagrams", "afftl.straightening", "afftl.words"}
+RENDER = STACK | {"afftl.render"}
+ALGEBRA = STACK | {"afftl.algebra", "afftl.laurent"}
+CELLS = ENUMERATE | STACK | {"afftl.cells"}
+VERIFY = ALGEBRA | CELLS | {"afftl.verify"}  # every module but render
 
 ELEMENT = '{"n": 3, "terms": [{"coeff": [{"exp": 0, "c": 1}], "word": [1]}]}'
 DIAGRAM = (
@@ -48,20 +47,22 @@ DIAGRAM = (
 
 # (argv, the afftl modules loaded once it has run)
 COMMANDS = [
-    (["eval", "--n", "3", "--word", "1 2"], STARTUP),
+    (["eval", "--n", "3", "--word", "1 2"], STACK),
     (["mul", "--n", "3", "--a", ELEMENT, "--b", ELEMENT], ALGEBRA),
-    (["straighten", "--diagram", DIAGRAM], STARTUP),
-    (["diagram", "--n", "3", "--word", "1 2"], STARTUP),
+    (["straighten", "--diagram", DIAGRAM], STACK),
+    (["diagram", "--n", "3", "--word", "1 2"], STACK),
     (["diagram", "--n", "3", "--word", "1 2", "--format", "ascii"], RENDER),
     (["diagram", "--n", "3", "--word", "1 2", "--format", "svg"], RENDER),
-    (["afn", "--n", "3", "--word", "1 2"], STARTUP),
-    (["cells", "label", "--n", "3", "--word", "1 2"], STARTUP),
-    (["cells", "census", "--n", "3", "--max-len", "3"], STARTUP),
-    (["involution", "--n", "3", "--word", "1"], STARTUP),
-    (["enumerate", "--n", "3", "--max-len", "3"], STARTUP),
-    (["enumerate", "--no-labels", "--n", "3", "--max-len", "3"], STARTUP),
+    (["afn", "--n", "3", "--word", "1 2"], CELLS),
+    (["cells", "label", "--n", "3", "--word", "1 2"], CELLS),
+    (["cells", "census", "--n", "3", "--max-len", "3"], CELLS),
+    (["involution", "--n", "3", "--word", "1"], CELLS),
+    (["enumerate", "--n", "3", "--max-len", "3"], CELLS),
+    (["enumerate", "--no-labels", "--n", "3", "--max-len", "3"], ENUMERATE),
     (["verify", "--n", "3", "--max-len", "2"], VERIFY),
 ]
+# (argv, exit code) of runs that stop in the parser and load only STARTUP
+PARSER_EXITS = [(["enumerate", "--n", "x"], 2), (["--help"], 0)]
 
 
 def probe(*code_and_argv):
@@ -79,6 +80,11 @@ def test_import_afftl_loads_no_submodule():
 
 def test_import_cli_loads_the_shared_modules():
     assert json.loads(probe("-c", PROBE)) == [None, sorted(STARTUP)]
+
+
+@pytest.mark.parametrize("argv, code", PARSER_EXITS, ids=[" ".join(argv) for argv, _ in PARSER_EXITS])
+def test_a_parser_exit_loads_only_startup(argv, code):
+    assert json.loads(probe("-c", PROBE, *argv)) == [code, sorted(STARTUP)]
 
 
 def test_every_command_is_probed():
